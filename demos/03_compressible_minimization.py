@@ -13,13 +13,12 @@ from lowmach import (
     ObstacleShape,
     build_mesh,
     cutoff_active_check,
-    difference_functional,
     flow_state,
     make_cutoff,
     minimize,
     solve_incompressible,
 )
-from lowmach.compressible import station_mass_flux
+from lowmach.compressible import DifferenceProblem, station_mass_flux
 from lowmach.gas import enthalpy
 
 EPS = 0.3
@@ -29,8 +28,9 @@ psi = solve_incompressible(mesh, q_inf=1.0)
 gas = GasModel(gamma=1.4, epsilon=EPS, q_inf=1.0)
 cut = make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45)
 
+prob = DifferenceProblem(psi, None, gas, cut)
 print(f"difference functional at zero correction: "
-      f"{difference_functional(np.zeros(mesh.n_nodes), psi, None, gas, cut)!r}")
+      f"{prob.functional(np.zeros(mesh.n_nodes))!r}")
 
 corr, info = minimize(psi, None, gas, cut)
 print("\n=== Newton history ===")

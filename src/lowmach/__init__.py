@@ -10,7 +10,6 @@ numerically.
 from .errors import ConfigError, DomainError, LowmachError, SolverError
 from .gas import (
     CutoffSpec,
-    ForceValue,
     GasModel,
     critical_density,
     critical_speed,
@@ -27,7 +26,7 @@ from .gas import (
     truncated_density,
     truncated_speed_sq,
 )
-from .geometry import ExteriorMesh, ObstacleShape, build_mesh, boundary_normals
+from .geometry import ExteriorMesh, ObstacleShape, build_mesh
 from .incompressible import (
     PotentialField,
     VelocityField,
@@ -40,9 +39,7 @@ from .incompressible import (
 from .compressible import (
     FlowState,
     cutoff_active_check,
-    difference_functional,
     flow_state,
-    functional_gradient,
     minimize,
 )
 from .limits import (

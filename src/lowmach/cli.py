@@ -3,7 +3,8 @@
 Subcommands: solve-incompressible, solve-compressible, sweep,
 validate-force, dump-mesh.  Every run reads a strict JSON configuration,
 writes its artifacts into a directory addressed by the configuration hash,
-and is byte-deterministic for a fixed seed and thread count.
+and is byte-deterministic: the solver uses no randomness and one thread, so
+a rerun of the same configuration writes the same bytes.
 
 Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 cut-off not
 removed, 5 rate assertion failure.
@@ -26,8 +27,6 @@ EXIT_SOLVER = 3
 EXIT_CUTOFF = 4
 EXIT_RATES = 5
 
-DEFAULT_SEED = 20240801
-
 RATE_WINDOWS = {
     "rho_diff_inf": (2.0, 0.1),
     "u_diff_l2": (2.0, 0.15),
@@ -42,8 +41,7 @@ _SCHEMA = {
                  "grading", "mode"},
     "gas": {"gamma", "q_inf"},
     "cutoff": {"theta", "eps0"},
-    "force": {"kind", "mass", "source_radius", "n_radial", "n_polar",
-              "n_azimuth", "beta", "q"},
+    "force": {"kind", "mass", "source_radius", "beta", "q"},
     "solver": {"tol", "max_newton", "max_backtracks", "quad_order",
                "far_field"},
     "sweep": {"eps"},
@@ -154,7 +152,7 @@ class RunConfig:
             return limits.ForceSpec("none")
         return limits.ForceSpec(kind=kind, **fc)
 
-    def sweep_setup(self, mesh, seed):
+    def sweep_setup(self, mesh):
         return limits.SweepSetup(
             mesh=mesh,
             gamma=self.raw["gas"]["gamma"],
@@ -164,7 +162,6 @@ class RunConfig:
             force_spec=self.force_spec(),
             tol=self.raw["solver"]["tol"],
             max_newton=self.raw["solver"]["max_newton"],
-            seed=seed,
         )
 
 
@@ -180,7 +177,7 @@ def _write(path, text):
         fh.write(text)
 
 
-def cmd_solve_incompressible(cfg, out_dir, seed, threads):
+def cmd_solve_incompressible(cfg, out_dir):
     mesh = cfg.build_mesh()
     q_inf = cfg.raw["gas"]["q_inf"]
     psi = incompressible.solve_incompressible(
@@ -198,8 +195,6 @@ def cmd_solve_incompressible(cfg, out_dir, seed, threads):
         "residual": psi.meta["residual"],
         "iterations": psi.meta["iterations"],
         "far_field": psi.meta["far_field"],
-        "seed": seed,
-        "threads": threads,
     }
     _write(os.path.join(run, "summary.json"), io_text.canonical_json(summary))
     if not psi.meta["residual"] <= cfg.raw["solver"]["tol"]:
@@ -207,7 +202,7 @@ def cmd_solve_incompressible(cfg, out_dir, seed, threads):
     return EXIT_OK
 
 
-def cmd_solve_compressible(cfg, epsilon, out_dir, seed, threads):
+def cmd_solve_compressible(cfg, epsilon, out_dir):
     mesh = cfg.build_mesh()
     gas = cfg.gas(epsilon)
     force = limits.build_force(cfg.force_spec(), mesh)
@@ -240,17 +235,15 @@ def cmd_solve_compressible(cfg, epsilon, out_dir, seed, threads):
         "newton_iterations": info.iterations,
         "relative_gradient_target": info.relative_target,
         "incompressible_solved_implicitly": True,
-        "seed": seed,
-        "threads": threads,
     })
     _write(os.path.join(run, f"state_eps{epsilon:g}.json"),
            io_text.canonical_json(summary, compact=True))
     return EXIT_OK if removed else EXIT_CUTOFF
 
 
-def cmd_sweep(cfg, out_dir, seed, threads, assert_rates=False, rate_tol=None):
+def cmd_sweep(cfg, out_dir, assert_rates=False, rate_tol=None):
     mesh = cfg.build_mesh()
-    setup = cfg.sweep_setup(mesh, seed)
+    setup = cfg.sweep_setup(mesh)
     report = limits.sweep(setup, [float(e) for e in cfg.raw["sweep"]["eps"]])
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, "report.csv"), io_text.report_csv(report, cfg.hash))
@@ -267,7 +260,7 @@ def cmd_sweep(cfg, out_dir, seed, threads, assert_rates=False, rate_tol=None):
     return EXIT_OK
 
 
-def cmd_validate_force(cfg, out_dir, seed, threads):
+def cmd_validate_force(cfg, out_dir):
     mesh = cfg.build_mesh()
     spec = cfg.force_spec()
     force = limits.build_force(spec, mesh)
@@ -275,12 +268,12 @@ def cmd_validate_force(cfg, out_dir, seed, threads):
     run = _run_dir(cfg, out_dir)
     out = verdict.as_dict()
     out.update({"config": cfg.hash, "command": "validate-force",
-                "force_kind": spec.kind, "seed": seed, "threads": threads})
+                "force_kind": spec.kind})
     _write(os.path.join(run, "verdict.json"), io_text.canonical_json(out))
     return EXIT_OK
 
 
-def cmd_dump_mesh(cfg, out_dir, seed, threads):
+def cmd_dump_mesh(cfg, out_dir):
     mesh = cfg.build_mesh()
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, "mesh.txt"),
@@ -300,8 +293,6 @@ def _parser():
     ])
     p.add_argument("--config", required=True, help="path to the JSON run configuration")
     p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--epsilon", type=float, default=None,
                    help="compressibility parameter (solve-compressible)")
     p.add_argument("--assert-rates", action="store_true",
@@ -327,20 +318,18 @@ def main(argv=None):
     try:
         cfg = RunConfig(raw)
         if args.command == "solve-incompressible":
-            return cmd_solve_incompressible(cfg, args.out, args.seed, args.threads)
+            return cmd_solve_incompressible(cfg, args.out)
         if args.command == "solve-compressible":
             if args.epsilon is None:
                 raise ConfigError("solve-compressible requires --epsilon")
-            return cmd_solve_compressible(cfg, args.epsilon, args.out,
-                                          args.seed, args.threads)
+            return cmd_solve_compressible(cfg, args.epsilon, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.seed, args.threads,
-                             assert_rates=args.assert_rates,
+            return cmd_sweep(cfg, args.out, assert_rates=args.assert_rates,
                              rate_tol=args.rate_tol)
         if args.command == "validate-force":
-            return cmd_validate_force(cfg, args.out, args.seed, args.threads)
+            return cmd_validate_force(cfg, args.out)
         if args.command == "dump-mesh":
-            return cmd_dump_mesh(cfg, args.out, args.seed, args.threads)
+            return cmd_dump_mesh(cfg, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

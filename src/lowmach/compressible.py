@@ -40,21 +40,20 @@ import scipy.sparse as sparse
 from . import fem
 from .errors import DomainError, SolverError
 from .gas import (
+    closure,
     density_bounds,
     density_departure,
     density_from_speed,
+    elliptic_coeffs,
     enthalpy,
+    level_departure,
     mach as mach_number,
-    pressure_slope,
-    truncated_density,
-    truncated_speed_sq,
 )
 from .incompressible import PotentialField, VelocityField
 
 __all__ = [
     "FlowState",
-    "difference_functional",
-    "functional_gradient",
+    "DifferenceProblem",
     "minimize",
     "flow_state",
     "cutoff_active_check",
@@ -105,19 +104,22 @@ class DifferenceProblem:
             self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
 
     def functional(self, corr):
-        """Value of the difference functional at a nodal correction."""
+        """Value of the difference functional at a nodal correction.
+
+        Zero at zero correction; depends on the correction only through its
+        gradient, so adding a constant changes nothing (gauge invariance).
+        """
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         eps2 = self.gas.epsilon**2
         g_sq = np.sum(g * g, axis=-1)
         base_dot_g = np.sum(self.base * g, axis=-1)
         quad = np.zeros_like(g_sq)
         for t, w in zip(self.t_nodes, self.t_weights):
-            v = self.base + (t * eps2) * g
-            lam = np.sum(v * v, axis=-1)
-            _, qhat_L, _ = truncated_speed_sq(lam, self.force.phi, self.cut)
-            rho = truncated_density(lam, self.force.phi, self.gas, self.cut)
-            ps = pressure_slope(rho, self.gas)
-            v_dot_g = np.sum(v * g, axis=-1)
+            # v = base + t eps^2 g, through its scalar products
+            s = t * eps2
+            lam = self.base_sq + s * (2.0 * base_dot_g + s * g_sq)
+            v_dot_g = base_dot_g + s * g_sq
+            _, qhat_L, _, rho, ps = closure(lam, self.force.phi, self.gas, self.cut)
             quad += (w * (1.0 - t)) * rho * (g_sq - eps2 * qhat_L * v_dot_g**2 / ps)
         integrand = quad + self.base_departure * base_dot_g
         return float(np.sum(self.mesh.qweights * integrand))
@@ -134,31 +136,8 @@ class DifferenceProblem:
         """Weak-form Hessian: the truncated coefficient matrix at the state."""
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         v = self.base + self.gas.epsilon**2 * g
-        lam = np.sum(v * v, axis=-1)
-        _, qhat_L, _ = truncated_speed_sq(lam, self.force.phi, self.cut)
-        rho = truncated_density(lam, self.force.phi, self.gas, self.cut)
-        ps = pressure_slope(rho, self.gas)
-        scale = self.gas.epsilon**2 * qhat_L / ps
-        eye = np.eye(2)
-        outer = v[..., :, None] * v[..., None, :]
-        a = rho[..., None, None] * (eye - scale[..., None, None] * outer)
-        return fem.assemble_matrix(self.mesh, a)
-
-
-def difference_functional(phi_corr, psi_base, force, gas, cut):
-    """Difference functional at a correction field; zero at zero correction.
-
-    Depends on the correction only through its gradient, so adding a
-    constant changes nothing (gauge invariance).
-    """
-    corr = phi_corr.values if isinstance(phi_corr, PotentialField) else phi_corr
-    return DifferenceProblem(psi_base, force, gas, cut).functional(corr)
-
-
-def functional_gradient(phi_corr, psi_base, force, gas, cut):
-    """Nodal gradient of the difference functional (all nodes, unmasked)."""
-    corr = phi_corr.values if isinstance(phi_corr, PotentialField) else phi_corr
-    return DifferenceProblem(psi_base, force, gas, cut).gradient(corr)
+        return fem.assemble_matrix(
+            self.mesh, elliptic_coeffs(v, self.force.phi, self.gas, self.cut)[0])
 
 
 @dataclass
@@ -359,8 +338,8 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     margin = float(np.min(q_low - speed))
     truncated = margin <= 0.0
 
-    dep = density_departure(lam, fo.phi, gas, cut)
-    rho = np.asarray(truncated_density(lam, fo.phi, gas, cut))
+    qhat, _, _, rho, _ = closure(lam, fo.phi, gas, cut)
+    dep = level_departure(qhat, gas)
     if not truncated:
         rho_b = np.asarray(density_from_speed(lam, fo.phi, gas))
         if not np.allclose(rho, rho_b, rtol=1e-12, atol=1e-14):

@@ -18,7 +18,9 @@ oracles.
 The second half of the module implements the subsonic cut-off: a C^1
 monotone truncation of the speed-squared variable that freezes the closure
 beyond a configurable Mach threshold, making the resulting coefficient
-matrix uniformly elliptic no matter how large the argument gets.
+matrix uniformly elliptic no matter how large the argument gets.  The
+kernel ``closure`` evaluates the truncation once per state; the truncated
+density, the energy density and the coefficient matrix are built on it.
 
 Every operation is a pure function of its arguments and the two frozen
 parameter objects (GasModel, CutoffSpec); all of it is safe to call
@@ -34,7 +36,6 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "GasModel",
-    "ForceValue",
     "CutoffSpec",
     "enthalpy",
     "enthalpy_inv",
@@ -48,7 +49,9 @@ __all__ = [
     "speed_at_mach",
     "make_cutoff",
     "truncated_speed_sq",
+    "closure",
     "truncated_density",
+    "level_departure",
     "density_departure",
     "density_bounds",
     "energy_density",
@@ -100,34 +103,10 @@ class GasModel:
         if not (np.all(ps > 0.0) and np.all(curv > 0.0)):
             raise ConfigError("pressure law violates the admissibility conditions")
 
-    def with_epsilon(self, epsilon):
-        return replace(self, epsilon=float(epsilon))
-
-
-@dataclass(frozen=True)
-class ForceValue:
-    """Conservative-force potential value and (optionally) its gradient."""
-
-    potential: float
-    gradient: tuple = None
-
-    def bounded_by(self, phi_star):
-        return bool(np.all(np.abs(self.potential) <= phi_star))
-
 
 def _phi_of(f):
-    """Force potential as a float/array from a ForceValue, array or None."""
-    if f is None:
-        return 0.0
-    if isinstance(f, ForceValue):
-        return np.asarray(f.potential, dtype=float)
-    return np.asarray(f, dtype=float)
-
-
-def _grad_of(f, ndim):
-    if isinstance(f, ForceValue) and f.gradient is not None:
-        return np.asarray(f.gradient, dtype=float)
-    return np.zeros(ndim)
+    """Force potential as a float/array; None means no force."""
+    return 0.0 if f is None else np.asarray(f, dtype=float)
 
 
 def _as_result(x):
@@ -266,7 +245,7 @@ def critical_speed(f, gas):
     return _as_result(np.sqrt(pressure_slope(rho_cr, gas)) / gas.epsilon)
 
 
-def speed_at_mach(mach_bound, f, gas, epsilon=None):
+def speed_at_mach(mach_bound, f, gas):
     """The unique speed at which the Mach number equals ``mach_bound``.
 
     Closed form for the gamma-law gas:
@@ -275,16 +254,14 @@ def speed_at_mach(mach_bound, f, gas, epsilon=None):
               / (1 + m^2 (gamma-1)/2).
 
     Monotone increasing in the bound; approaches the critical speed as the
-    bound tends to 1.  ``epsilon`` overrides gas.epsilon (used by the
-    cut-off threshold grids).
+    bound tends to 1.
     """
     m = np.asarray(mach_bound, dtype=float)
     if np.any(m <= 0.0) or np.any(m > 1.0):
         raise DomainError("mach bound must lie in (0, 1]")
-    eps = gas.epsilon if epsilon is None else np.asarray(epsilon, dtype=float)
     g = gas.gamma
     phi = _phi_of(f)
-    num = g / eps**2 + (g - 1.0) * (gas.q_inf**2 / 2.0 + phi)
+    num = g / gas.epsilon**2 + (g - 1.0) * (gas.q_inf**2 / 2.0 + phi)
     if np.any(num <= 0.0):
         raise ConfigError("no subsonic root: phi too negative for this epsilon")
     return _as_result(np.sqrt(m**2 * num / (1.0 + m**2 * (g - 1.0) / 2.0)))
@@ -304,8 +281,9 @@ class CutoffSpec:
     speed (``q_upper``), and a monotone C^1 cubic Hermite bridge in between,
     matching value and slope at both ends.  The onset/cap speeds are the
     infima over epsilon in (0, eps_ref] of the speeds at Mach threshold and
-    (threshold+1)/2 respectively, evaluated on a geometric epsilon grid with
-    monotonicity asserted.
+    (threshold+1)/2 respectively.  The squared speed at a Mach bound
+    strictly decreases in epsilon (see speed_at_mach), so each infimum is
+    the value at eps_ref, which is affine in phi.
 
     ``lam1``/``lam2`` bound the eigenvalues of the truncated coefficient
     matrix uniformly over all admissible states and all epsilon <= eps_ref;
@@ -319,63 +297,34 @@ class CutoffSpec:
     q_inf: float
     phi_star: float
     saturation: float
-    eps_grid: tuple
     lam1: float = float("nan")
     lam2: float = float("nan")
     drift_bound: float = float("nan")
-    # cached force-free thresholds; with no force every evaluation uses them
-    lam_lo0: float = float("nan")
-    lam_hi0: float = float("nan")
-
-    def _gas(self, epsilon=None):
-        return GasModel(self.gamma, epsilon or self.eps_ref, self.q_inf)
-
-    def _floor_speed(self, bound, phi):
-        """min over the epsilon grid of the speed at the given Mach bound."""
-        phi = np.asarray(phi, dtype=float)
-        grid = np.asarray(self.eps_grid)
-        qs = speed_at_mach(bound, phi[..., None], self._gas(), epsilon=grid)
-        qs = np.asarray(qs)
-        return _as_result(qs.min(axis=-1))
 
     def q_lower(self, phi=0.0):
         """Speed where the cut-off blending begins."""
-        if self.phi_star == 0.0 and not math.isnan(self.lam_lo0):
-            return _as_result(np.broadcast_to(math.sqrt(self.lam_lo0), np.shape(phi)))
-        return self._floor_speed(self.mach_threshold, phi)
+        return _as_result(np.sqrt(self._lambda_lo(phi)))
 
     def q_upper(self, phi=0.0):
         """Speed beyond which the truncated variable saturates."""
-        if self.phi_star == 0.0 and not math.isnan(self.lam_hi0):
-            return _as_result(np.broadcast_to(math.sqrt(self.lam_hi0), np.shape(phi)))
-        return self._floor_speed((self.mach_threshold + 1.0) / 2.0, phi)
+        return _as_result(np.sqrt(self._lambda_hi(phi)))
 
     def _lambda_lo(self, phi):
-        if self.phi_star == 0.0 and not math.isnan(self.lam_lo0):
-            return np.broadcast_to(self.lam_lo0, np.shape(phi))
-        return np.asarray(self.q_lower(phi)) ** 2
+        return self._threshold_sq(self.mach_threshold, phi)
 
     def _lambda_hi(self, phi):
-        if self.phi_star == 0.0 and not math.isnan(self.lam_hi0):
-            return np.broadcast_to(self.lam_hi0, np.shape(phi))
-        return np.asarray(self.q_upper(phi)) ** 2
+        return self._threshold_sq((self.mach_threshold + 1.0) / 2.0, phi)
+
+    def _threshold_sq(self, bound, phi):
+        # speed_at_mach(bound, phi)^2 at eps_ref, as lam0 + slope * phi
+        g = self.gamma
+        lam0 = bound**2 * (g / self.eps_ref**2 + (g - 1.0) * self.q_inf**2 / 2.0) \
+            / (1.0 + bound**2 * (g - 1.0) / 2.0)
+        return lam0 + self._dlambda_dphi(bound) * np.asarray(phi, dtype=float)
 
     def _dlambda_dphi(self, bound):
-        # The grid minimum sits at eps_ref (asserted at construction), so the
-        # phi-derivative of the squared threshold is the closed-form slope
-        # there.
         g = self.gamma
         return bound**2 * (g - 1.0) / (1.0 + bound**2 * (g - 1.0) / 2.0)
-
-
-def _assert_monotone_thresholds(spec, phis):
-    grid = np.asarray(spec.eps_grid)
-    for bound in (spec.mach_threshold, (spec.mach_threshold + 1.0) / 2.0):
-        for phi in phis:
-            qs = speed_at_mach(bound, float(phi), spec._gas(), epsilon=grid)
-            dq = np.diff(np.asarray(qs))
-            if np.any(dq > 1e-12):
-                raise ConfigError("threshold speeds not monotone on the eps grid")
 
 
 def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
@@ -396,10 +345,6 @@ def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
     if not 0.0 < eps_ref < 1.0:
         raise ConfigError(f"eps_ref must be in (0,1), got {eps_ref}")
 
-    # 64-point geometric grid on (0, eps_ref]; the threshold speeds decrease
-    # along it, so the grid minimum is the last entry.
-    grid = tuple(eps_ref * (1e-3) ** (1.0 - k / 63.0) for k in range(64))
-
     if phi_samples is None:
         samples = np.zeros(1)
     else:
@@ -413,14 +358,9 @@ def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
         q_inf=gas.q_inf,
         phi_star=star,
         saturation=float("nan"),
-        eps_grid=grid,
     )
-    _assert_monotone_thresholds(spec, (-star, 0.0, star))
-    spec = replace(
-        spec,
-        lam_lo0=float(spec.q_lower(0.0)) ** 2,
-        lam_hi0=float(spec.q_upper(0.0)) ** 2,
-    )
+    if not spec._lambda_lo(-star) > 0.0:
+        raise ConfigError("no subsonic root: phi too negative for this epsilon")
 
     sat = float(np.max(spec._lambda_hi(samples) - 2.0 * samples))
     spec = replace(spec, saturation=sat)
@@ -440,8 +380,8 @@ def _ellipticity_scan(spec):
     Eigenvalues of the truncated matrix are rho_hat (n-1 fold) and
     rho_hat * (1 - w) with w = eps^2 * qhat_L * Lambda / p'(rho_hat).  The
     scan covers Lambda up to past saturation, phi in [-phi_star, phi_star]
-    and the epsilon grid; a 2% guard band absorbs pockets between scan
-    points.
+    and a geometric epsilon grid up to eps_ref; a 2% guard band absorbs
+    pockets between scan points.
     """
     star = spec.phi_star
     phis = np.linspace(-star, star, 33) if star > 0 else np.zeros(1)
@@ -449,19 +389,15 @@ def _ellipticity_scan(spec):
     lams = np.linspace(0.0, 1.25 * lam_hi_max, 801)
 
     lo, hi, drift = math.inf, -math.inf, 0.0
-    eps_scan = np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25)
-    for phi in phis:
-        qhat, qhat_L, qhat_phi = truncated_speed_sq(lams, float(phi), spec)
-        for eps in eps_scan:
-            gas = GasModel(spec.gamma, float(eps), spec.q_inf)
-            rho = enthalpy_inv(eps**2 * (spec.q_inf**2 - qhat) / 2.0, gas)
-            ps = pressure_slope(rho, gas)
-            w = eps**2 * qhat_L * lams / ps
-            ev_min = rho * np.minimum(1.0, 1.0 - w)
-            ev_max = rho * np.maximum(1.0, 1.0 - w)
-            lo = min(lo, float(ev_min.min()))
-            hi = max(hi, float(ev_max.max()))
-            drift = max(drift, float(np.max(eps**2 * rho * np.abs(qhat_phi) / ps)))
+    for eps in np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25):
+        gas = GasModel(spec.gamma, float(eps), spec.q_inf)
+        _, qhat_L, qhat_phi, rho, ps = closure(lams, phis[:, None], gas, spec)
+        w = eps**2 * qhat_L * lams / ps
+        ev_min = rho * np.minimum(1.0, 1.0 - w)
+        ev_max = rho * np.maximum(1.0, 1.0 - w)
+        lo = min(lo, float(ev_min.min()))
+        hi = max(hi, float(ev_max.max()))
+        drift = max(drift, float(np.max(eps**2 * rho * np.abs(qhat_phi) / ps)))
     return 0.98 * lo, 1.02 * hi, 1.02 * drift
 
 
@@ -511,22 +447,25 @@ def truncated_speed_sq(q2, f, spec):
     return _as_result(qhat), _as_result(dl), _as_result(dphi)
 
 
-def _truncated_level(q2, f, gas, spec):
-    qhat, _, _ = truncated_speed_sq(q2, f, spec)
-    return gas.epsilon**2 * (gas.q_inf**2 - np.asarray(qhat)) / 2.0
+def closure(lam, phi, gas, cut):
+    """The truncated closure at squared speed ``lam`` and force potential ``phi``.
 
+    Returns (qhat, qhat_L, qhat_phi, rho_hat, p'(rho_hat)): the truncated
+    speed variable and its partials (truncated_speed_sq), the density
+    through the truncated Bernoulli relation
 
-def truncated_density(q2, f, gas, spec):
-    """Density through the truncated Bernoulli relation.
+        h(rho_hat) = eps^2 (q_inf^2 - qhat) / 2,
 
-    Coincides with density_from_speed on the identity branch and is constant
-    past saturation.  Defined for every q2 >= 0 as long as the saturated
+    and the pressure slope there.  The density coincides with
+    density_from_speed on the identity branch and is constant past
+    saturation.  It is defined for every lam >= 0 as long as the saturated
     Bernoulli level stays above the vacuum floor, which holds for all
     epsilon <= eps_ref; beyond that the configuration is rejected.
     """
-    lvl = _truncated_level(q2, f, gas, spec)
+    qhat, qhat_L, qhat_phi = truncated_speed_sq(lam, phi, cut)
+    lvl = gas.epsilon**2 * (gas.q_inf**2 - np.asarray(qhat)) / 2.0
     try:
-        return enthalpy_inv(lvl, gas)
+        rho = enthalpy_inv(lvl, gas)
     except DomainError:
         raise ConfigError(
             "epsilon too large: the saturated cut-off branch leaves the "
@@ -534,10 +473,16 @@ def truncated_density(q2, f, gas, spec):
                 float(np.min(lvl)), _enthalpy_range_floor(gas)
             )
         ) from None
+    return qhat, qhat_L, qhat_phi, rho, pressure_slope(rho, gas)
 
 
-def density_departure(q2, f, gas, spec):
-    """(truncated_density - 1) / epsilon^2, evaluated without cancellation.
+def truncated_density(q2, f, gas, spec):
+    """Density through the truncated Bernoulli relation (see closure)."""
+    return closure(q2, f, gas, spec)[3]
+
+
+def level_departure(qhat, gas):
+    """(rho_hat - 1) / epsilon^2 at the truncated speed variable ``qhat``.
 
     Uses the parameter-integral form
 
@@ -545,10 +490,8 @@ def density_departure(q2, f, gas, spec):
         A = (q_inf^2 - qhat)/2,
 
     with an 8-point Gauss rule in t, so the value stays accurate down to
-    epsilon ~ 1e-8.  Converges to (q_inf^2 - q2 + 2 phi) / (2 gamma) on the
-    identity branch as epsilon -> 0.
+    epsilon ~ 1e-8, where the direct difference cancels.
     """
-    qhat, _, _ = truncated_speed_sq(q2, f, spec)
     amp = np.asarray((gas.q_inf**2 - np.asarray(qhat)) / 2.0)
     y = gas.epsilon**2 * amp[..., None] * _T8
     try:
@@ -559,6 +502,16 @@ def density_departure(q2, f, gas, spec):
             "enthalpy range"
         ) from None
     return _as_result(amp * (np.asarray(kern) @ _W8))
+
+
+def density_departure(q2, f, gas, spec):
+    """(truncated_density - 1) / epsilon^2, evaluated without cancellation.
+
+    See level_departure.  Converges to (q_inf^2 - q2 + 2 phi) / (2 gamma)
+    on the identity branch as epsilon -> 0.
+    """
+    qhat, _, _ = truncated_speed_sq(q2, f, spec)
+    return level_departure(qhat, gas)
 
 
 def energy_density(lam, f, gas, spec):
@@ -603,13 +556,13 @@ def energy_density(lam, f, gas, spec):
         b_hi = np.minimum(lam, lam_hi)
         seg = np.where(on_bridge, b_hi - lam_lo, 0.0)
         nodes = lam_lo[..., None] + seg[..., None] * _T16
-        rho_b = truncated_density(nodes, phi[..., None], gas, spec)
+        rho_b = closure(nodes, phi[..., None], gas, spec)[3]
         out = out + 0.5 * seg * (np.asarray(rho_b) @ _W16)
 
     # Saturated tail.
     past = lam > lam_hi
     if np.any(past):
-        rho_sat = truncated_density(lam_hi, phi, gas, spec)
+        rho_sat = closure(lam_hi, phi, gas, spec)[3]
         out = out + np.where(past, 0.5 * np.asarray(rho_sat) * (lam - lam_hi), 0.0)
 
     return _as_result(out)
@@ -626,11 +579,12 @@ def density_bounds(gas, spec):
     return float(low), float(high)
 
 
-def elliptic_coeffs(grad_phi, f, gas, spec):
+def elliptic_coeffs(grad_phi, f, gas, spec, grad_force=None):
     """Coefficient matrix, drift vector and eigenvalue bounds of the closure.
 
     For a velocity v = grad_phi (any spatial dimension, batched in the
-    leading axes):
+    leading axes), force potential f and force gradient ``grad_force``
+    (None for zero):
 
         a_ij = rho_hat (delta_ij - eps^2 qhat_L v_i v_j / p'(rho_hat))
         b_i  = eps^2 rho_hat qhat_phi (grad force)_i / p'(rho_hat)
@@ -639,17 +593,15 @@ def elliptic_coeffs(grad_phi, f, gas, spec):
     every epsilon <= eps_ref.
     """
     v = np.asarray(grad_phi, dtype=float)
-    d = v.shape[-1]
     lam = np.sum(v * v, axis=-1)
-    qhat, qhat_L, qhat_phi = truncated_speed_sq(lam, f, spec)
-    rho = np.asarray(truncated_density(lam, f, gas, spec))
-    ps = np.asarray(pressure_slope(rho, gas))
+    _, qhat_L, qhat_phi, rho, ps = closure(lam, f, gas, spec)
+    rho, ps = np.asarray(rho), np.asarray(ps)
 
-    eye = np.eye(d)
+    eye = np.eye(v.shape[-1])
     outer = v[..., :, None] * v[..., None, :]
     scale = gas.epsilon**2 * np.asarray(qhat_L) / ps
     a = rho[..., None, None] * (eye - scale[..., None, None] * outer)
 
-    gf = _grad_of(f, d)
+    gf = np.zeros_like(v) if grad_force is None else np.asarray(grad_force, dtype=float)
     b = (gas.epsilon**2 * rho * np.asarray(qhat_phi) / ps)[..., None] * gf
     return a, b, (spec.lam1, spec.lam2)

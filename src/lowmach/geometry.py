@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "boundary_normals",
-           "refined", "dump_mesh", "load_mesh"]
+__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "refined",
+           "dump_mesh", "load_mesh"]
 
 AXISYM = "axisymmetric-3d"
 PLANAR = "planar-2d"
@@ -497,19 +497,6 @@ def _validate_mesh(mesh):
     nrm = np.concatenate([fs.normals.reshape(-1, 2) for fs in mesh.facets.values()])
     if np.max(np.abs(np.linalg.norm(nrm, axis=1) - 1.0)) > 1e-12:
         raise ConfigError("facet normals are not unit length")
-
-
-def boundary_normals(mesh):
-    """Per-facet-quadrature-point unit normals with the stored orientation.
-
-    Returns {tag: (points, normals, orientation)} where orientation is the
-    sign convention: +1 means the normals point out of the computational
-    shell (into the obstacle on "gamma", outward on "sigma").
-    """
-    out = {}
-    for tag, fs in mesh.facets.items():
-        out[tag] = (fs.qpts.reshape(-1, 2), fs.normals.reshape(-1, 2), +1)
-    return out
 
 
 def refined(mesh):

@@ -156,7 +156,6 @@ def report_json(report, cfg_hash=""):
         "eps_c_estimate": report.eps_c_estimate,
         "uniform_u_ratio": report.uniform_u_ratio,
         "energy_uniform_ratio": report.energy_uniform_ratio,
-        "seed": report.seed,
         "slopes": {
             k: {"slope": f.slope, "intercept": f.intercept,
                 "r_squared": f.r_squared, "stderr": f.slope_stderr,

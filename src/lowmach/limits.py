@@ -50,8 +50,9 @@ class ForceSpec:
 
     kind : "none", "newtonian" or "point_mass".
         newtonian: a spherically symmetric source of total ``mass`` supported
-        in a ball of ``source_radius`` strictly inside the obstacle, with the
-        Coulomb kernel.  point_mass: the closed-form limit of the same.
+        in a ball of ``source_radius`` strictly inside the obstacle.
+        point_mass: the same field without the source-size check (outside
+        the ball both are mass/|x| by the shell theorem).
     beta, q : declared admissibility parameters of the force
         ((1 + |x|^beta) grad phi must be q-integrable, q > n).
     """
@@ -59,9 +60,6 @@ class ForceSpec:
     kind: str = "none"
     mass: float = 1.0
     source_radius: float = 0.5
-    n_radial: int = 12
-    n_polar: int = 12
-    n_azimuth: int = 16
     beta: float = 1.2
     q: float = 4.0
 
@@ -91,91 +89,29 @@ class ForceField:
         return self.spec.kind == "none"
 
 
-def _source_samples(spec):
-    """Quadrature samples of the spherically symmetric source ball.
-
-    Gauss points in radius and polar cosine, uniform in azimuth; masses are
-    normalized so the monopole is exactly the requested total mass.
-    """
-    xs, ws = np.polynomial.legendre.leggauss(spec.n_radial)
-    rs = 0.5 * spec.source_radius * (xs + 1.0)
-    wr = 0.5 * spec.source_radius * ws
-    xm, wm = np.polynomial.legendre.leggauss(spec.n_polar)
-    az = 2.0 * np.pi * (np.arange(spec.n_azimuth) + 0.5) / spec.n_azimuth
-    waz = 2.0 * np.pi / spec.n_azimuth
-
-    R, MU, AZ = np.meshgrid(rs, xm, az, indexing="ij")
-    WR, WMU, _ = np.meshgrid(wr, wm, az, indexing="ij")
-    s = np.sqrt(1.0 - MU**2)
-    pts = np.stack(
-        [R * MU, R * s * np.cos(AZ), R * s * np.sin(AZ)], axis=-1
-    ).reshape(-1, 3)
-    w = (WR * WMU * waz * R**2).reshape(-1)
-    w *= spec.mass / w.sum()
-    return pts, w
-
-
 def newtonian_potential(spec, mesh):
     """Force potential of a finite-mass source inside the obstacle.
 
-    Direct summation of the Coulomb kernel over the source samples, at every
-    quadrature point and node of the mesh.  Far from the source the
-    potential behaves like mass/|x| and its gradient like mass/|x|^2.
-    Requires the three-dimensional (axisymmetric) mode.
+    The source is spherically symmetric with total ``mass``, so by the shell
+    theorem its potential outside the source ball is exactly the point-mass
+    field mass/|x|, with gradient -mass x/|x|^3.  That closed form is
+    evaluated at every quadrature point and node of the mesh.  Requires the
+    three-dimensional (axisymmetric) mode and, for ``newtonian``, a source
+    ball strictly inside the obstacle.
     """
     if mesh.mode != geometry.AXISYM:
         raise ConfigError("newtonian force requires the axisymmetric-3d mode")
-    if spec.kind == "point_mass":
-        return _point_mass_field(spec, mesh)
-    if not spec.source_radius < 0.95 * mesh.shape.boundary_radius(np.pi / 2.0).min():
-        raise ConfigError("source ball must lie strictly inside the obstacle")
+    if spec.kind == "newtonian":
+        inner = 0.95 * mesh.shape.boundary_radius(np.pi / 2.0).min()
+        if not spec.source_radius < inner:
+            raise ConfigError("source ball must lie strictly inside the obstacle")
 
-    src, w = _source_samples(spec)
-    qp = mesh.qpts.reshape(-1, 2)
-    phi_q, grad_q = _coulomb_sum(qp, src, w)
-    phi_n, _ = _coulomb_sum(mesh.nodes, src, w)
+    r_q = np.linalg.norm(mesh.qpts, axis=-1)
     return ForceField(
         mesh=mesh,
-        phi_qpts=phi_q.reshape(mesh.qweights.shape),
-        grad_qpts=grad_q.reshape(mesh.qpts.shape),
-        phi_nodes=phi_n,
-        spec=spec,
-    )
-
-
-def _coulomb_sum(targets2d, src, w, chunk=2048):
-    """phi(x) = sum_k w_k / |x - y_k| and its meridian-plane gradient."""
-    t3 = np.zeros((targets2d.shape[0], 3))
-    t3[:, 0] = targets2d[:, 0]
-    t3[:, 1] = targets2d[:, 1]
-    phi = np.empty(t3.shape[0])
-    grad = np.empty((t3.shape[0], 2))
-    for lo in range(0, t3.shape[0], chunk):
-        hi = min(lo + chunk, t3.shape[0])
-        d = t3[lo:hi, None, :] - src[None, :, :]
-        r = np.linalg.norm(d, axis=-1)
-        inv = 1.0 / r
-        phi[lo:hi] = inv @ w
-        g3 = -np.einsum("tk,tkd->td", w * inv**3, d)
-        grad[lo:hi, 0] = g3[:, 0]
-        grad[lo:hi, 1] = g3[:, 1]
-    return phi, grad
-
-
-def _point_mass_field(spec, mesh):
-    def phi_grad(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        phi = spec.mass / r
-        grad = -spec.mass * pts / r[..., None] ** 3
-        return phi, grad
-
-    phi_q, grad_q = phi_grad(mesh.qpts.reshape(-1, 2))
-    phi_n, _ = phi_grad(mesh.nodes)
-    return ForceField(
-        mesh=mesh,
-        phi_qpts=phi_q.reshape(mesh.qweights.shape),
-        grad_qpts=grad_q.reshape(mesh.qpts.shape),
-        phi_nodes=phi_n,
+        phi_qpts=spec.mass / r_q,
+        grad_qpts=-spec.mass * mesh.qpts / r_q[..., None] ** 3,
+        phi_nodes=spec.mass / np.linalg.norm(mesh.nodes, axis=-1),
         spec=spec,
     )
 
@@ -386,7 +322,6 @@ class SweepSetup:
     force_spec: ForceSpec = ForceSpec("none")
     tol: float = 1e-10
     max_newton: int = 40
-    seed: int = 20240801
 
 
 @dataclass
@@ -402,7 +337,6 @@ class ConvergenceReport:
     uniform_u_ratio: float       # max/min of |u-u_bar|_inf/eps^2, lower half
     energy_uniform_ratio: float  # correction energy vs its largest-eps value
     sensitivity: dict            # "r_far"/"refine" -> {slope deltas}
-    seed: int
 
     def all_removed(self):
         return all(r["cutoff_removed"] for r in self.rows)
@@ -543,5 +477,4 @@ def sweep(setup, eps_grid, sensitivity=True, decay_ray=np.pi / 4.0):
         uniform_u_ratio=float(uniform_ratio),
         energy_uniform_ratio=float(energy_ratio),
         sensitivity=sens,
-        seed=setup.seed,
     )

@@ -66,3 +66,61 @@ def speed_at_mach_bisect(m, phi, gamma, epsilon, q_inf):
     return bisect_increasing(
         lambda q: mach_of_speed(q, phi, gamma, epsilon, q_inf), 1e-12, q_hi, m
     )
+
+
+def threshold_speed_sq(m, phi, gamma, eps_ref, q_inf, n_eps=2001):
+    """inf over eps in (0, eps_ref] of the squared speed at Mach ``m``.
+
+    For each eps of a dense geometric grid ending at eps_ref, bisects
+    M(q) = eps q / c(q) = m with the gamma-law sound speed read off the
+    Bernoulli relation, c^2 = gamma + (gamma-1) eps^2 ((q_inf^2 - q^2)/2 + phi);
+    then takes the minimum over the grid.
+    """
+    eps = eps_ref * np.geomspace(1e-3, 1.0, n_eps)
+
+    def mach_sq(q):
+        c2 = gamma + (gamma - 1.0) * eps**2 * ((q_inf**2 - q * q) / 2.0 + phi)
+        return np.where(c2 > 0.0, eps**2 * q * q / np.where(c2 > 0.0, c2, 1.0), np.inf)
+
+    lo = np.zeros_like(eps)
+    hi = np.ones_like(eps)
+    while np.any(mach_sq(hi) < m * m):
+        hi = np.where(mach_sq(hi) < m * m, 2.0 * hi, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = mach_sq(mid) < m * m
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return float(np.min(0.5 * (lo + hi)) ** 2)
+
+
+def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
+                 chunk=2048):
+    """Potential and meridian-plane gradient of a uniform ball by direct summation.
+
+    The ball of total ``mass`` and ``radius`` is sampled with Gauss points in
+    radius and polar cosine and uniformly in azimuth, the sample masses
+    normalized to the total; phi(x) = sum_k w_k / |x - y_k|.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(n_radial)
+    rs = 0.5 * radius * (xs + 1.0)
+    wr = 0.5 * radius * ws
+    xm, wm = np.polynomial.legendre.leggauss(n_polar)
+    az = 2.0 * np.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
+    R, MU, AZ = np.meshgrid(rs, xm, az, indexing="ij")
+    WR, WMU, _ = np.meshgrid(wr, wm, az, indexing="ij")
+    s = np.sqrt(1.0 - MU**2)
+    src = np.stack([R * MU, R * s * np.cos(AZ), R * s * np.sin(AZ)],
+                   axis=-1).reshape(-1, 3)
+    w = (WR * WMU * R**2).reshape(-1)
+    w *= mass / w.sum()
+
+    t3 = np.zeros((targets2d.shape[0], 3))
+    t3[:, :2] = targets2d
+    phi = np.empty(t3.shape[0])
+    grad = np.empty((t3.shape[0], 2))
+    for lo in range(0, t3.shape[0], chunk):
+        d = t3[lo:lo + chunk, None, :] - src[None, :, :]
+        inv = 1.0 / np.linalg.norm(d, axis=-1)
+        phi[lo:lo + chunk] = inv @ w
+        grad[lo:lo + chunk] = -np.einsum("tk,tkd->td", w * inv**3, d)[:, :2]
+    return phi, grad

@@ -226,10 +226,10 @@ def test_criterion_8_force_admissibility():
     spec = ForceSpec("newtonian", mass=0.5, source_radius=0.5)
     ff = build_force(spec, mesh)
 
-    # shell theorem to 1e-4
+    # shell theorem to 1e-4: closed form against the direct Coulomb sum
     pts = mesh.qpts.reshape(-1, 2)
-    r = np.linalg.norm(pts, axis=1)
-    rel = np.abs(ff.phi_qpts.reshape(-1) - 0.5 / r) / (0.5 / r)
+    coulomb, _ = oracles.coulomb_ball(pts, 0.5, 0.5)
+    rel = np.abs(ff.phi_qpts.reshape(-1) - coulomb) / coulomb
     assert np.max(rel) < 1e-4
 
     rep1 = validate_force(ff, beta=1.2, q=4.0, mesh=mesh)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from lowmach import (
+    ForceSpec,
     GasModel,
     ObstacleShape,
+    build_force,
     build_mesh,
     cutoff_active_check,
-    difference_functional,
     flow_state,
-    functional_gradient,
     make_cutoff,
     minimize,
     solve_incompressible,
@@ -38,26 +38,37 @@ def _gas(eps):
     return GasModel(1.4, eps, 1.0)
 
 
+@pytest.fixture(scope="module", params=["none", "point_mass"])
+def force_and_cut(request, mesh, cut):
+    """Force-free case with the default cut-off, and a point-mass force
+    with the forced cut-off (theta 0.45, eps0 0.3): the phi != 0 path."""
+    if request.param == "none":
+        return None, cut
+    force = build_force(ForceSpec("point_mass", mass=0.3), mesh)
+    samples = np.concatenate([force.phi_nodes, force.phi_qpts.ravel()])
+    return force, make_cutoff(_gas(0.1), 0.45, 0.3, phi_samples=samples)
+
+
 def test_functional_zero_at_zero(mesh, psi, cut):
     z = np.zeros(mesh.n_nodes)
-    assert difference_functional(z, psi, None, _gas(0.1), cut) == 0.0
+    assert DifferenceProblem(psi, None, _gas(0.1), cut).functional(z) == 0.0
 
 
 def test_functional_constant_correction(mesh, psi, cut):
     c = 3.7 * np.ones(mesh.n_nodes)
-    val = difference_functional(c, psi, None, _gas(0.1), cut)
+    val = DifferenceProblem(psi, None, _gas(0.1), cut).functional(c)
     assert abs(val) < 1e-12
 
 
 def test_functional_gauge_invariance(mesh, psi, cut):
     rng = np.random.default_rng(17)
     x = 0.1 * rng.standard_normal(mesh.n_nodes)
-    gas = _gas(0.2)
-    v1 = difference_functional(x, psi, None, gas, cut)
-    v2 = difference_functional(x + 42.0, psi, None, gas, cut)
+    prob = DifferenceProblem(psi, None, _gas(0.2), cut)
+    v1 = prob.functional(x)
+    v2 = prob.functional(x + 42.0)
     assert v1 == pytest.approx(v2, rel=1e-12)
-    g1 = functional_gradient(x, psi, None, gas, cut)
-    g2 = functional_gradient(x + 42.0, psi, None, gas, cut)
+    g1 = prob.gradient(x)
+    g2 = prob.gradient(x + 42.0)
     assert np.allclose(g1, g2, atol=1e-12 * max(1.0, np.max(np.abs(g1))))
 
 
@@ -112,9 +123,10 @@ def test_functional_matches_literal_definition(mesh, psi, cut):
         assert val_stable == pytest.approx(val_literal, rel=1e-8)
 
 
-def test_hessian_matches_gradient_differences(mesh, psi, cut):
+def test_hessian_matches_gradient_differences(mesh, psi, force_and_cut):
+    force, cut = force_and_cut
     gas = _gas(0.2)
-    prob = DifferenceProblem(psi, None, gas, cut)
+    prob = DifferenceProblem(psi, force, gas, cut)
     rng = np.random.default_rng(12)
     x = 0.05 * rng.standard_normal(mesh.n_nodes)
     h = prob.hessian(x)
@@ -127,10 +139,11 @@ def test_hessian_matches_gradient_differences(mesh, psi, cut):
         assert np.linalg.norm(fd - hv) <= 1e-5 * max(1.0, np.linalg.norm(hv))
 
 
-def test_gradient_matches_finite_differences(mesh, psi, cut):
+def test_gradient_matches_finite_differences(mesh, psi, force_and_cut):
+    force, cut = force_and_cut
     rng = np.random.default_rng(23)
     gas = _gas(0.1)
-    prob = DifferenceProblem(psi, None, gas, cut)
+    prob = DifferenceProblem(psi, force, gas, cut)
     x = 0.05 * rng.standard_normal(mesh.n_nodes)
     g = prob.gradient(x)
     h = 1e-5
@@ -146,8 +159,8 @@ def test_gradient_at_zero_low_mach(mesh, psi, cut):
     # quadratically as eps -> 0, while the scaled gradient itself stays O(1):
     # it converges to the compressibility source driving the correction
     z = np.zeros(mesh.n_nodes)
-    g_small = functional_gradient(z, psi, None, _gas(1e-6), cut)
-    g_ref = functional_gradient(z, psi, None, _gas(0.3), cut)
+    g_small = DifferenceProblem(psi, None, _gas(1e-6), cut).gradient(z)
+    g_ref = DifferenceProblem(psi, None, _gas(0.3), cut).gradient(z)
     n_small, n_ref = np.linalg.norm(g_small), np.linalg.norm(g_ref)
     assert (1e-6) ** 2 * n_small < 1e-11
     assert 0.1 < n_small < 10.0 and 0.1 < n_ref < 10.0
@@ -201,9 +214,10 @@ def test_minimizer_unique_across_starts(mesh, psi, cut):
 def test_minimizer_optimality_and_el_residual(mesh, psi, cut):
     gas = _gas(0.2)
     corr, info = minimize(psi, None, gas, cut)
-    val = difference_functional(corr, psi, None, gas, cut)
+    prob = DifferenceProblem(psi, None, gas, cut)
+    val = prob.functional(corr.values)
     assert val <= 1e-12
-    g = functional_gradient(corr, psi, None, gas, cut)
+    g = prob.gradient(corr.values)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.sigma_nodes)
     # weak residual of the truncated potential equation, rescaled
     assert gas.epsilon**2 * np.linalg.norm(g[free]) < 1e-9

@@ -204,6 +204,18 @@ def cut_forced():
     return make_cutoff(GAS, mach_threshold=0.45, eps_ref=0.3, phi_samples=phis)
 
 
+def test_thresholds_match_dense_eps_grid(cut, cut_forced):
+    # onset/cap speeds are the infima over eps in (0, eps_ref] of the speeds
+    # at the two Mach bounds, for every phi in [-phi_star, phi_star]
+    for spec in (cut, cut_forced):
+        bounds = (spec.mach_threshold, (spec.mach_threshold + 1.0) / 2.0)
+        for phi in np.linspace(-spec.phi_star, spec.phi_star, 5):
+            for bound, q in zip(bounds, (spec.q_lower, spec.q_upper)):
+                expect = oracles.threshold_speed_sq(bound, phi, spec.gamma,
+                                                    spec.eps_ref, spec.q_inf)
+                assert q(phi) ** 2 == pytest.approx(expect, rel=1e-10)
+
+
 def test_cutoff_identity_branch(cut):
     assert cut.q_lower(0.0) > 0.5  # 0.25 is safely below the onset
     val, dl, dphi = truncated_speed_sq(0.25, 0.0, cut)
@@ -379,13 +391,12 @@ def test_elliptic_coeffs_bounds_random_states(cut_forced):
 def test_drift_vector_bounded(cut_forced):
     spec = cut_forced
     rng = np.random.default_rng(99)
-    from lowmach.gas import ForceValue
 
     for _ in range(200):
         v = rng.normal(size=3) * rng.uniform(0.0, 2.0)
         grad = rng.normal(size=3)
-        f = ForceValue(potential=float(rng.uniform(-0.3, 0.3)), gradient=tuple(grad))
-        _, b, _ = elliptic_coeffs(v, f, GAS, spec)
+        phi = float(rng.uniform(-0.3, 0.3))
+        _, b, _ = elliptic_coeffs(v, phi, GAS, spec, grad_force=grad)
         xi = rng.normal(size=3)
         assert abs(b @ xi) <= spec.drift_bound * np.linalg.norm(grad) * np.linalg.norm(xi) + 1e-14
 

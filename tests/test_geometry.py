@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from lowmach import ObstacleShape, build_mesh, boundary_normals
+from lowmach import ObstacleShape, build_mesh
 from lowmach.errors import ConfigError
 from lowmach.geometry import dump_mesh, load_mesh, mesh_dump_string, refined
 
@@ -60,9 +60,9 @@ def test_obstacle_facet_area(sphere_mesh, disk_mesh):
 
 
 def test_sphere_normals_radial(sphere_mesh):
-    out = boundary_normals(sphere_mesh)
     for tag, sign in (("gamma", -1.0), ("sigma", +1.0)):
-        pts, nrm, _ = out[tag]
+        fs = sphere_mesh.facets[tag]
+        pts, nrm = fs.qpts.reshape(-1, 2), fs.normals.reshape(-1, 2)
         rhat = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         assert np.allclose(nrm, sign * rhat, atol=1e-12)
         assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0, atol=1e-12)
@@ -77,7 +77,8 @@ def test_node_normals_at_axis(sphere_mesh):
 def test_ellipse_normals_match_level_set():
     shape = ObstacleShape("ellipse", semi_axes=(2.0, 1.0))
     mesh = build_mesh(shape, 12.0, 6, 12, mode="planar-2d")
-    pts, nrm, _ = boundary_normals(mesh)["gamma"]
+    fs = mesh.facets["gamma"]
+    pts, nrm = fs.qpts.reshape(-1, 2), fs.normals.reshape(-1, 2)
     expect = shape.level_set_normal(pts)
     # facet normals follow the exact boundary parametrization
     assert np.allclose(nrm, -expect, atol=1e-12)
