@@ -233,6 +233,13 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
         "config": cfg.hash,
         "command": "solve-compressible",
         "newton_iterations": info.iterations,
+        "newton_trace": {
+            "cg_iterations": info.cg_iterations,
+            "energies": info.energies,
+            "gradient_norms": info.gradient_norms,
+            "regularized": info.regularized,
+            "step_sizes": info.step_sizes,
+        },
         "relative_gradient_target": info.relative_target,
         "incompressible_solved_implicitly": True,
     })

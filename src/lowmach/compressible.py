@@ -67,6 +67,8 @@ _W8 = 0.5 * _W8
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
+# Relative residual of the inner CG solve for each Newton step.
+_LIN_TOL = 1e-12
 
 
 class _ForceOnMesh:
@@ -170,7 +172,7 @@ def _line_search(prob, x, d, energy, slope, max_backtracks):
 
 
 def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
-             max_backtracks=_MAX_BACKTRACKS, initial=None, lin_tol=1e-12):
+             max_backtracks=_MAX_BACKTRACKS, initial=None):
     """Minimize the difference functional; returns (correction, info).
 
     Newton iteration with Armijo backtracking; convergence when the free-dof
@@ -217,7 +219,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                 hmat = h_ff if tau == 0.0 else (
                     h_ff + sparse.diags(tau * np.abs(h_ff.diagonal()) + tau)
                 )
-                step, cg_hist = fem.pcg(hmat, -grad[free], tol=lin_tol,
+                step, cg_hist = fem.pcg(hmat, -grad[free], tol=_LIN_TOL,
                                         curvature_guard=True)
                 break
             except SolverError:

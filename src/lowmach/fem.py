@@ -1,8 +1,11 @@
 """Bilinear finite-element plumbing on the structured shell mesh.
 
-Assembly is vectorized over all cells at once and reduced through
-scipy.sparse's duplicate summation, which sorts indices before adding, so
-repeated runs produce bitwise identical matrices.  The linear solver is a
+The physical basis gradients are stored cell-major, ``mesh.bgrads`` of
+shape (M, 4, Q, 2), so each cell's gradients form one (4, 2Q) matrix and the
+gradient, load and stiffness kernels are batched matrix products over all
+cells at once.  Element blocks are reduced through scipy.sparse's duplicate
+summation (COO to CSR), which sorts indices before adding, so repeated runs
+produce bitwise identical matrices.  The linear solver is a
 hand-rolled Jacobi-preconditioned conjugate gradient: deterministic, with a
 full residual history for error reports.
 """
@@ -24,10 +27,16 @@ __all__ = [
 ]
 
 
+def _cell_grads(mesh):
+    """Basis gradients as one (4, 2Q) matrix per cell: a view, (M, 4, 2Q)."""
+    m, _, q, _ = mesh.bgrads.shape
+    return mesh.bgrads.reshape(m, 4, 2 * q)
+
+
 def grad_at_qpts(mesh, nodal):
     """Cell-wise gradient of a nodal field at quadrature points, (M, Q, 2)."""
     vals = np.asarray(nodal)[mesh.cells]                  # (M, 4)
-    return np.einsum("mc,mqcd->mqd", vals, mesh.bgrads)
+    return (vals[:, None, :] @ _cell_grads(mesh)).reshape(mesh.qweights.shape + (2,))
 
 
 def value_at_qpts(mesh, nodal):
@@ -43,13 +52,16 @@ def assemble_matrix(mesh, coeff):
         matrices.
     """
     c = np.asarray(coeff)
-    if c.ndim == 2:
-        flux = c[..., None, None] * mesh.bgrads            # (M, Q, 4, 2)
-        blocks = np.einsum("mqid,mqjd,mq->mij", mesh.bgrads, flux, mesh.qweights)
-    else:
-        blocks = np.einsum(
-            "mqid,mqde,mqje,mq->mij", mesh.bgrads, c, mesh.bgrads, mesh.qweights
-        )
+    w = mesh.qweights
+    # w C as (M, 1, Q, 2, 2); an isotropic coefficient is c times the identity
+    wc = ((w * c)[..., None, None] * np.eye(2) if c.ndim == 2
+          else w[..., None, None] * c)[:, None]
+    # flux_j = w C grad(N_j), (M, 4, Q, 2)
+    bg = mesh.bgrads
+    flux = bg[..., 0:1] * wc[..., 0]
+    flux += bg[..., 1:2] * wc[..., 1]
+    flux = flux.reshape(bg.shape[0], 4, -1)
+    blocks = _cell_grads(mesh) @ flux.transpose(0, 2, 1)    # (M, 4, 4)
     rows = np.repeat(mesh.cells, 4, axis=1).ravel()
     cols = np.tile(mesh.cells, (1, 4)).ravel()
     n = mesh.n_nodes
@@ -59,7 +71,8 @@ def assemble_matrix(mesh, coeff):
 
 def assemble_vector_load(mesh, vec_at_qpts):
     """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k)."""
-    contrib = np.einsum("mqd,mqcd,mq->mc", vec_at_qpts, mesh.bgrads, mesh.qweights)
+    wv = np.asarray(vec_at_qpts) * mesh.qweights[..., None]      # (M, Q, 2)
+    contrib = _cell_grads(mesh) @ wv.reshape(wv.shape[0], -1, 1)   # (M, 4, 1)
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, mesh.cells.ravel(), contrib.ravel())
     return out
@@ -104,24 +117,24 @@ def project_to_nodes(mesh, qpt_values, consistent=True):
     return x
 
 
-def pcg(a, b, tol=1e-10, maxiter=None, x0=None, curvature_guard=False):
+def pcg(a, b, tol=1e-10, curvature_guard=False):
     """Jacobi-preconditioned conjugate gradient for SPD systems.
 
-    Converges on the relative residual ||b - A x|| <= tol * ||b||.  Returns
+    Starts from zero and converges on the relative residual
+    ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations.  Returns
     (x, history).  With ``curvature_guard`` the iteration raises SolverError
     when it meets non-positive curvature instead of silently diverging,
     which the Newton loop uses to trigger Hessian regularization.
     """
     n = b.shape[0]
-    if maxiter is None:
-        maxiter = max(20 * n, 200)
+    maxiter = max(20 * n, 200)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
-    x = np.zeros(n) if x0 is None else x0.copy()
+    x = np.zeros(n)
     d = a.diagonal()
     d = np.where(d > 0.0, d, 1.0)
-    r = b - a @ x
+    r = b.copy()
     z = r / d
     p = z.copy()
     rz = r @ z
@@ -151,16 +164,14 @@ def pcg(a, b, tol=1e-10, maxiter=None, x0=None, curvature_guard=False):
     )
 
 
-def apply_dirichlet_solve(a, b, fixed, fixed_values=0.0, tol=1e-10, maxiter=None):
-    """Solve A x = b with x[fixed] pinned, via reduction to the free block."""
+def apply_dirichlet_solve(a, b, fixed, tol=1e-10):
+    """Solve A x = b with x[fixed] = 0, via reduction to the free block."""
     n = b.shape[0]
     mask = np.zeros(n, dtype=bool)
     mask[fixed] = True
     free = np.flatnonzero(~mask)
     x = np.zeros(n)
-    x[fixed] = fixed_values
-    rhs = b - a @ x
     a_ff = a[free][:, free].tocsr()
-    xf, history = pcg(a_ff, rhs[free], tol=tol, maxiter=maxiter)
+    xf, history = pcg(a_ff, b[free], tol=tol)
     x[free] = xf
     return x, history

@@ -417,33 +417,38 @@ def truncated_speed_sq(q2, f, spec):
 
     lam_lo = np.asarray(spec._lambda_lo(phi))
     lam_hi = np.asarray(spec._lambda_hi(phi))
-    v0 = lam_lo - 2.0 * phi
-    sat = spec.saturation
-    h = lam_hi - lam_lo
-
-    s = np.clip((lam - lam_lo) / h, 0.0, 1.0)
-    h00 = (2.0 * s - 3.0) * s * s + 1.0
-    h10 = ((s - 2.0) * s + 1.0) * s
-    h01 = (3.0 - 2.0 * s) * s * s
-    d00 = 6.0 * s * (s - 1.0)
-    d10 = (3.0 * s - 4.0) * s + 1.0
-    d01 = -d00
-
-    bridge_val = v0 * h00 + h * h10 + sat * h01
-    bridge_dl = (v0 * d00 + h * d10 + sat * d01) / h
-
-    dlo = spec._dlambda_dphi(spec.mach_threshold)
-    dhi = spec._dlambda_dphi((spec.mach_threshold + 1.0) / 2.0)
-    dv0 = dlo - 2.0
-    dh = dhi - dlo
-    ds = -(dlo + s * dh) / h
-    bridge_dphi = dv0 * h00 + dh * h10 + ds * h * bridge_dl
-
     below = lam <= lam_lo
     above = lam >= lam_hi
-    qhat = np.where(below, lam - 2.0 * phi, np.where(above, sat, bridge_val))
-    dl = np.where(below, 1.0, np.where(above, 0.0, bridge_dl))
-    dphi = np.where(below, -2.0, np.where(above, 0.0, bridge_dphi))
+    qhat = np.where(below, lam - 2.0 * phi, spec.saturation)
+    dl = np.where(below, 1.0, 0.0)
+    dphi = np.where(below, -2.0, 0.0)
+
+    # The bridge algebra runs only where a point lies on it (often nowhere).
+    on = ~(below | above)
+    if np.any(on):
+        lam, phi, lam_lo, lam_hi = lam[on], phi[on], lam_lo[on], lam_hi[on]
+        v0 = lam_lo - 2.0 * phi
+        sat = spec.saturation
+        h = lam_hi - lam_lo
+
+        s = np.clip((lam - lam_lo) / h, 0.0, 1.0)
+        h00 = (2.0 * s - 3.0) * s * s + 1.0
+        h10 = ((s - 2.0) * s + 1.0) * s
+        h01 = (3.0 - 2.0 * s) * s * s
+        d00 = 6.0 * s * (s - 1.0)
+        d10 = (3.0 * s - 4.0) * s + 1.0
+        d01 = -d00
+
+        qhat[on] = v0 * h00 + h * h10 + sat * h01
+        bridge_dl = (v0 * d00 + h * d10 + sat * d01) / h
+        dl[on] = bridge_dl
+
+        dlo = spec._dlambda_dphi(spec.mach_threshold)
+        dhi = spec._dlambda_dphi((spec.mach_threshold + 1.0) / 2.0)
+        dv0 = dlo - 2.0
+        dh = dhi - dlo
+        ds = -(dlo + s * dh) / h
+        dphi[on] = dv0 * h00 + dh * h10 + ds * h * bridge_dl
     return _as_result(qhat), _as_result(dl), _as_result(dphi)
 
 

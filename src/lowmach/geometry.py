@@ -136,7 +136,8 @@ class ExteriorMesh:
     qweights: np.ndarray       # (M, Q) full measure incl. axisym factor
     axisym_weight: np.ndarray  # (M, Q) 2*pi*xr in axisym mode, 1 in planar
     basis: np.ndarray          # (Q, 4) reference bilinear basis values
-    bgrads: np.ndarray         # (M, Q, 4, 2) physical basis gradients
+    bgrads: np.ndarray         # (M, 4, Q, 2) physical basis gradients, cell-major:
+                               # bgrads[m].reshape(4, 2 * Q) is one matmul operand
     facets: dict               # tag -> FacetSet
     gamma_nodes: np.ndarray
     sigma_nodes: np.ndarray
@@ -429,17 +430,15 @@ def _attach_quadrature(mesh):
     mesh.qweights = W2[None, :] * det * axw
     mesh.axisym_weight = axw
 
-    dxi, deta = _basis_grads(xi, eta)  # (Q, 4)
     mesh.basis = _basis_values(xi, eta)
-    j11 = j11.reshape(M, Q)
-    j12 = j12.reshape(M, Q)
-    j21 = j21.reshape(M, Q)
-    j22 = j22.reshape(M, Q)
-    d = det
-    # grad N = J^{-T} grad_ref N
-    gx1 = (j22[..., None] * dxi[None] - j21[..., None] * deta[None]) / d[..., None]
-    gx2 = (-j12[..., None] * dxi[None] + j11[..., None] * deta[None]) / d[..., None]
-    mesh.bgrads = np.stack([gx1, gx2], axis=-1)  # (M, Q, 4, 2)
+    # grad N = J^{-T} grad_ref N, cell-major: (M, 4, Q) per component.  The
+    # reference gradients are made C-ordered (4, Q) so that the products,
+    # and with them bgrads, are C-contiguous.
+    dxi, deta = (np.ascontiguousarray(a.T) for a in _basis_grads(xi, eta))
+    j11, j12, j21, j22, d = (a.reshape(M, 1, Q) for a in (j11, j12, j21, j22, det))
+    gx1 = (j22 * dxi - j21 * deta) / d
+    gx2 = (-j12 * dxi + j11 * deta) / d
+    mesh.bgrads = np.stack([gx1, gx2], axis=-1)  # (M, 4, Q, 2)
 
 
 def _attach_facets(mesh):

@@ -78,8 +78,7 @@ class VelocityField:
         return (self.at_qpts * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
 
 
-def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet",
-                         maxiter=None):
+def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     """Solve for the incompressible perturbation potential.
 
     Weak form: find the nodal field with
@@ -99,8 +98,7 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet",
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
         fixed = mesh.sigma_nodes[:1]
-    values, history = fem.apply_dirichlet_solve(a, b, fixed, 0.0, tol=tol,
-                                                maxiter=maxiter)
+    values, history = fem.apply_dirichlet_solve(a, b, fixed, tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,

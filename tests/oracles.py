@@ -7,6 +7,7 @@ the same number.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 
@@ -124,3 +125,80 @@ def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
         phi[lo:lo + chunk] = inv @ w
         grad[lo:lo + chunk] = -np.einsum("tk,tkd->td", w * inv**3, d)[:, :2]
     return phi, grad
+
+
+def truncated_speed_sq(q2, phi, spec):
+    """The cut-off variable and its partials, every branch evaluated everywhere.
+
+    The bridge algebra runs at every point and np.where picks the branch;
+    the library evaluates the bridge only where a point lies on it, so the
+    two must agree bit for bit.
+    """
+    lam = np.asarray(q2, dtype=float)
+    phi = np.asarray(0.0 if phi is None else phi, dtype=float)
+    lam, phi = np.broadcast_arrays(lam, phi)
+
+    lam_lo = np.asarray(spec._lambda_lo(phi))
+    lam_hi = np.asarray(spec._lambda_hi(phi))
+    v0 = lam_lo - 2.0 * phi
+    sat = spec.saturation
+    h = lam_hi - lam_lo
+
+    s = np.clip((lam - lam_lo) / h, 0.0, 1.0)
+    h00 = (2.0 * s - 3.0) * s * s + 1.0
+    h10 = ((s - 2.0) * s + 1.0) * s
+    h01 = (3.0 - 2.0 * s) * s * s
+    d00 = 6.0 * s * (s - 1.0)
+    d10 = (3.0 * s - 4.0) * s + 1.0
+    d01 = -d00
+
+    bridge_val = v0 * h00 + h * h10 + sat * h01
+    bridge_dl = (v0 * d00 + h * d10 + sat * d01) / h
+
+    dlo = spec._dlambda_dphi(spec.mach_threshold)
+    dhi = spec._dlambda_dphi((spec.mach_threshold + 1.0) / 2.0)
+    dv0 = dlo - 2.0
+    dh = dhi - dlo
+    ds = -(dlo + s * dh) / h
+    bridge_dphi = dv0 * h00 + dh * h10 + ds * h * bridge_dl
+
+    below = lam <= lam_lo
+    above = lam >= lam_hi
+    qhat = np.where(below, lam - 2.0 * phi, np.where(above, sat, bridge_val))
+    dl = np.where(below, 1.0, np.where(above, 0.0, bridge_dl))
+    dphi = np.where(below, -2.0, np.where(above, 0.0, bridge_dphi))
+    return qhat, dl, dphi
+
+
+# Finite-element kernels written as einsum contractions over the
+# point-major (M, Q, 4, 2) basis-gradient layout.
+
+def _point_major_grads(mesh):
+    return mesh.bgrads.transpose(0, 2, 1, 3)
+
+
+def grad_at_qpts(mesh, nodal):
+    vals = np.asarray(nodal)[mesh.cells]
+    return np.einsum("mc,mqcd->mqd", vals, _point_major_grads(mesh))
+
+
+def assemble_vector_load(mesh, vec_at_qpts):
+    contrib = np.einsum("mqd,mqcd,mq->mc", vec_at_qpts, _point_major_grads(mesh),
+                        mesh.qweights)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.cells.ravel(), contrib.ravel())
+    return out
+
+
+def assemble_matrix(mesh, coeff):
+    bg = _point_major_grads(mesh)
+    c = np.asarray(coeff)
+    if c.ndim == 2:
+        flux = c[..., None, None] * bg
+        blocks = np.einsum("mqid,mqjd,mq->mij", bg, flux, mesh.qweights)
+    else:
+        blocks = np.einsum("mqid,mqde,mqje,mq->mij", bg, c, bg, mesh.qweights)
+    rows = np.repeat(mesh.cells, 4, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, 4)).ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()

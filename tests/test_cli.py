@@ -96,6 +96,15 @@ def test_solve_compressible_removed(tmp_path):
     state = json.loads(open(os.path.join(run, "state_eps0.1.json")).read())
     assert state["cutoff_removed"] is True
     assert state["incompressible_solved_implicitly"] is True
+    trace = state["newton_trace"]
+    n = state["newton_iterations"]
+    assert n > 0
+    assert len(trace["gradient_norms"]) == len(trace["energies"]) == n + 1
+    assert len(trace["step_sizes"]) == len(trace["cg_iterations"]) == n
+    assert all(k > 0 for k in trace["cg_iterations"])
+    assert trace["regularized"] is False
+    norms = trace["gradient_norms"]
+    assert norms[-1] <= state["relative_gradient_target"] * norms[0]
 
 
 def test_solve_compressible_saturated_exits_4(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from lowmach import (
@@ -252,6 +253,99 @@ def test_cutoff_bridge_monotone_and_c1(cut_forced):
         vp, _, _ = truncated_speed_sq(lam, phi + h, spec)
         vm, _, _ = truncated_speed_sq(lam, phi - h, spec)
         assert np.allclose((vp - vm) / (2 * h), dphi, atol=5e-5)
+
+
+def _branch_states(spec):
+    """Speeds through all three branches, including both knots exactly."""
+    phis = np.linspace(-spec.phi_star, spec.phi_star, 33)[:, None]
+    lams = np.linspace(0.0, 1.25 * float(np.max(spec._lambda_hi(phis))), 801)
+    knots = np.concatenate([spec._lambda_lo(phis), spec._lambda_hi(phis)], axis=1)
+    return lams, phis, knots
+
+
+@pytest.mark.parametrize("which", ["cut", "cut_forced"])
+def test_truncated_speed_sq_matches_all_branch_oracle(which, request):
+    spec = request.getfixturevalue(which)
+    lams, phis, knots = _branch_states(spec)
+
+    def same(lam, phi):
+        got = truncated_speed_sq(lam, phi, spec)
+        want = oracles.truncated_speed_sq(lam, phi, spec)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w, equal_nan=True)
+        return got
+
+    # broadcast (801,) x (33, 1), as in the ellipticity scan
+    _, dl, _ = same(lams, phis)
+    on_bridge = (dl != 0.0) & (dl != 1.0)
+    assert np.any(dl == 1.0) and np.any(dl == 0.0) and np.any(on_bridge)
+    # knots, with and without force, as arrays and as scalars
+    for row, phi in zip(knots, phis[:, 0]):
+        for p in (phi, np.full(2, phi)):
+            same(row, p)
+        for lam in row:
+            assert isinstance(same(float(lam), float(phi))[0], float)
+    same(lams, None)
+    same(lams, 0.0)
+    same(np.array([np.nan, 0.5 * lams[-1]]), 0.0)
+
+
+def _cutoff_or_reject(gamma, theta, eps0, q_inf, star):
+    gas = GasModel(gamma, eps0, q_inf)
+    try:
+        return make_cutoff(gas, theta, eps0, phi_samples=np.array([-star, star]))
+    except ConfigError:
+        assume(False)
+
+
+_CUTOFF_PARAMS = dict(
+    gamma=st.floats(1.0, 3.0), theta=st.floats(0.2, 0.8),
+    eps0=st.floats(0.05, 0.6), q_inf=st.floats(0.2, 2.0),
+    star=st.floats(0.0, 0.5), frac=st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_CUTOFF_PARAMS)
+def test_truncated_speed_sq_nondecreasing_in_lambda(gamma, theta, eps0, q_inf,
+                                                    star, frac):
+    spec = _cutoff_or_reject(gamma, theta, eps0, q_inf, star)
+    phi = frac * spec.phi_star
+    lo, hi = float(spec._lambda_lo(phi)), float(spec._lambda_hi(phi))
+    lam = np.sort(np.concatenate([np.linspace(0.0, 1.25 * hi, 2001), [lo, hi]]))
+    val, dl, _ = truncated_speed_sq(lam, phi, spec)
+    # round-off of the Hermite sums: a few ulp of the largest term
+    scale = max(abs(spec.saturation), abs(lo - 2.0 * phi), hi - lo)
+    assert np.all(np.diff(val) >= -1e-13 * scale)
+    assert np.all(dl >= -1e-13 * scale / (hi - lo))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_CUTOFF_PARAMS)
+def test_truncated_speed_sq_c1_at_both_knots(gamma, theta, eps0, q_inf, star,
+                                             frac):
+    spec = _cutoff_or_reject(gamma, theta, eps0, q_inf, star)
+    phi = frac * spec.phi_star
+    lo, hi = float(spec._lambda_lo(phi)), float(spec._lambda_hi(phi))
+    h = hi - lo
+    v0 = lo - 2.0 * phi
+    # |second derivative| of the cubic bridge is at most this; both other
+    # branches are affine
+    curv = (6.0 * abs(spec.saturation - v0) + 4.0 * h) / h**2
+    delta = 1e-5 * h
+    # a difference quotient carries the round-off of its two values
+    noise = 1e-14 * max(abs(spec.saturation), abs(v0), h) / delta
+    for knot in (lo, hi):
+        val, dl, _ = truncated_speed_sq(np.array([knot - delta, knot, knot + delta]),
+                                        phi, spec)
+        left = (val[1] - val[0]) / delta
+        right = (val[2] - val[1]) / delta
+        # one-sided slopes of the function agree ...
+        assert abs(right - left) <= delta * curv + 2.0 * noise
+        # ... and the returned partial is that slope on both sides
+        assert abs(dl[0] - left) <= delta * curv + noise
+        assert abs(dl[2] - right) <= delta * curv + noise
 
 
 def test_truncated_density_identity_matches_bernoulli(cut_forced):
