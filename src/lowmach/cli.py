@@ -249,6 +249,12 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
 
 
 def cmd_sweep(cfg, out_dir, assert_rates=False, rate_tol=None):
+    # the sweep solves with a Dirichlet far field and the default backtrack
+    # budget; refuse a configuration that asks for anything else
+    for key in ("far_field", "max_backtracks"):
+        if cfg.raw["solver"][key] != _DEFAULTS["solver"][key]:
+            raise ConfigError(f"solver.{key}: sweep supports only "
+                              f"{_DEFAULTS['solver'][key]!r}")
     mesh = cfg.build_mesh()
     setup = cfg.sweep_setup(mesh)
     report = limits.sweep(setup, [float(e) for e in cfg.raw["sweep"]["eps"]])

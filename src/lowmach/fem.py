@@ -17,7 +17,6 @@ from .errors import SolverError
 
 __all__ = [
     "grad_at_qpts",
-    "value_at_qpts",
     "assemble_matrix",
     "assemble_vector_load",
     "boundary_component_load",
@@ -37,12 +36,6 @@ def grad_at_qpts(mesh, nodal):
     """Cell-wise gradient of a nodal field at quadrature points, (M, Q, 2)."""
     vals = np.asarray(nodal)[mesh.cells]                  # (M, 4)
     return (vals[:, None, :] @ _cell_grads(mesh)).reshape(mesh.qweights.shape + (2,))
-
-
-def value_at_qpts(mesh, nodal):
-    """Field values at quadrature points, (M, Q)."""
-    vals = np.asarray(nodal)[mesh.cells]
-    return np.einsum("mc,qc->mq", vals, mesh.basis)
 
 
 def assemble_matrix(mesh, coeff):
@@ -97,34 +90,29 @@ def assemble_mass(mesh):
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def project_to_nodes(mesh, qpt_values, consistent=True):
-    """L2 projection of quadrature-point values onto the nodal space.
+def project_to_nodes(mesh, qpt_values):
+    """Consistent L2 projection of quadrature-point values onto the nodal space.
 
-    The consistent projection (mass-matrix solve) reproduces any function
-    already in the space exactly; the lumped variant is cheaper but smears
-    on graded cells.
+    A mass-matrix solve, so any function already in the space is reproduced
+    exactly.
     """
     num = np.zeros(mesh.n_nodes)
     w = mesh.qweights[..., None] * mesh.basis[None, ...]   # (M, Q, 4)
     np.add.at(num, mesh.cells.ravel(),
               (w * np.asarray(qpt_values)[..., None]).sum(axis=1).ravel())
-    if not consistent:
-        den = np.zeros(mesh.n_nodes)
-        np.add.at(den, mesh.cells.ravel(), w.sum(axis=1).ravel())
-        return num / den
     m = assemble_mass(mesh)
     x, _ = pcg(m, num, tol=1e-13)
     return x
 
 
-def pcg(a, b, tol=1e-10, curvature_guard=False):
+def pcg(a, b, tol=1e-10):
     """Jacobi-preconditioned conjugate gradient for SPD systems.
 
     Starts from zero and converges on the relative residual
     ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations.  Returns
-    (x, history).  With ``curvature_guard`` the iteration raises SolverError
-    when it meets non-positive curvature instead of silently diverging,
-    which the Newton loop uses to trigger Hessian regularization.
+    (x, history).  Non-positive curvature raises SolverError instead of
+    silently diverging, which the Newton loop uses to trigger Hessian
+    regularization.
     """
     n = b.shape[0]
     maxiter = max(20 * n, 200)
@@ -145,9 +133,7 @@ def pcg(a, b, tol=1e-10, curvature_guard=False):
         ap = a @ p
         pap = p @ ap
         if pap <= 0.0:
-            if curvature_guard:
-                raise SolverError("non-positive curvature in CG", history)
-            raise SolverError("matrix not positive definite in CG", history)
+            raise SolverError("non-positive curvature in CG", history)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap

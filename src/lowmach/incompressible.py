@@ -151,8 +151,8 @@ def incompressible_pressure_grad(u_bar, force_potential_qpts, mesh):
     """Cell-wise pressure gradient of the incompressible flow.
 
     The Bernoulli relation defines the pressure up to a constant through
-    phi_force - |u|^2 / 2; the gradient of its lumped nodal projection is
-    returned at the quadrature points, (M, Q, 2).
+    phi_force - |u|^2 / 2; the gradient of its consistent L2 projection onto
+    the nodes is returned at the quadrature points, (M, Q, 2).
     """
     s = np.asarray(force_potential_qpts) - 0.5 * np.sum(u_bar.at_qpts**2, axis=-1)
     nodal = fem.project_to_nodes(mesh, s)

@@ -202,3 +202,76 @@ def assemble_matrix(mesh, coeff):
     cols = np.tile(mesh.cells, (1, 4)).ravel()
     n = mesh.n_nodes
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+# Weak pressure-gap pairing in tensor form: every panel field w as a
+# (M, Q, 2) vector with its (M, Q, 2, 2) gradient, and the momentum-flux
+# difference T built from outer products and contracted with einsum.
+
+def tensor_panel(mesh):
+    """{name: (w, grad_w)} with grad_w[..., i, j] = d w_i / d x_j."""
+    pts = mesh.qpts
+    x1 = pts[..., 0]
+    xr = pts[..., 1]
+    r = np.hypot(x1, xr)
+    r0 = 1.5 * mesh.shape.max_radius
+    r1 = 0.7 * mesh.r_far
+    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    g = np.sin(np.pi * s) ** 2
+    gp = np.where((s > 0.0) & (s < 1.0),
+                  np.pi / (r1 - r0) * np.sin(2.0 * np.pi * s), 0.0)
+
+    rhat = np.stack([x1, xr], axis=-1) / r[..., None]
+    mu = x1 / r
+    eye = np.eye(2)
+    outer_r = rhat[..., :, None] * rhat[..., None, :]
+    grad_mu = (np.stack([np.ones_like(mu), np.zeros_like(mu)], axis=-1)
+               - mu[..., None] * rhat) / r[..., None]
+
+    panel = {}
+    e1 = np.zeros_like(rhat)
+    e1[..., 0] = 1.0
+
+    w = g[..., None] * rhat
+    gw = gp[..., None, None] * outer_r + (g / r)[..., None, None] * (eye - outer_r)
+    panel["radial"] = (w, gw)
+
+    w = (g * mu)[..., None] * e1
+    gw = np.zeros(pts.shape + (2,))
+    gw[..., 0, :] = (gp * mu)[..., None] * rhat + g[..., None] * grad_mu
+    panel["aligned"] = (w, gw)
+
+    q2 = 1.5 * mu**2 - 0.5
+    w = (g * q2)[..., None] * rhat
+    gw = (gp * q2)[..., None, None] * outer_r \
+        + (g * 3.0 * mu)[..., None, None] * (rhat[..., :, None] * grad_mu[..., None, :]) \
+        + (g * q2 / r)[..., None, None] * (eye - outer_r)
+    panel["quadrupole"] = (w, gw)
+    return panel
+
+
+def weak_dp_gaps_tensor(state, force=None):
+    """eps^2 integral(T : grad w + departure grad(phi_f) . w) per panel field."""
+    from lowmach import fem
+
+    mesh = state.psi_base.mesh
+    eps2 = state.gas.epsilon**2
+    base = fem.grad_at_qpts(mesh, state.psi_base.values)
+    base[..., 0] += state.gas.q_inf
+    force_grad = (np.zeros(mesh.qpts.shape) if force is None
+                  else np.asarray(force.grad_qpts, dtype=float))
+    ut = state.corr_grad
+    u = state.u.at_qpts
+    dep = state.departure
+
+    T = (base[..., :, None] * ut[..., None, :]
+         + ut[..., :, None] * base[..., None, :]
+         + dep[..., None, None] * (u[..., :, None] * u[..., None, :])
+         + eps2 * (ut[..., :, None] * ut[..., None, :]))
+
+    gaps = {}
+    for name, (w, gw) in tensor_panel(mesh).items():
+        pair = np.einsum("mqij,mqij->mq", T, gw) \
+            + dep * np.einsum("mqd,mqd->mq", force_grad, w)
+        gaps[name] = float(eps2 * np.sum(mesh.qweights * pair))
+    return gaps

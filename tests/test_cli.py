@@ -159,6 +159,17 @@ def test_sweep_empty_eps_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("solver", [{"far_field": "neumann"},
+                                    {"max_backtracks": 10}])
+def test_sweep_rejects_unsupported_solver_keys(tmp_path, capsys, solver):
+    cfg = _write_config(tmp_path, {"solver": solver})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    key, = solver
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.rglob("report.json"))
+
+
 def test_validate_force_verdicts(tmp_path):
     cfg = _write_config(tmp_path, {
         "force": {"kind": "newtonian", "mass": 0.5, "source_radius": 0.5,

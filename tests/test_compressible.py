@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from lowmach import (
     ForceSpec,
     GasModel,
@@ -318,6 +319,36 @@ def test_dp_gap_scales_quadratically(mesh, psi, cut):
         assert gaps[0.2][name] != 0.0
         ratio = abs(gaps[0.2][name]) / abs(gaps[0.1][name])
         assert ratio == pytest.approx(4.0, rel=0.25)
+
+
+def _assert_dp_gap_matches_tensor_oracle(psi, force, cut, eps, monkeypatch):
+    def no_projection(*args, **kwargs):
+        raise AssertionError("flow_state projected onto the nodes")
+
+    monkeypatch.setattr("lowmach.fem.project_to_nodes", no_projection)
+    gas = _gas(eps)
+    corr, _ = minimize(psi, force, gas, cut)
+    state = flow_state(corr, psi, gas, force, cut)
+    assert not hasattr(state, "pressure_grad")
+    ref = oracles.weak_dp_gaps_tensor(state, force)
+    assert sorted(state.dp_gap) == ["aligned", "quadrupole", "radial"]
+    for name, val in ref.items():
+        assert val != 0.0
+        assert state.dp_gap[name] == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
+def test_dp_gap_matches_tensor_oracle(psi, force_and_cut, monkeypatch):
+    # scalar-product pairing against the (M, Q, 2, 2) tensor form; the
+    # point-mass case carries the force term departure * grad(phi_f) . w
+    force, cut = force_and_cut
+    _assert_dp_gap_matches_tensor_oracle(psi, force, cut, 0.1, monkeypatch)
+
+
+def test_dp_gap_matches_tensor_oracle_planar_disk(cut, monkeypatch):
+    disk = build_mesh(ObstacleShape("disk", 1.0), 20.0, 24, 24, grading=1.3,
+                      mode="planar-2d")
+    _assert_dp_gap_matches_tensor_oracle(solve_incompressible(disk, 1.0), None,
+                                         cut, 0.05, monkeypatch)
 
 
 def test_bernoulli_residual_pointwise(mesh, psi, cut):
