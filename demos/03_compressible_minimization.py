@@ -42,7 +42,7 @@ for k, gn in enumerate(info.gradient_norms):
 print(f"converged: {info.converged}, minimum value {info.energies[-1]:.6e} <= 0")
 
 state = flow_state(corr, psi, gas, None, cut)
-removed, margin = cutoff_active_check(state, cut)
+removed, margin = cutoff_active_check(state)
 print("\n=== flow state ===")
 print(f"cut-off removed: {removed} (margin {margin:.4f}) -> the minimizer "
       f"solves the untruncated subsonic problem")

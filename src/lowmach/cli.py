@@ -45,7 +45,7 @@ _SCHEMA = {
     "solver": {"tol", "max_newton", "max_backtracks", "quad_order",
                "far_field"},
     "sweep": {"eps"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 _DEFAULTS = {
@@ -57,7 +57,7 @@ _DEFAULTS = {
     "solver": {"tol": 1e-10, "max_newton": 40, "max_backtracks": 40,
                "quad_order": 3, "far_field": "dirichlet"},
     "sweep": {"eps": [0.4, 0.2, 0.1, 0.05]},
-    "output": {"directory": "out", "formats": ["txt", "csv", "json"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -222,7 +222,7 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
     )
     state = compressible.flow_state(
         corr, psi, gas, None if force.is_zero else force, cut)
-    removed, margin = compressible.cutoff_active_check(state, cut)
+    removed, margin = compressible.cutoff_active_check(state)
 
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, f"correction_eps{epsilon:g}.txt"),

@@ -495,18 +495,21 @@ def level_departure(qhat, gas):
         A = (q_inf^2 - qhat)/2,
 
     with an 8-point Gauss rule in t, so the value stays accurate down to
-    epsilon ~ 1e-8, where the direct difference cancels.
+    epsilon ~ 1e-8, where the direct difference cancels.  The rule is summed
+    node by node, so no array is larger than ``qhat``.
     """
     amp = np.asarray((gas.q_inf**2 - np.asarray(qhat)) / 2.0)
-    y = gas.epsilon**2 * amp[..., None] * _T8
+    level = gas.epsilon**2 * amp
+    total = np.zeros(amp.shape)
     try:
-        kern = enthalpy_inv_deriv(y, gas)
+        for t, w in zip(_T8, _W8):
+            total += w * np.asarray(enthalpy_inv_deriv(level * t, gas))
     except DomainError:
         raise ConfigError(
             "epsilon too large: the truncated Bernoulli level leaves the "
             "enthalpy range"
         ) from None
-    return _as_result(amp * (np.asarray(kern) @ _W8))
+    return _as_result(amp * total)
 
 
 def density_departure(q2, f, gas, spec):

@@ -191,6 +191,12 @@ class ExteriorMesh:
     def _n_theta_nodes(self):
         return self.n_t + 1 if self.mode == AXISYM else self.n_t
 
+    @property
+    def node_grid(self):
+        """(n_i, n_j, periodic): node ``i * n_j + j`` sits at station i,
+        angle j; the angle wraps periodically on planar meshes."""
+        return self.n_r + 1, self._n_theta_nodes, self.mode == PLANAR
+
     def node_id(self, i, j):
         return i * self._n_theta_nodes + (j % self._n_theta_nodes)
 

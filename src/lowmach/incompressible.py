@@ -6,7 +6,9 @@ condition on the obstacle that cancels the normal component of the stream.
 On the truncated far-field boundary the perturbation is closed either with
 a homogeneous Dirichlet condition (default; justified by its fast decay) or
 a homogeneous Neumann condition with one pinned node, for sensitivity
-studies.
+studies.  Both go through the same multigrid-preconditioned conjugate
+gradient (``fem.pcg``): the far-field station, or the pinned node, simply
+carries no unknown.
 
 The same bilinear space is used by the compressible module, so the two
 potentials subtract cleanly degree of freedom by degree of freedom.
@@ -86,8 +88,9 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
         int grad(psi) . grad(eta) dV = -q_inf * oint_Gamma n_1 eta dS
 
     for all test functions, with the far-field closure above.  The linear
-    system is solved by Jacobi-CG to a relative residual of ``tol``; failure
-    raises SolverError carrying the residual history.
+    system is solved by multigrid-preconditioned CG (``fem.pcg``) to a
+    relative residual of ``tol``; failure raises SolverError carrying the
+    residual history.
     """
     if far_field not in ("dirichlet", "neumann"):
         raise ConfigError(f"unknown far-field closure {far_field!r}")
@@ -98,7 +101,7 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
         fixed = mesh.sigma_nodes[:1]
-    values, history = fem.apply_dirichlet_solve(a, b, fixed, tol=tol)
+    values, history = fem.apply_dirichlet_solve(mesh, a, b, fixed, tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,

@@ -371,7 +371,7 @@ def _sweep_rows(setup, eps_grid):
         row = {"epsilon": float(eps)}
         try:
             state, info = _run_single(setup, eps, psi, force, cut)
-            removed, margin = compressible.cutoff_active_check(state, cut)
+            removed, margin = compressible.cutoff_active_check(state)
             row.update(state.norms)
             row.update({f"dp_gap_{k}": v for k, v in state.dp_gap.items()})
             row.update({

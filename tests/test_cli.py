@@ -77,13 +77,19 @@ def test_config_error_names_field(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = json.loads(json.dumps(BASE))
-    cfg["geometry"]["wibble"] = 3
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["solve-incompressible", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "wibble" in capsys.readouterr().err
+    # output.formats was once accepted; every command writes all its
+    # artifacts, so a format list would select nothing
+    for section, key, value in [("geometry", "wibble", 3),
+                                ("output", "formats", ["txt"])]:
+        cfg = json.loads(json.dumps(BASE))
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["solve-incompressible", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_solve_compressible_removed(tmp_path):

@@ -1,11 +1,35 @@
-"""Finite-element kernels: batched-matmul forms against the einsum oracles."""
+"""Finite-element kernels against the einsum oracles, and the linear solver."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
-from lowmach import ObstacleShape, build_mesh
-from lowmach.fem import assemble_matrix, assemble_vector_load, grad_at_qpts
+from lowmach import (
+    GasModel,
+    ObstacleShape,
+    build_mesh,
+    make_cutoff,
+    solve_incompressible,
+)
+from lowmach.compressible import DifferenceProblem
+from lowmach.errors import SolverError
+from lowmach.fem import (
+    Multigrid,
+    VCycle,
+    assemble_mass,
+    assemble_matrix,
+    assemble_vector_load,
+    boundary_component_load,
+    grad_at_qpts,
+    pcg,
+)
+from lowmach.geometry import refined
 
 RTOL = 1e-13
 
@@ -59,3 +83,157 @@ def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind):
     assert got.shape == want.shape == (mesh.n_nodes, mesh.n_nodes)
     assert abs(got - want).max() <= RTOL * scale
     assert abs(got - got.T).max() <= RTOL * scale
+
+
+# ----------------------------------------------------------------------
+# Multigrid-preconditioned conjugate gradient
+# ----------------------------------------------------------------------
+
+SOLVE_TOL = 1e-12
+
+
+def _sphere(n_r, n_t, grading=1.15):
+    return build_mesh(ObstacleShape("sphere", 1.0), 20.0, n_r, n_t, grading=grading)
+
+
+def _disk(n_r, n_t, grading=1.15):
+    return build_mesh(ObstacleShape("disk", 1.0), 20.0, n_r, n_t, grading=grading,
+                      mode="planar-2d")
+
+
+def _free_block(a, b, mesh, fixed):
+    free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
+    return a[free][:, free].tocsr(), b[free]
+
+
+def _laplacian(mesh, fixed):
+    a = assemble_matrix(mesh, np.ones_like(mesh.qweights))
+    b = -boundary_component_load(mesh, "gamma", component=0)
+    return _free_block(a, b, mesh, fixed)
+
+
+def _newton_hessian(mesh, eps=0.1):
+    # the first Newton system of the difference functional
+    gas = GasModel(1.4, eps, 1.0)
+    prob = DifferenceProblem(solve_incompressible(mesh, 1.0), None, gas,
+                             make_cutoff(gas, 0.65, 0.45))
+    zero = np.zeros(mesh.n_nodes)
+    return _free_block(prob.hessian(zero), -prob.gradient(zero), mesh, prob.fixed)
+
+
+# (mesh, fixed nodes, matrix) per case; "mass" is the all-free L2 projection
+SOLVER_CASES = {
+    "axisym-dirichlet": (lambda: _sphere(40, 40), "sigma", "laplacian"),
+    "neumann-far-field": (lambda: _sphere(40, 40), "pin", "laplacian"),
+    "planar-periodic": (lambda: _disk(40, 40), "sigma", "laplacian"),
+    "odd-23x17": (lambda: _sphere(23, 17), "sigma", "laplacian"),
+    "odd-23x17-periodic": (lambda: _disk(23, 17), "pin", "laplacian"),
+    "mass-all-free": (lambda: _sphere(40, 40), "none", "mass"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
+def system(request):
+    make_mesh, fixed_kind, matrix = SOLVER_CASES[request.param]
+    mesh = make_mesh()
+    fixed = {"sigma": mesh.sigma_nodes, "pin": mesh.sigma_nodes[:1],
+             "none": np.array([], dtype=np.int64)}[fixed_kind]
+    if matrix == "mass":
+        a = assemble_mass(mesh)
+        b = np.random.default_rng(5).standard_normal(mesh.n_nodes)
+    else:
+        a, b = _laplacian(mesh, fixed)
+    return mesh, fixed, a, b
+
+
+def test_solution_matches_dense_solve(system):
+    mesh, fixed, a, b = system
+    grid = Multigrid(mesh, fixed)
+    assert len(grid.prolongations) >= 1       # the cycle really coarsens
+    x, history = pcg(a, b, grid, tol=SOLVE_TOL)
+    dense = np.linalg.solve(a.toarray(), b)
+    assert history[-1] <= SOLVE_TOL and len(history) - 1 <= 30
+    assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
+    x_jacobi, _ = oracles.jacobi_pcg(a, b, tol=SOLVE_TOL)
+    assert np.max(np.abs(x - x_jacobi)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_vcycle_is_symmetric_positive_definite(system):
+    mesh, fixed, a, _ = system
+    rng = np.random.default_rng(11)
+    if fixed.size:
+        # an anisotropic SPD coefficient, as in a Newton Hessian (with no
+        # node fixed the stiffness matrix is singular: keep the mass matrix)
+        m = rng.standard_normal(mesh.qweights.shape + (2, 2))
+        coeff = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)
+        a, _ = _free_block(assemble_matrix(mesh, coeff), np.zeros(mesh.n_nodes),
+                           mesh, fixed)
+    apply = VCycle(Multigrid(mesh, fixed), a)
+    r1, r2 = rng.standard_normal((2, a.shape[0]))
+    z1, z2 = apply(r1), apply(r2)
+    assert abs(z1 @ r2 - z2 @ r1) <= 1e-12 * np.linalg.norm(z1) * np.linalg.norm(r2)
+    assert z1 @ r1 > 0.0 and z2 @ r2 > 0.0
+
+
+@pytest.fixture(scope="module")
+def sphere_family():
+    # geometry.refined family: each level doubles n and square-roots the grading
+    coarse = _sphere(24, 24, grading=1.15**2)
+    return [coarse, refined(coarse), refined(refined(coarse))]
+
+
+@pytest.mark.parametrize("matrix", ["laplacian", "newton_hessian"])
+def test_iterations_are_mesh_independent(sphere_family, matrix):
+    counts, jacobi_counts = [], []
+    for mesh in sphere_family:
+        a, b = (_laplacian(mesh, mesh.sigma_nodes) if matrix == "laplacian"
+                else _newton_hessian(mesh))
+        _, history = pcg(a, b, Multigrid(mesh, mesh.sigma_nodes), tol=SOLVE_TOL)
+        counts.append(len(history) - 1)
+        jacobi_counts.append(len(oracles.jacobi_pcg(a, b, tol=SOLVE_TOL)[1]) - 1)
+    assert max(counts) <= 30, counts
+    # the family is one a one-level preconditioner cannot handle
+    assert jacobi_counts[2] >= 3 * jacobi_counts[0], jacobi_counts
+
+
+def test_indefinite_matrix_raises():
+    mesh = _sphere(24, 24)
+    a, b = _laplacian(mesh, mesh.sigma_nodes)
+    grid = Multigrid(mesh, mesh.sigma_nodes)
+    # a negative pivot on a radial line: the line factorization itself
+    # raises, and so does building the cycle
+    flipped = a.tolil()
+    flipped[40, 40] = -0.01 * flipped[40, 40]
+    flipped = flipped.tocsr()
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        grid.levels[0].line_solver(flipped)
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        VCycle(grid, flipped)
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        pcg(flipped, b, grid)
+    # one negative eigenvalue: shifted between the two smallest
+    lam = np.linalg.eigvalsh(a.toarray())[:2]
+    shifted = (a - 0.5 * (lam[0] + lam[1]) * sp.identity(a.shape[0])).tocsr()
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        pcg(shifted, b, grid)
+
+
+def test_no_dense_linear_algebra_module_is_loaded():
+    # scipy.linalg and scipy.sparse.linalg cost several MB of peak RSS
+    code = (
+        "import sys\n"
+        "from lowmach import ObstacleShape, build_mesh, solve_incompressible\n"
+        "from lowmach.fem import project_to_nodes\n"
+        "mesh = build_mesh(ObstacleShape('sphere', 1.0), 20.0, 16, 16)\n"
+        "solve_incompressible(mesh, 1.0)\n"
+        "project_to_nodes(mesh, mesh.qweights)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg',"
+        " 'scipy.sparse.linalg'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
