@@ -41,6 +41,8 @@ import scipy.sparse as sparse
 from . import fem
 from .errors import DomainError, SolverError
 from .gas import (
+    _T8,
+    _W8,
     closure,
     density_bounds,
     density_departure,
@@ -61,10 +63,6 @@ __all__ = [
     "build_test_panel",
     "station_mass_flux",
 ]
-
-_T8, _W8 = np.polynomial.legendre.leggauss(8)
-_T8 = 0.5 * (_T8 + 1.0)
-_W8 = 0.5 * _W8
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
@@ -101,7 +99,6 @@ class DifferenceProblem:
         self.base_sq = np.sum(base * base, axis=-1)
         self.base_departure = density_departure(self.base_sq, self.force.phi, gas, cut)
         self.fixed = mesh.sigma_nodes
-        self.free = np.setdiff1d(np.arange(mesh.n_nodes), self.fixed)
         if t_order == 8:
             self.t_nodes, self.t_weights = _T8, _W8
         else:
@@ -193,17 +190,17 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     """
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
-    n = mesh.n_nodes
-    x = np.zeros(n) if initial is None else np.asarray(initial, dtype=float).copy()
+    x = (np.zeros(mesh.n_nodes) if initial is None
+         else np.asarray(initial, dtype=float).copy())
     x[prob.fixed] = 0.0
-    free = prob.free
     grid = fem.Multigrid(mesh, prob.fixed)
+    free = grid.levels[0].ravel()       # 0 on the far-field station
     beyond_reference = gas.epsilon > cut.eps_ref
     rel_target = max(tol, _BEYOND_REFERENCE_TOL) if beyond_reference else tol
 
     energy = prob.functional(x)
-    grad = prob.gradient(x)
-    gn0 = float(np.linalg.norm(grad[free]))
+    grad = free * prob.gradient(x)
+    gn0 = float(np.linalg.norm(grad))
     gn = gn0
     info = MinimizeInfo(False, 0, [gn], [energy], [], False, [],
                         relative_target=rel_target)
@@ -220,14 +217,13 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
             info.converged = True
             break
         h = prob.hessian(x)
-        h_ff = h[free][:, free].tocsr()
         tau = 0.0
         while True:
             try:
-                hmat = h_ff if tau == 0.0 else (
-                    h_ff + sparse.diags(tau * np.abs(h_ff.diagonal()) + tau)
+                hmat = h if tau == 0.0 else (
+                    h + sparse.diags(tau * np.abs(h.diagonal()) + tau)
                 )
-                step, cg_hist = fem.pcg(hmat, -grad[free], grid, tol=_LIN_TOL)
+                d, cg_hist = fem.pcg(hmat, -grad, grid, tol=_LIN_TOL)
                 break
             except SolverError:
                 if not beyond_reference:
@@ -241,15 +237,12 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                                       info.gradient_norms)
         info.cg_iterations.append(len(cg_hist) - 1)
 
-        d = np.zeros(n)
-        d[free] = step
-        slope = float(grad[free] @ step)
+        slope = float(grad @ d)
         alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
         if alpha is None:
             # fall back to preconditioned steepest descent for this step
-            d = np.zeros(n)
-            d[free] = -grad[free] / np.maximum(h_ff.diagonal(), 1e-12)
-            slope = float(grad[free] @ d[free])
+            d = -grad / np.maximum(h.diagonal(), 1e-12)
+            slope = float(grad @ d)
             alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
             if alpha is None:
                 raise SolverError(
@@ -257,8 +250,8 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                     info.gradient_norms)
         x = x + alpha * d
         energy = trial
-        grad = prob.gradient(x)
-        gn = float(np.linalg.norm(grad[free]))
+        grad = free * prob.gradient(x)
+        gn = float(np.linalg.norm(grad))
         info.iterations = it + 1
         info.gradient_norms.append(gn)
         info.energies.append(energy)

@@ -13,8 +13,12 @@ geometric-multigrid V-cycle on the structured (station, angle) node grid:
 linear interpolation between levels, Galerkin coarse operators, damped
 block-Jacobi smoothing over radial lines (graded cells near the obstacle
 are strongly anisotropic) and a dense solve on the coarsest level.  Its
-iteration count does not grow with the mesh.  Only numpy and scipy.sparse
-are used: scipy.linalg and scipy.sparse.linalg are not imported.
+iteration count does not grow with the mesh.  Every node of the grid stays
+an equation: a node held at zero (the far-field station, or a pinned node)
+is an identity row on every level, so callers pass the assembled matrix and
+the nodal right-hand side as they are and get a nodal solution back.  Only
+numpy and scipy.sparse are used: scipy.linalg and scipy.sparse.linalg are
+not imported.
 """
 
 import numpy as np
@@ -31,7 +35,6 @@ __all__ = [
     "Multigrid",
     "VCycle",
     "pcg",
-    "apply_dirichlet_solve",
 ]
 
 
@@ -146,54 +149,74 @@ def _interp_1d(n, periodic):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size)), coarse
 
 
+def _zeroed(a, rows, cols):
+    """``a`` in CSR form with its stored entries in the rows where ``rows`` is
+    0 and in the columns where ``cols`` is 0 set to zero: new values, the
+    index arrays of ``a``."""
+    a = a.tocsr()
+    data = a.data * np.repeat(rows, np.diff(a.indptr)) * cols[a.indices]
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+
+
 class Multigrid:
     """Grid hierarchy of a mesh's (station i, angle j) node grid.
 
     Node ``i * n_j + j`` of every level is a point of an (n_i, n_j) station
     grid (``mesh.node_grid``), periodic in j for planar meshes.  Each coarser
     level keeps every other station and angle (see ``_interp_1d``), and its
-    prolongation is the Kronecker product of the two 1-D interpolations,
-    restricted to the free nodes of both levels: nodes held at zero
-    (``fixed``) carry no unknown, and a coarse node is fixed when the fine
-    node it sits on is.  The hierarchy depends only on the grid, so one is
-    shared by every operator solved on it (see ``VCycle``).
+    prolongation is the Kronecker product of the two 1-D interpolations.
+    ``levels`` holds one (n_i, n_j) array per level, 1 on free nodes and 0 on
+    nodes held at zero (``fixed``); a coarse node is fixed when the fine node
+    it sits on is, and the rows and columns of fixed nodes are zeroed in the
+    prolongations.  The hierarchy depends only on the grid, so one is shared
+    by every operator solved on it (see ``VCycle``).
     """
 
     def __init__(self, mesh, fixed=()):
         n_i, n_j, periodic = mesh.node_grid
-        mask = np.ones((n_i, n_j), dtype=bool)
-        mask.reshape(-1)[np.asarray(fixed, dtype=np.int64)] = False
-        self.levels = [_GridLevel(mask)]
+        free = np.ones((n_i, n_j))
+        free.reshape(-1)[np.asarray(fixed, dtype=np.int64)] = 0.0
+        self.levels = [free]
         self.prolongations = []
-        while mask.size > _COARSEST:
+        while free.size > _COARSEST:
             p_i, c_i = _interp_1d(n_i, False)
             p_j, c_j = _interp_1d(n_j, periodic)
             if c_i.size == n_i and c_j.size == n_j:
                 break
-            coarse = mask[np.ix_(c_i, c_j)]
-            p = sp.kron(p_i, p_j, format="csr")[mask.ravel()][:, coarse.ravel()]
+            coarse = free[np.ix_(c_i, c_j)]
+            p = _zeroed(sp.kron(p_i, p_j, format="csr"), free.ravel(), coarse.ravel())
             self.prolongations.append((p, p.T.tocsr()))
-            n_i, n_j, mask = c_i.size, c_j.size, coarse
-            self.levels.append(_GridLevel(mask))
+            n_i, n_j, free = c_i.size, c_j.size, coarse
+            self.levels.append(free)
+
+
+def _identity_rows(a, free):
+    """``a`` with the row and column of every node where ``free`` is 0 made
+    those of the identity: couplings zeroed, 1 on the diagonal."""
+    keep = free.ravel()
+    n = keep.size
+    eye = sp.csr_matrix((1.0 - keep, np.arange(n), np.arange(n + 1)), shape=(n, n))
+    return _zeroed(a, keep, keep) + eye      # the sum drops the zeroed entries
 
 
 class VCycle:
-    """One symmetric V(1,1) cycle of a ``Multigrid`` for a free-node matrix.
+    """One symmetric V(1,1) cycle of a ``Multigrid`` for a nodal matrix.
 
-    Builds the Galerkin operators P^T A P and factors the radial lines of
-    every level but the coarsest, and the coarsest level itself; calling it
-    on a residual returns the preconditioned residual.  A non-positive pivot
-    on the way means the matrix is not positive definite and raises
-    SolverError.
+    ``ops`` holds ``a`` and its Galerkin operators P^T A P, each with the
+    fixed nodes of its level as identity rows (``_identity_rows``).  Builds
+    them and factors the radial lines of every level but the coarsest, and
+    the coarsest level itself; calling it on a residual returns the
+    preconditioned residual.  A non-positive pivot on the way means the
+    matrix is not positive definite and raises SolverError.
     """
 
     def __init__(self, grid, a):
         self.prolongations = grid.prolongations
-        self.ops = [a]
-        for p, pt in self.prolongations:
-            self.ops.append((pt @ self.ops[-1] @ p).tocsr())
-        self.smoothers = [lev.line_solver(op)
-                          for lev, op in zip(grid.levels[:-1], self.ops)]
+        self.ops = [_identity_rows(a, grid.levels[0])]
+        for (p, pt), free in zip(self.prolongations, grid.levels[1:]):
+            self.ops.append(_identity_rows(pt @ self.ops[-1] @ p, free))
+        self.smoothers = [_line_solver(op, free.shape)
+                          for free, op in zip(grid.levels[:-1], self.ops)]
         try:
             chol = np.linalg.cholesky(self.ops[-1].toarray())
         except np.linalg.LinAlgError:
@@ -216,80 +239,67 @@ class VCycle:
         return z
 
 
-class _GridLevel:
-    """Free nodes of an (n_i, n_j) station grid and their radial lines."""
+def _line_solver(a, shape):
+    """Damped block-Jacobi solve over the radial lines, r -> omega T^-1 r.
 
-    def __init__(self, mask):
-        self.shape = mask.shape
-        self.free = np.flatnonzero(mask)
-        pos = np.full(mask.shape, -1)
-        pos.reshape(-1)[self.free] = np.arange(self.free.size)
-        # station neighbours (i, j) -- (i + 1, j) that are both free
-        both = mask[:-1] & mask[1:]
-        self.pairs = np.flatnonzero(both)
-        self.pair_rows = pos[:-1][both]
-        self.pair_cols = pos[1:][both]
+    Line j of an (n_i, n_j) grid couples the nodes (i, j), i = 0..n_i-1,
+    through the tridiagonal part of ``a``: its diagonals 0 and n_j.  All
+    lines are factored as L D L^T at once, one station at a time, and solved
+    by a Thomas sweep vectorized over j.
+    """
+    n_i, n_j = shape
+    diag = a.diagonal().reshape(shape)
+    off = a.diagonal(n_j).reshape(n_i - 1, n_j)
+    low = np.empty_like(off)
+    piv = np.empty(shape)
+    piv[0] = diag[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, n_i):
+            low[i - 1] = off[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - low[i - 1] * off[i - 1]
+    # a pivot after a non-positive one can be positive again: check all
+    if not np.all(piv > 0.0):
+        raise SolverError("non-positive curvature in CG", [1.0])
+    scale = _OMEGA / piv
+    low_rows = list(low)
 
-    def line_solver(self, a):
-        """Damped block-Jacobi solve over the radial lines, r -> omega T^-1 r.
+    def solve(r):
+        y = r.reshape(shape).copy()
+        rows = list(y)
+        for i in range(1, n_i):
+            rows[i] -= low_rows[i - 1] * rows[i - 1]
+        y *= scale
+        for i in range(n_i - 2, -1, -1):
+            rows[i] -= low_rows[i] * rows[i + 1]
+        return y.reshape(-1)
 
-        Line j couples the nodes (i, j), i = 0..n_i-1, through the
-        tridiagonal part of ``a``; fixed nodes are identity rows.  All lines
-        are factored as L D L^T at once, one station at a time, and solved by
-        a Thomas sweep vectorized over j.
-        """
-        shape = self.shape
-        diag = np.ones(shape)
-        diag.reshape(-1)[self.free] = a.diagonal()
-        off = np.zeros((shape[0] - 1, shape[1]))
-        off.reshape(-1)[self.pairs] = np.asarray(
-            a[self.pair_rows, self.pair_cols]).ravel()
-        low = np.empty_like(off)
-        piv = np.empty(shape)
-        piv[0] = diag[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(1, shape[0]):
-                low[i - 1] = off[i - 1] / piv[i - 1]
-                piv[i] = diag[i] - low[i - 1] * off[i - 1]
-        # a pivot after a non-positive one can be positive again: check all
-        if not np.all(piv > 0.0):
-            raise SolverError("non-positive curvature in CG", [1.0])
-        scale = _OMEGA / piv
-        low_rows = list(low)
-        free = self.free
-
-        def solve(r):
-            y = np.zeros(shape)
-            flat = y.reshape(-1)             # a view; y.flat indexing is slower
-            flat[free] = r
-            rows = list(y)
-            for i in range(1, shape[0]):
-                rows[i] -= low_rows[i - 1] * rows[i - 1]
-            y *= scale
-            for i in range(shape[0] - 2, -1, -1):
-                rows[i] -= low_rows[i] * rows[i + 1]
-            return flat[free]
-
-        return solve
+    return solve
 
 
 def pcg(a, b, grid, tol=1e-10):
     """Multigrid-preconditioned conjugate gradient for SPD systems.
 
-    ``a`` is the matrix on the free nodes of ``grid`` (a ``Multigrid``),
-    ``b`` the right-hand side there; one ``VCycle(grid, a)`` is
-    the preconditioner.  Starts from zero and converges on the relative
-    residual ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations.
-    Returns (x, history).  Non-positive curvature, or a non-positive pivot
-    while the cycle is built, raises SolverError instead of silently
-    diverging, which the Newton loop uses to trigger Hessian regularization.
+    ``a`` is the assembled nodal matrix and ``b`` the nodal right-hand side.
+    The fixed nodes of ``grid`` (a ``Multigrid``) are held at zero: the
+    system solved is ``a`` with their rows and columns made identity ones and
+    ``b`` zeroed there, so the finite values ``a`` and ``b`` store for them do
+    not matter.  One ``VCycle(grid, a)`` is the preconditioner.  Starts from
+    zero and converges on the relative residual ||b - A x|| <= tol * ||b||
+    within max(20 n, 200) iterations, n the number of free nodes.  Returns
+    (x, history), x nodal and exactly zero on the fixed nodes.
+    Non-positive curvature, or a non-positive pivot while the cycle is built,
+    raises SolverError instead of silently diverging, which the Newton loop
+    uses to trigger Hessian regularization.
     """
+    free = grid.levels[0].ravel()
+    b = free * b
     n = b.shape[0]
-    maxiter = max(20 * n, 200)
+    maxiter = max(20 * int(free.sum()), 200)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
     precondition = VCycle(grid, a)
+    a = precondition.ops[0]                 # fixed nodes as identity rows
     x = np.zeros(n)
     r = b.copy()
     z = precondition(r)
@@ -317,13 +327,3 @@ def pcg(a, b, grid, tol=1e-10):
         f"CG did not reach tol={tol:g} in {maxiter} iterations "
         f"(residual {history[-1]:.3e})", history
     )
-
-
-def apply_dirichlet_solve(mesh, a, b, fixed, tol=1e-10):
-    """Solve A x = b on ``mesh`` with x[fixed] = 0, via the free block."""
-    grid = Multigrid(mesh, fixed)
-    free = grid.levels[0].free
-    x = np.zeros(b.shape[0])
-    a_ff = a[free][:, free].tocsr()
-    x[free], history = pcg(a_ff, b[free], grid, tol=tol)
-    return x, history

@@ -58,7 +58,8 @@ __all__ = [
     "elliptic_coeffs",
 ]
 
-# Gauss-Legendre nodes/weights on [0, 1], used for the parameter integrals.
+# Gauss-Legendre nodes/weights on [0, 1], used for the parameter integrals
+# here and in ``compressible``.
 _T8, _W8 = np.polynomial.legendre.leggauss(8)
 _T8 = 0.5 * (_T8 + 1.0)
 _W8 = 0.5 * _W8

@@ -188,24 +188,14 @@ class ExteriorMesh:
     # -- structured index helpers -------------------------------------
 
     @property
-    def _n_theta_nodes(self):
-        return self.n_t + 1 if self.mode == AXISYM else self.n_t
-
-    @property
     def node_grid(self):
         """(n_i, n_j, periodic): node ``i * n_j + j`` sits at station i,
         angle j; the angle wraps periodically on planar meshes."""
-        return self.n_r + 1, self._n_theta_nodes, self.mode == PLANAR
-
-    def node_id(self, i, j):
-        return i * self._n_theta_nodes + (j % self._n_theta_nodes)
+        periodic = self.mode == PLANAR
+        return self.n_r + 1, self.n_t if periodic else self.n_t + 1, periodic
 
     def cell_id(self, i, j):
         return i * self.n_t + (j % self.n_t)
-
-    def _station_radius(self, beta, theta):
-        r_in = self.shape.boundary_radius(theta)
-        return r_in + (self.r_far - r_in) * beta
 
     # -- field evaluation at arbitrary points --------------------------
 

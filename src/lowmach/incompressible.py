@@ -7,8 +7,8 @@ On the truncated far-field boundary the perturbation is closed either with
 a homogeneous Dirichlet condition (default; justified by its fast decay) or
 a homogeneous Neumann condition with one pinned node, for sensitivity
 studies.  Both go through the same multigrid-preconditioned conjugate
-gradient (``fem.pcg``): the far-field station, or the pinned node, simply
-carries no unknown.
+gradient (``fem.pcg``): each node of the far-field station, or the pinned
+node, simply is an identity row.
 
 The same bilinear space is used by the compressible module, so the two
 potentials subtract cleanly degree of freedom by degree of freedom.
@@ -54,12 +54,6 @@ class PotentialField:
     def grad_at_qpts(self):
         return fem.grad_at_qpts(self.mesh, self.values)
 
-    def at_points(self, points):
-        return self.mesh.evaluate(self.values, points)
-
-    def grad_at_points(self, points):
-        return self.mesh.evaluate_gradient(self.values, points)
-
 
 @dataclass
 class VelocityField:
@@ -71,13 +65,6 @@ class VelocityField:
 
     def speed(self):
         return np.linalg.norm(self.at_qpts, axis=-1)
-
-    def max_speed(self):
-        return float(self.speed().max())
-
-    def cell_means(self):
-        w = self.mesh.qweights
-        return (self.at_qpts * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
 
 
 def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
@@ -101,7 +88,7 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
         fixed = mesh.sigma_nodes[:1]
-    values, history = fem.apply_dirichlet_solve(mesh, a, b, fixed, tol=tol)
+    values, history = fem.pcg(a, b, fem.Multigrid(mesh, fixed), tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,

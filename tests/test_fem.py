@@ -22,6 +22,7 @@ from lowmach.errors import SolverError
 from lowmach.fem import (
     Multigrid,
     VCycle,
+    _line_solver,
     assemble_mass,
     assemble_matrix,
     assemble_vector_load,
@@ -101,15 +102,15 @@ def _disk(n_r, n_t, grading=1.15):
                       mode="planar-2d")
 
 
-def _free_block(a, b, mesh, fixed):
-    free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
-    return a[free][:, free].tocsr(), b[free]
+def _free_block(a, b, fixed):
+    # the system on the free nodes alone, for the dense and one-level solvers
+    free = np.setdiff1d(np.arange(b.shape[0]), fixed)
+    return a[free][:, free].tocsr(), b[free], free
 
 
-def _laplacian(mesh, fixed):
+def _laplacian(mesh):
     a = assemble_matrix(mesh, np.ones_like(mesh.qweights))
-    b = -boundary_component_load(mesh, "gamma", component=0)
-    return _free_block(a, b, mesh, fixed)
+    return a, -boundary_component_load(mesh, "gamma", component=0)
 
 
 def _newton_hessian(mesh, eps=0.1):
@@ -118,7 +119,7 @@ def _newton_hessian(mesh, eps=0.1):
     prob = DifferenceProblem(solve_incompressible(mesh, 1.0), None, gas,
                              make_cutoff(gas, 0.65, 0.45))
     zero = np.zeros(mesh.n_nodes)
-    return _free_block(prob.hessian(zero), -prob.gradient(zero), mesh, prob.fixed)
+    return prob.hessian(zero), -prob.gradient(zero)
 
 
 # (mesh, fixed nodes, matrix) per case; "mass" is the all-free L2 projection
@@ -132,9 +133,8 @@ SOLVER_CASES = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
-def system(request):
-    make_mesh, fixed_kind, matrix = SOLVER_CASES[request.param]
+def _system(name):
+    make_mesh, fixed_kind, matrix = SOLVER_CASES[name]
     mesh = make_mesh()
     fixed = {"sigma": mesh.sigma_nodes, "pin": mesh.sigma_nodes[:1],
              "none": np.array([], dtype=np.int64)}[fixed_kind]
@@ -142,8 +142,13 @@ def system(request):
         a = assemble_mass(mesh)
         b = np.random.default_rng(5).standard_normal(mesh.n_nodes)
     else:
-        a, b = _laplacian(mesh, fixed)
+        a, b = _laplacian(mesh)
     return mesh, fixed, a, b
+
+
+@pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
+def system(request):
+    return _system(request.param)
 
 
 def test_solution_matches_dense_solve(system):
@@ -151,11 +156,32 @@ def test_solution_matches_dense_solve(system):
     grid = Multigrid(mesh, fixed)
     assert len(grid.prolongations) >= 1       # the cycle really coarsens
     x, history = pcg(a, b, grid, tol=SOLVE_TOL)
-    dense = np.linalg.solve(a.toarray(), b)
+    a_ff, b_f, free = _free_block(a, b, fixed)
+    dense = np.zeros(mesh.n_nodes)
+    dense[free] = np.linalg.solve(a_ff.toarray(), b_f)
     assert history[-1] <= SOLVE_TOL and len(history) - 1 <= 30
     assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
-    x_jacobi, _ = oracles.jacobi_pcg(a, b, tol=SOLVE_TOL)
-    assert np.max(np.abs(x - x_jacobi)) <= 1e-10 * np.max(np.abs(dense))
+    x_jacobi, _ = oracles.jacobi_pcg(a_ff, b_f, tol=SOLVE_TOL)
+    assert np.max(np.abs(x[free] - x_jacobi)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(k for k, case in SOLVER_CASES.items() if case[1] != "none"))
+def test_fixed_nodes_are_identity_rows(name):
+    mesh, fixed, a, b = _system(name)
+    grid = Multigrid(mesh, fixed)
+    x, history = pcg(a, b, grid, tol=SOLVE_TOL)
+    assert np.all(x[fixed] == 0.0)
+    # whatever finite values are stored for the fixed nodes, nothing changes
+    rng = np.random.default_rng(13)
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    on_fixed = np.isin(rows, fixed) | np.isin(a.indices, fixed)
+    a_junk, b_junk = a.copy(), b.copy()
+    a_junk.data[on_fixed] = rng.uniform(-1e3, 1e3, np.count_nonzero(on_fixed))
+    b_junk[fixed] = rng.uniform(-1e3, 1e3, fixed.size)
+    x_junk, history_junk = pcg(a_junk, b_junk, grid, tol=SOLVE_TOL)
+    assert x_junk.tobytes() == x.tobytes()
+    assert history_junk == history
 
 
 def test_vcycle_is_symmetric_positive_definite(system):
@@ -166,8 +192,7 @@ def test_vcycle_is_symmetric_positive_definite(system):
         # node fixed the stiffness matrix is singular: keep the mass matrix)
         m = rng.standard_normal(mesh.qweights.shape + (2, 2))
         coeff = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)
-        a, _ = _free_block(assemble_matrix(mesh, coeff), np.zeros(mesh.n_nodes),
-                           mesh, fixed)
+        a = assemble_matrix(mesh, coeff)
     apply = VCycle(Multigrid(mesh, fixed), a)
     r1, r2 = rng.standard_normal((2, a.shape[0]))
     z1, z2 = apply(r1), apply(r2)
@@ -186,11 +211,11 @@ def sphere_family():
 def test_iterations_are_mesh_independent(sphere_family, matrix):
     counts, jacobi_counts = [], []
     for mesh in sphere_family:
-        a, b = (_laplacian(mesh, mesh.sigma_nodes) if matrix == "laplacian"
-                else _newton_hessian(mesh))
+        a, b = _laplacian(mesh) if matrix == "laplacian" else _newton_hessian(mesh)
         _, history = pcg(a, b, Multigrid(mesh, mesh.sigma_nodes), tol=SOLVE_TOL)
         counts.append(len(history) - 1)
-        jacobi_counts.append(len(oracles.jacobi_pcg(a, b, tol=SOLVE_TOL)[1]) - 1)
+        a_ff, b_f, _ = _free_block(a, b, mesh.sigma_nodes)
+        jacobi_counts.append(len(oracles.jacobi_pcg(a_ff, b_f, tol=SOLVE_TOL)[1]) - 1)
     assert max(counts) <= 30, counts
     # the family is one a one-level preconditioner cannot handle
     assert jacobi_counts[2] >= 3 * jacobi_counts[0], jacobi_counts
@@ -198,7 +223,7 @@ def test_iterations_are_mesh_independent(sphere_family, matrix):
 
 def test_indefinite_matrix_raises():
     mesh = _sphere(24, 24)
-    a, b = _laplacian(mesh, mesh.sigma_nodes)
+    a, b = _laplacian(mesh)
     grid = Multigrid(mesh, mesh.sigma_nodes)
     # a negative pivot on a radial line: the line factorization itself
     # raises, and so does building the cycle
@@ -206,13 +231,13 @@ def test_indefinite_matrix_raises():
     flipped[40, 40] = -0.01 * flipped[40, 40]
     flipped = flipped.tocsr()
     with pytest.raises(SolverError, match="non-positive curvature"):
-        grid.levels[0].line_solver(flipped)
+        _line_solver(flipped, grid.levels[0].shape)
     with pytest.raises(SolverError, match="non-positive curvature"):
         VCycle(grid, flipped)
     with pytest.raises(SolverError, match="non-positive curvature"):
         pcg(flipped, b, grid)
     # one negative eigenvalue: shifted between the two smallest
-    lam = np.linalg.eigvalsh(a.toarray())[:2]
+    lam = np.linalg.eigvalsh(_free_block(a, b, mesh.sigma_nodes)[0].toarray())[:2]
     shifted = (a - 0.5 * (lam[0] + lam[1]) * sp.identity(a.shape[0])).tocsr()
     with pytest.raises(SolverError, match="non-positive curvature"):
         pcg(shifted, b, grid)
