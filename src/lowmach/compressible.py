@@ -36,7 +36,6 @@ diagonal regularization so the iteration still reaches a stationary point.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import fem
 from .errors import DomainError, SolverError
@@ -220,9 +219,10 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         tau = 0.0
         while True:
             try:
-                hmat = h if tau == 0.0 else (
-                    h + sparse.diags(tau * np.abs(h.diagonal()) + tau)
-                )
+                hmat = h
+                if tau > 0.0:
+                    hmat = h.copy()
+                    hmat[1, 1] += tau * np.abs(h[1, 1]) + tau
                 d, cg_hist = fem.pcg(hmat, -grad, grid, tol=_LIN_TOL)
                 break
             except SolverError:
@@ -241,7 +241,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
         if alpha is None:
             # fall back to preconditioned steepest descent for this step
-            d = -grad / np.maximum(h.diagonal(), 1e-12)
+            d = -grad / np.maximum(h[1, 1].ravel(), 1e-12)
             slope = float(grad @ d)
             alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
             if alpha is None:

@@ -1,28 +1,29 @@
 """Bilinear finite-element plumbing on the structured shell mesh.
 
 The physical basis gradients are stored cell-major, ``mesh.bgrads`` of
-shape (M, 4, Q, 2), so each cell's gradients form one (4, 2Q) matrix and the
-gradient, load and stiffness kernels are batched matrix products over all
-cells at once.  Element blocks are reduced through scipy.sparse's duplicate
-summation (COO to CSR), which sorts indices before adding, so repeated runs
-produce bitwise identical matrices.
+shape (M, 4, Q, 2), so the gradient, load and stiffness kernels are batched
+matrix products over all cells at once.  Every mesh is a structured
+(station i, angle j) node grid (``mesh.node_grid``), so an assembled
+operator is a 9-point stencil, a (3, 3, n_i, n_j) array ``s``: row (i, j)
+couples to node (i + a - 1, j + b - 1) with ``s[a, b, i, j]``, the angle
+wrapping around on planar meshes; couplings that would leave the grid are
+zero.  Element blocks are summed into it by one ``np.bincount``, which adds
+in input order, so repeated runs produce bitwise identical operators.
 
-The linear solver is a hand-rolled conjugate gradient, deterministic and
-with a full residual history for error reports, preconditioned by one
-geometric-multigrid V-cycle on the structured (station, angle) node grid:
-linear interpolation between levels, Galerkin coarse operators, damped
-block-Jacobi smoothing over radial lines (graded cells near the obstacle
-are strongly anisotropic) and a dense solve on the coarsest level.  Its
-iteration count does not grow with the mesh.  Every node of the grid stays
-an equation: a node held at zero (the far-field station, or a pinned node)
-is an identity row on every level, so callers pass the assembled matrix and
-the nodal right-hand side as they are and get a nodal solution back.  Only
-numpy and scipy.sparse are used: scipy.linalg and scipy.sparse.linalg are
-not imported.
+The linear solver is a deterministic conjugate gradient with a full
+residual history, preconditioned by one geometric-multigrid V-cycle on the
+node grid: linear interpolation between levels, Galerkin coarse operators
+(again 9-point stencils), damped block-Jacobi smoothing over radial lines
+(graded cells near the obstacle are strongly anisotropic) and a dense solve
+on the coarsest level; its iteration count does not grow with the mesh.  A
+node held at zero (the far-field station, or a pinned node) stays an
+identity row on every level, so callers pass the assembled operator and the
+nodal right-hand side as they are and get a nodal solution back.  Only
+numpy is used.
 """
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import SolverError
 
@@ -32,6 +33,7 @@ __all__ = [
     "assemble_vector_load",
     "boundary_component_load",
     "project_to_nodes",
+    "Operator",
     "Multigrid",
     "VCycle",
     "pcg",
@@ -50,28 +52,33 @@ def grad_at_qpts(mesh, nodal):
     return (vals[:, None, :] @ _cell_grads(mesh)).reshape(mesh.qweights.shape + (2,))
 
 
+def _scatter(mesh, blocks):
+    """Sum (M, 4, 4) element blocks into a (3, 3, n_i, n_j) stencil."""
+    n_i, n_j, _ = mesh.node_grid
+    s = np.bincount(mesh.stencil_slots, blocks.ravel(), minlength=9 * n_i * n_j)
+    return s.reshape(3, 3, n_i, n_j)
+
+
 def assemble_matrix(mesh, coeff):
-    """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a CSR matrix.
+    """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a stencil.
 
     coeff : (M, Q) scalars for an isotropic coefficient, or (M, Q, 2, 2)
         matrices.
     """
     c = np.asarray(coeff)
     w = mesh.qweights
-    # w C as (M, 1, Q, 2, 2); an isotropic coefficient is c times the identity
-    wc = ((w * c)[..., None, None] * np.eye(2) if c.ndim == 2
-          else w[..., None, None] * c)[:, None]
-    # flux_j = w C grad(N_j), (M, 4, Q, 2)
     bg = mesh.bgrads
-    flux = bg[..., 0:1] * wc[..., 0]
-    flux += bg[..., 1:2] * wc[..., 1]
+    # flux_j = w C grad(N_j), (M, 4, Q, 2)
+    if c.ndim == 2:
+        flux = bg * (w * c)[:, None, :, None]
+    else:
+        wc = (w[..., None, None] * c)[:, None]            # (M, 1, Q, 2, 2)
+        flux = np.empty_like(bg)
+        for d in range(2):
+            flux[..., d] = bg[..., 0] * wc[..., d, 0] + bg[..., 1] * wc[..., d, 1]
     flux = flux.reshape(bg.shape[0], 4, -1)
     blocks = _cell_grads(mesh) @ flux.transpose(0, 2, 1)    # (M, 4, 4)
-    rows = np.repeat(mesh.cells, 4, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, 4)).ravel()
-    n = mesh.n_nodes
-    a = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
-    return a.tocsr()
+    return _scatter(mesh, blocks)
 
 
 def assemble_vector_load(mesh, vec_at_qpts):
@@ -94,12 +101,10 @@ def boundary_component_load(mesh, tag, component=0):
 
 
 def assemble_mass(mesh):
-    """Mass matrix sum_q w_q N_i N_j (carries the axisymmetric weight)."""
+    """Mass matrix sum_q w_q N_i N_j as a stencil (carries the axisymmetric
+    weight)."""
     blocks = np.einsum("qi,qj,mq->mij", mesh.basis, mesh.basis, mesh.qweights)
-    rows = np.repeat(mesh.cells, 4, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, 4)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _scatter(mesh, blocks)
 
 
 def project_to_nodes(mesh, qpt_values):
@@ -118,160 +123,256 @@ def project_to_nodes(mesh, qpt_values):
 
 
 # ----------------------------------------------------------------------
-# Multigrid-preconditioned conjugate gradient
+# Stencil operators and the multigrid-preconditioned conjugate gradient
 # ----------------------------------------------------------------------
 
 # Damping of the radial-line Jacobi smoother.
 _OMEGA = 0.8
-# Grids of at most this many nodes are solved densely.
+# Grids of at most _COARSEST nodes are solved densely.
 _COARSEST = 200
 
 
-def _interp_1d(n, periodic):
-    """Linear interpolation onto n points from every other one.
+def _neighbours(grid):
+    """(3, 3, n_i, n_j) view of ``grid`` at node (i + a - 1, j + b - 1),
+    wrapped around in both directions (past the first and last stations
+    only zero couplings are met)."""
+    i, j = (np.arange(-1, n + 1) for n in grid.shape)
+    return sliding_window_view(grid.take(i, 0, mode="wrap").take(j, 1, mode="wrap"),
+                               grid.shape)
+
+
+class Operator:
+    """Matrix-vector product with a (3, 3, n_i, n_j) stencil, flat nodal
+    vectors in and out.
+
+    The vector is copied into a buffer with a halo of one node around the
+    grid (see ``_neighbours``), station by station with two halo columns, so
+    each coupling multiplies contiguous slices: nine multiply-adds into
+    preallocated buffers.
+    """
+
+    def __init__(self, s):
+        self.stencil = s
+        _, _, n_i, n_j = s.shape
+        coef = np.zeros((3, 3, n_i, n_j + 2))
+        coef[..., 1:-1] = s
+        halo = np.zeros((n_i + 2) * (n_j + 2) + 2)
+        view = as_strided(halo, (3, 3, coef[0, 0].size), (8 * (n_j + 2), 8, 8),
+                          writeable=False)
+        self._terms = [(coef[a, b].ravel(), view[a, b]) for a, b in np.ndindex(3, 3)]
+        self._grid = halo[1:-1].reshape(n_i + 2, n_j + 2)[1:-1]
+        self._out, self._term = np.empty((2, coef[0, 0].size))
+
+    def __call__(self, x):
+        grid, out, term = self._grid, self._out, self._term
+        x = x.reshape(grid.shape[0], -1)
+        grid[:, 1:-1], grid[:, 0], grid[:, -1] = x, x[:, -1], x[:, 0]
+        (c, v), *rest = self._terms
+        np.multiply(c, v, out=out)
+        for c, v in rest:
+            out += np.multiply(c, v, out=term)
+        return out.reshape(grid.shape)[:, 1:-1].reshape(-1)
+
+
+def _take(x, idx, axis):
+    """``x`` gathered at ``idx`` along axis 0 or along the last axis (-1)."""
+    return x[..., idx] if axis else x.take(idx, 0)
+
+
+class _Interp:
+    """Linear interpolation along a line of n points from every other one.
 
     The coarse points are the even indices, plus the last one unless the
     line is periodic (then the last point interpolates across the wrap).  A
-    line of three points or fewer is kept as it is.  Returns the (n, n_c)
-    CSR matrix and the fine indices of the coarse points.
+    line is kept as it is when fewer than three points would remain, so the
+    two neighbours of a periodic coarse point stay distinct.
     """
-    if n <= 3:
-        return sp.identity(n, format="csr"), np.arange(n)
-    coarse = np.arange(0, n, 2)
-    if not periodic and coarse[-1] != n - 1:
-        coarse = np.append(coarse, n - 1)
-    pos = np.full(n, -1)
-    pos[coarse] = np.arange(coarse.size)
-    odd = np.flatnonzero(pos < 0)
-    rows = np.concatenate([coarse, odd, odd])
-    cols = np.concatenate([pos[coarse], pos[odd - 1], pos[(odd + 1) % n]])
-    vals = np.concatenate([np.ones(coarse.size), np.full(2 * odd.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size)), coarse
 
+    def __init__(self, n, periodic):
+        coarse = np.arange(0, n, 2)
+        if not periodic and coarse[-1] != n - 1:
+            coarse = np.append(coarse, n - 1)
+        if coarse.size < 3:
+            coarse = np.arange(n)
+        self.periodic, self.coarse, self.size = periodic, coarse, coarse.size
+        pos = np.full(n, -1)
+        pos[coarse] = np.arange(coarse.size)
+        fine, odd = np.arange(n), pos < 0
+        # the two coarse neighbours of each fine point (itself twice if coarse)
+        self.lo = np.where(odd, pos[fine - 1], pos)
+        self.hi = np.where(odd, pos[(fine + 1) % n], pos)
+        # the fine neighbours of each coarse point, weighted 1/2 if in between
+        self.left, self.right = (coarse - 1) % n, (coarse + 1) % n
+        self.w_left, self.w_right = 0.5 * odd[self.left], 0.5 * odd[self.right]
 
-def _zeroed(a, rows, cols):
-    """``a`` in CSR form with its stored entries in the rows where ``rows`` is
-    0 and in the columns where ``cols`` is 0 set to zero: new values, the
-    index arrays of ``a``."""
-    a = a.tocsr()
-    data = a.data * np.repeat(rows, np.diff(a.indptr)) * cols[a.indices]
-    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+    def prolong(self, x, axis):
+        return 0.5 * (_take(x, self.lo, axis) + _take(x, self.hi, axis))
+
+    def restrict(self, r, axis):
+        w = (self.w_left, self.w_right) if axis else (self.w_left[:, None], self.w_right[:, None])
+        return (_take(r, self.coarse, axis) + w[0] * _take(r, self.left, axis)
+                + w[1] * _take(r, self.right, axis))
+
+    def galerkin(self, t):
+        """P^T T P along the last axis of couplings ``t`` (3, ..., n) of each
+        point to the one before, itself and the one after.
+
+        Probed with one coarse line per colour: no two points within one of
+        each other share a colour (points left over when a periodic line's
+        length is not a multiple of 3 get colours of their own), so entry K
+        of a colour's probe is the coupling of K to its neighbour of that
+        colour.
+        """
+        n = self.size
+        colour = np.arange(n) % 3
+        if self.periodic:
+            colour[n - n % 3:] = 3 + np.arange(n % 3)
+        outside = colour.max() + 1
+        probes = np.zeros((outside + 1,) + t.shape[1:-1] + (n,))   # last: off the line
+        halo = np.arange(-1, t.shape[-1] + 1)
+        for c in range(outside):
+            v = self.prolong(1.0 * (colour == c), -1).take(halo, mode="wrap")
+            probes[c] = self.restrict(t[0] * v[:-2] + t[1] * v[1:-1] + t[2] * v[2:], -1)
+        codes = (colour.take(np.arange(-1, n + 1), mode="wrap") if self.periodic
+                 else np.concatenate(([outside], colour, [outside])))
+        codes = sliding_window_view(codes, n).reshape((3,) + (1,) * (t.ndim - 2) + (n,))
+        return np.take_along_axis(probes, codes, axis=0)
 
 
 class Multigrid:
     """Grid hierarchy of a mesh's (station i, angle j) node grid.
 
-    Node ``i * n_j + j`` of every level is a point of an (n_i, n_j) station
-    grid (``mesh.node_grid``), periodic in j for planar meshes.  Each coarser
-    level keeps every other station and angle (see ``_interp_1d``), and its
-    prolongation is the Kronecker product of the two 1-D interpolations.
-    ``levels`` holds one (n_i, n_j) array per level, 1 on free nodes and 0 on
-    nodes held at zero (``fixed``); a coarse node is fixed when the fine node
-    it sits on is, and the rows and columns of fixed nodes are zeroed in the
-    prolongations.  The hierarchy depends only on the grid, so one is shared
-    by every operator solved on it (see ``VCycle``).
+    Each coarser level keeps every other station and angle (``transfers``
+    holds the two ``_Interp`` of each step), and its prolongation P
+    interpolates linearly along both.  ``levels`` holds one (n_i, n_j) array
+    per level, 1 on free nodes and 0 on nodes held at zero (``fixed``); a
+    coarse node is fixed when the fine node it sits on is, and P neither
+    reads nor writes fixed nodes.  The hierarchy depends only on the grid,
+    so one is shared by every operator solved on it (see ``VCycle``).
     """
 
     def __init__(self, mesh, fixed=()):
         n_i, n_j, periodic = mesh.node_grid
         free = np.ones((n_i, n_j))
         free.reshape(-1)[np.asarray(fixed, dtype=np.int64)] = 0.0
-        self.levels = [free]
-        self.prolongations = []
+        self.levels, self.transfers = [free], []
         while free.size > _COARSEST:
-            p_i, c_i = _interp_1d(n_i, False)
-            p_j, c_j = _interp_1d(n_j, periodic)
-            if c_i.size == n_i and c_j.size == n_j:
+            t_i, t_j = _Interp(n_i, False), _Interp(n_j, periodic)
+            if t_i.size == n_i and t_j.size == n_j:
                 break
-            coarse = free[np.ix_(c_i, c_j)]
-            p = _zeroed(sp.kron(p_i, p_j, format="csr"), free.ravel(), coarse.ravel())
-            self.prolongations.append((p, p.T.tocsr()))
-            n_i, n_j, free = c_i.size, c_j.size, coarse
+            free = free[np.ix_(t_i.coarse, t_j.coarse)]
+            self.transfers.append((t_i, t_j))
             self.levels.append(free)
+            n_i, n_j = free.shape
 
 
-def _identity_rows(a, free):
-    """``a`` with the row and column of every node where ``free`` is 0 made
-    those of the identity: couplings zeroed, 1 on the diagonal."""
-    keep = free.ravel()
-    n = keep.size
-    eye = sp.csr_matrix((1.0 - keep, np.arange(n), np.arange(n + 1)), shape=(n, n))
-    return _zeroed(a, keep, keep) + eye      # the sum drops the zeroed entries
+def _identity_rows(s, free):
+    """Stencil ``s`` with the row and column of every node where ``free`` is
+    0 made those of the identity: couplings zeroed, 1 on the diagonal."""
+    out = s * free * _neighbours(free)
+    out[1, 1] += 1.0 - free
+    return out
 
 
 class VCycle:
-    """One symmetric V(1,1) cycle of a ``Multigrid`` for a nodal matrix.
+    """One symmetric V(1,1) cycle of a ``Multigrid`` for a nodal stencil.
 
-    ``ops`` holds ``a`` and its Galerkin operators P^T A P, each with the
-    fixed nodes of its level as identity rows (``_identity_rows``).  Builds
-    them and factors the radial lines of every level but the coarsest, and
-    the coarsest level itself; calling it on a residual returns the
-    preconditioned residual.  A non-positive pivot on the way means the
-    matrix is not positive definite and raises SolverError.
+    ``ops`` holds the ``Operator`` of ``a`` and of its Galerkin operators
+    P^T A P, each with the fixed nodes of its level as identity rows
+    (``_identity_rows``).  Builds them and factors the radial lines of every
+    level but the coarsest, and the coarsest level itself; calling it on a
+    residual returns the preconditioned residual.  A non-positive pivot on
+    the way means the matrix is not positive definite and raises SolverError.
     """
 
     def __init__(self, grid, a):
-        self.prolongations = grid.prolongations
-        self.ops = [_identity_rows(a, grid.levels[0])]
-        for (p, pt), free in zip(self.prolongations, grid.levels[1:]):
-            self.ops.append(_identity_rows(pt @ self.ops[-1] @ p, free))
-        self.smoothers = [_line_solver(op, free.shape)
-                          for free, op in zip(grid.levels[:-1], self.ops)]
+        self.grid = grid
+        self.ops = [Operator(_identity_rows(a, grid.levels[0]))]
+        for (t_i, t_j), fine, coarse in zip(grid.transfers, grid.levels, grid.levels[1:]):
+            # P^T A P, P blind to fixed nodes so A enters with their rows zeroed:
+            # a pass along the angles, then one along the stations
+            s = t_j.galerkin((self.ops[-1].stencil * fine).swapaxes(0, 1))   # [b, a, i, j]
+            s = t_i.galerkin(np.ascontiguousarray(s.transpose(1, 0, 3, 2)))  # [a, b, j, i]
+            self.ops.append(Operator(_identity_rows(s.swapaxes(2, 3), coarse)))
+        self.smoothers = [_line_solver(op.stencil) for op in self.ops[:-1]]
+        s = self.ops[-1].stencil
+        node = np.arange(s[0, 0].size).reshape(s.shape[2:])
+        dense = np.zeros((node.size, node.size))
+        np.add.at(dense, (np.broadcast_to(node, s.shape), _neighbours(node)), s)
         try:
-            chol = np.linalg.cholesky(self.ops[-1].toarray())
+            np.linalg.cholesky(dense)
         except np.linalg.LinAlgError:
             raise SolverError("non-positive curvature in CG", [1.0]) from None
-        lower_inv = np.linalg.inv(chol)
-        coarse = lower_inv.T @ lower_inv
-        self.coarse = 0.5 * (coarse + coarse.T)
+        inverse = np.linalg.inv(dense)
+        self.coarse = 0.5 * (inverse + inverse.T)
 
     def __call__(self, r):
         return self._cycle(0, r)
 
     def _cycle(self, level, r):
-        if level == len(self.prolongations):
+        if level == len(self.smoothers):
             return self.coarse @ r
-        op, smooth = self.ops[level], self.smoothers[level]
-        p, pt = self.prolongations[level]
+        op, smooth, (t_i, t_j) = self.ops[level], self.smoothers[level], self.grid.transfers[level]
+        fine, coarse = self.grid.levels[level:level + 2]
         z = smooth(r)
-        z += p @ self._cycle(level + 1, pt @ (r - op @ z))
-        z += smooth(r - op @ z)
+        r_c = t_j.restrict(t_i.restrict(fine * (r - op(z)).reshape(fine.shape), 0), -1)
+        e = self._cycle(level + 1, (coarse * r_c).reshape(-1)).reshape(coarse.shape)
+        # e is 0 on fixed coarse nodes: their rows are identity rows, right-hand side 0
+        z += (fine * t_i.prolong(t_j.prolong(e, -1), 0)).reshape(-1)
+        z += smooth(r - op(z))
         return z
 
 
-def _line_solver(a, shape):
+def _line_solver(s):
     """Damped block-Jacobi solve over the radial lines, r -> omega T^-1 r.
 
-    Line j of an (n_i, n_j) grid couples the nodes (i, j), i = 0..n_i-1,
-    through the tridiagonal part of ``a``: its diagonals 0 and n_j.  All
-    lines are factored as L D L^T at once, one station at a time, and solved
-    by a Thomas sweep vectorized over j.
+    Line j couples the nodes (i, j), i = 0..n_i-1, through the tridiagonal
+    part of the stencil: the diagonal ``s[1, 1]`` and the coupling
+    ``s[2, 1]`` of each station to the next (``s[0, 1]`` is its transpose).
+    All lines are solved at once by cyclic reduction (Buzbee, Golub &
+    Nielson 1970), vectorized over stations and angles on contiguous copies
+    of the odd and even stations: each step eliminates the odd stations and
+    leaves a tridiagonal system on the even ones, down to a single station.
+    The eliminated diagonals, and that last one, are the pivots of an LDL^T
+    factorization: the lines are positive definite exactly when all of them
+    are positive.
     """
-    n_i, n_j = shape
-    diag = a.diagonal().reshape(shape)
-    off = a.diagonal(n_j).reshape(n_i - 1, n_j)
-    low = np.empty_like(off)
-    piv = np.empty(shape)
-    piv[0] = diag[0]
+    shape = s.shape[2:]
+    diag, off = s[1, 1], s[2, 1, :-1]
+    steps, pivots = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, n_i):
-            low[i - 1] = off[i - 1] / piv[i - 1]
-            piv[i] = diag[i] - low[i - 1] * off[i - 1]
+        while diag.shape[0] > 1:
+            pivots.append(diag[1::2])
+            inv = 1.0 / diag[1::2]
+            # couplings of each odd station to the even ones before and after
+            left, right = off[0::2], off[1::2]
+            up, down = left * inv, right * inv[:right.shape[0]]
+            steps.append((_OMEGA * inv, up, down))
+            diag = diag[0::2].copy()
+            diag[:up.shape[0]] -= up * left
+            diag[1:down.shape[0] + 1] -= down * right
+            off = -up[:down.shape[0]] * right
+        last = _OMEGA / diag
     # a pivot after a non-positive one can be positive again: check all
-    if not np.all(piv > 0.0):
+    if not all(np.all(p > 0.0) for p in pivots + [diag]):
         raise SolverError("non-positive curvature in CG", [1.0])
-    scale = _OMEGA / piv
-    low_rows = list(low)
 
     def solve(r):
-        y = r.reshape(shape).copy()
-        rows = list(y)
-        for i in range(1, n_i):
-            rows[i] -= low_rows[i - 1] * rows[i - 1]
-        y *= scale
-        for i in range(n_i - 2, -1, -1):
-            rows[i] -= low_rows[i] * rows[i + 1]
-        return y.reshape(-1)
+        r, odds = r.reshape(shape), []
+        for _, up, down in steps:
+            odd, r = r[1::2].copy(), r[0::2].copy()
+            r[:up.shape[0]] -= up * odd
+            r[1:down.shape[0] + 1] -= down * odd[:down.shape[0]]
+            odds.append(odd)
+        x = last * r
+        for (inv, up, down), odd in zip(steps[::-1], odds[::-1]):
+            odd *= inv
+            odd -= up * x[:up.shape[0]]
+            odd[:down.shape[0]] -= down * x[1:down.shape[0] + 1]
+            merged = np.empty((x.shape[0] + odd.shape[0],) + shape[1:])
+            merged[0::2], merged[1::2] = x, odd
+            x = merged
+        return x.reshape(-1)
 
     return solve
 
@@ -279,7 +380,7 @@ def _line_solver(a, shape):
 def pcg(a, b, grid, tol=1e-10):
     """Multigrid-preconditioned conjugate gradient for SPD systems.
 
-    ``a`` is the assembled nodal matrix and ``b`` the nodal right-hand side.
+    ``a`` is the assembled stencil and ``b`` the nodal right-hand side.
     The fixed nodes of ``grid`` (a ``Multigrid``) are held at zero: the
     system solved is ``a`` with their rows and columns made identity ones and
     ``b`` zeroed there, so the finite values ``a`` and ``b`` store for them do
@@ -309,7 +410,7 @@ def pcg(a, b, grid, tol=1e-10):
     for _ in range(maxiter):
         if history[-1] <= tol:
             return x, history
-        ap = a @ p
+        ap = a(p)
         pap = p @ ap
         if pap <= 0.0:
             raise SolverError("non-positive curvature in CG", history)

@@ -22,6 +22,7 @@ exact; for ellipses the stations use the exact polar radius function.
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,6 +194,15 @@ class ExteriorMesh:
         angle j; the angle wraps periodically on planar meshes."""
         periodic = self.mode == PLANAR
         return self.n_r + 1, self.n_t if periodic else self.n_t + 1, periodic
+
+    @cached_property
+    def stencil_slots(self):
+        """Flat (3, 3, n_i, n_j) stencil slot of each entry (p, q) of (M, 4, 4)
+        element blocks: slot (a, b) of corner p's node, if corner q lies
+        a - 1 stations and b - 1 angles away."""
+        di, dj = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+        slot = 3 * (di - di[:, None] + 1) + dj - dj[:, None] + 1     # [p, q]
+        return (slot * self.n_nodes + self.cells[:, :, None]).ravel()
 
     def cell_id(self, i, j):
         return i * self.n_t + (j % self.n_t)

@@ -132,7 +132,7 @@ def weak_slip_residual(psi, q_inf):
     mesh = psi.mesh
     a = fem.assemble_matrix(mesh, np.ones_like(mesh.qweights))
     b = -q_inf * fem.boundary_component_load(mesh, "gamma", component=0)
-    res = a @ psi.values - b
+    res = fem.Operator(a)(psi.values) - b
     per_node = res[mesh.gamma_nodes]
     return per_node, float(per_node.sum())
 

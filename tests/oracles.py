@@ -204,6 +204,86 @@ def assemble_matrix(mesh, coeff):
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def stencil_to_csr(s):
+    """CSR matrix of a (3, 3, n_i, n_j) stencil: row (i, j) couples to node
+    (i + a - 1, (j + b - 1) mod n_j) with s[a, b, i, j].  Couplings that
+    would leave the station range must be zero."""
+    _, _, n_i, n_j = s.shape
+    i, j = np.meshgrid(np.arange(n_i), np.arange(n_j), indexing="ij")
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            ii, jj = i + a - 1, (j + b - 1) % n_j
+            inside = (ii >= 0) & (ii < n_i)
+            assert np.all(s[a, b][~inside] == 0.0)
+            rows.append((i * n_j + j)[inside])
+            cols.append((ii * n_j + jj)[inside])
+            vals.append(s[a, b][inside])
+    n = n_i * n_j
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def _interp_1d(n, periodic):
+    """(n, n_c) CSR linear interpolation from every other point (the last one
+    kept on a non-periodic line) and the fine indices of the coarse points;
+    a line that would keep fewer than three points stays as it is."""
+    coarse = np.arange(0, n, 2)
+    if not periodic and coarse[-1] != n - 1:
+        coarse = np.append(coarse, n - 1)
+    if coarse.size < 3:
+        return sp.identity(n, format="csr"), np.arange(n)
+    pos = np.full(n, -1)
+    pos[coarse] = np.arange(coarse.size)
+    odd = np.flatnonzero(pos < 0)
+    rows = np.concatenate([coarse, odd, odd])
+    cols = np.concatenate([pos[coarse], pos[odd - 1], pos[(odd + 1) % n]])
+    vals = np.concatenate([np.ones(coarse.size), np.full(2 * odd.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size)), coarse
+
+
+def _identity_rows(a, free):
+    keep = sp.diags(free.ravel())
+    return (keep @ a @ keep + sp.diags(1.0 - free.ravel())).tocsr()
+
+
+def galerkin_hierarchy(a, free, periodic, n_levels):
+    """CSR operators of the first ``n_levels`` multigrid levels: ``a`` and
+    its Galerkin products P^T A P with P the Kronecker product of the 1-D
+    interpolations, fixed nodes (``free`` 0) as identity rows on each level.
+    Returns the operators and the free-node arrays of the levels."""
+    ops, frees = [_identity_rows(a, free)], [free]
+    for _ in range(n_levels - 1):
+        n_i, n_j = free.shape
+        p_i, c_i = _interp_1d(n_i, False)
+        p_j, c_j = _interp_1d(n_j, periodic)
+        coarse = free[np.ix_(c_i, c_j)]
+        p = sp.diags(free.ravel()) @ sp.kron(p_i, p_j) @ sp.diags(coarse.ravel())
+        ops.append(_identity_rows(p.T @ ops[-1] @ p, coarse))
+        frees.append(coarse)
+        free = coarse
+    return ops, frees
+
+
+def thomas_line_solve(s, r, omega):
+    """omega T^-1 r for the tridiagonal radial-line part T of a stencil
+    (diagonal s[1, 1], coupling s[2, 1] to the next station): an L D L^T
+    Thomas sweep per line, one station at a time."""
+    diag, off = s[1, 1], s[2, 1, :-1]
+    low, piv = np.empty_like(off), np.empty_like(diag)
+    piv[0] = diag[0]
+    for i in range(1, diag.shape[0]):
+        low[i - 1] = off[i - 1] / piv[i - 1]
+        piv[i] = diag[i] - low[i - 1] * off[i - 1]
+    y = r.reshape(diag.shape).copy()
+    for i in range(1, diag.shape[0]):
+        y[i] -= low[i - 1] * y[i - 1]
+    y *= omega / piv
+    for i in range(diag.shape[0] - 2, -1, -1):
+        y[i] -= low[i] * y[i + 1]
+    return y.reshape(-1)
+
+
 def jacobi_pcg(a, b, tol=1e-10):
     """Jacobi-preconditioned conjugate gradient from zero: (x, history).
 

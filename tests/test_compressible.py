@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from lowmach import (
@@ -136,7 +137,7 @@ def test_hessian_matches_gradient_differences(mesh, psi, force_and_cut):
         v = rng.standard_normal(mesh.n_nodes)
         v /= np.linalg.norm(v)
         fd = (prob.gradient(x + step * v) - prob.gradient(x - step * v)) / (2 * step)
-        hv = h @ v
+        hv = oracles.stencil_to_csr(h) @ v
         assert np.linalg.norm(fd - hv) <= 1e-5 * max(1.0, np.linalg.norm(hv))
 
 
@@ -198,6 +199,27 @@ def test_newton_converges_on_coarse_planar_disk(n, cut):
     assert info.iterations <= 5
     assert info.gradient_norms[-1] <= 1e-10 * info.gradient_norms[0]
     assert info.energies[-1] < 0.0
+
+
+def test_regularization_shifts_the_hessian_centre(psi, monkeypatch):
+    # beyond the cut-off reference a failed Newton solve is retried on
+    # H + diag(tau |H_kk| + tau), an update of the stencil's centre coefficient
+    from lowmach import fem
+
+    real_pcg, seen = fem.pcg, []
+
+    def first_solve_fails(a, b, grid, tol=1e-10):
+        seen.append(a)
+        if len(seen) == 1:
+            raise SolverError("non-positive curvature in CG", [1.0])
+        return real_pcg(a, b, grid, tol)
+
+    monkeypatch.setattr(fem, "pcg", first_solve_fails)
+    _, info = minimize(psi, None, _gas(0.25), make_cutoff(_gas(0.1), 0.65, 0.2))
+    assert info.regularized and info.converged
+    h, shifted = (oracles.stencil_to_csr(a) for a in seen[:2])
+    want = h + sp.diags(1e-6 * np.abs(h.diagonal()) + 1e-6)
+    assert abs(shifted - want).max() == 0.0
 
 
 def test_newton_quadratic_tail(mesh, psi, cut):
