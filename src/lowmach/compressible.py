@@ -40,8 +40,6 @@ import numpy as np
 from . import fem
 from .errors import DomainError, SolverError
 from .gas import (
-    _T8,
-    _W8,
     closure,
     density_bounds,
     density_departure,
@@ -49,7 +47,6 @@ from .gas import (
     elliptic_coeffs,
     enthalpy,
     level_departure,
-    mach as mach_number,
 )
 from .incompressible import PotentialField, VelocityField
 
@@ -76,11 +73,16 @@ class _ForceOnMesh:
 
     def __init__(self, mesh, force=None):
         if force is None:
-            self.phi = np.zeros(mesh.qweights.shape)
+            self.phi = 0.0          # keeps the closure's cut-off thresholds scalar
             self.grad = np.zeros(mesh.qpts.shape)
         else:
             self.phi = np.asarray(force.phi_qpts, dtype=float)
             self.grad = np.asarray(force.grad_qpts, dtype=float)
+
+
+def _dot(a, b):
+    # scalar product over a last axis of length 2; a sum over it is slower
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 class DifferenceProblem:
@@ -95,14 +97,11 @@ class DifferenceProblem:
         base = fem.grad_at_qpts(mesh, psi_base.values)
         base[..., 0] += gas.q_inf
         self.base = base                               # grad of incompressible potential
-        self.base_sq = np.sum(base * base, axis=-1)
+        self.base_sq = _dot(base, base)
         self.base_departure = density_departure(self.base_sq, self.force.phi, gas, cut)
         self.fixed = mesh.sigma_nodes
-        if t_order == 8:
-            self.t_nodes, self.t_weights = _T8, _W8
-        else:
-            tn, tw = np.polynomial.legendre.leggauss(t_order)
-            self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
+        tn, tw = np.polynomial.legendre.leggauss(t_order)
+        self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
 
     def functional(self, corr):
         """Value of the difference functional at a nodal correction.
@@ -112,8 +111,8 @@ class DifferenceProblem:
         """
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         eps2 = self.gas.epsilon**2
-        g_sq = np.sum(g * g, axis=-1)
-        base_dot_g = np.sum(self.base * g, axis=-1)
+        g_sq = _dot(g, g)
+        base_dot_g = _dot(self.base, g)
         quad = np.zeros_like(g_sq)
         for t, w in zip(self.t_nodes, self.t_weights):
             # v = base + t eps^2 g, through its scalar products
@@ -129,8 +128,7 @@ class DifferenceProblem:
         """Nodal gradient: component k is int [D(|v|^2) v + g] . grad(N_k)."""
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         v = self.base + self.gas.epsilon**2 * g
-        lam = np.sum(v * v, axis=-1)
-        dep = density_departure(lam, self.force.phi, self.gas, self.cut)
+        dep = density_departure(_dot(v, v), self.force.phi, self.gas, self.cut)
         return fem.assemble_vector_load(self.mesh, dep[..., None] * v + g)
 
     def hessian(self, corr):
@@ -337,7 +335,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     margin = float(np.min(q_low - speed))
     truncated = margin <= 0.0
 
-    qhat, _, _, rho, _ = closure(lam, fo.phi, gas, cut)
+    qhat, _, _, rho, slope = closure(lam, fo.phi, gas, cut)
     dep = level_departure(qhat, gas)
     if not truncated:
         rho_b = np.asarray(density_from_speed(lam, fo.phi, gas))
@@ -354,7 +352,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
         if not (np.all(rho > low) and np.all(rho <= high * (1.0 + 1e-12))):
             raise SolverError("density left its two-sided closure bound")
 
-    m = mach_number(speed, rho, gas)
+    m = np.divide(gas.epsilon * speed, np.sqrt(slope, out=slope), out=slope)
     if not truncated and float(np.max(m)) >= 1.0:
         raise SolverError("supersonic point inside the removal region")
 
@@ -429,11 +427,6 @@ def build_test_panel(mesh):
         "quadrupole": (g * q2, q2[..., None] * grad_g
                        + (3.0 * g * mu)[..., None] * grad_mu, "rhat"),
     }
-
-
-def _dot(a, b):
-    # scalar product over a last axis of length 2; a sum over it is slower
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def _weak_dp_gaps(state, base, fo):

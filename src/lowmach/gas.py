@@ -39,7 +39,6 @@ __all__ = [
     "CutoffSpec",
     "enthalpy",
     "enthalpy_inv",
-    "enthalpy_inv_deriv",
     "pressure",
     "pressure_slope",
     "density_from_speed",
@@ -58,11 +57,7 @@ __all__ = [
     "elliptic_coeffs",
 ]
 
-# Gauss-Legendre nodes/weights on [0, 1], used for the parameter integrals
-# here and in ``compressible``.
-_T8, _W8 = np.polynomial.legendre.leggauss(8)
-_T8 = 0.5 * (_T8 + 1.0)
-_W8 = 0.5 * _W8
+# Gauss-Legendre nodes/weights on [0, 1], for the energy density's bridge.
 _T16, _W16 = np.polynomial.legendre.leggauss(16)
 _T16 = 0.5 * (_T16 + 1.0)
 _W16 = 0.5 * _W16
@@ -163,18 +158,6 @@ def enthalpy_inv(y, gas):
             f"enthalpy value below the vacuum level {-g / (g - 1.0):.6g}"
         )
     return _as_result(np.exp(np.log1p((g - 1.0) * yv / g) / (g - 1.0)))
-
-
-def enthalpy_inv_deriv(y, gas):
-    """Derivative of the enthalpy inverse, (h^-1)'(y) = rho / p'(rho)."""
-    yv = np.asarray(y, dtype=float)
-    g = gas.gamma
-    if g == 1.0:
-        return _as_result(np.exp(yv))
-    u = 1.0 + (g - 1.0) * yv / g
-    if np.any(u <= 0.0):
-        raise DomainError("enthalpy value below the vacuum level")
-    return _as_result(np.exp((2.0 - g) / (g - 1.0) * np.log(u)) / g)
 
 
 def density_from_speed(q2, f, gas):
@@ -414,20 +397,19 @@ def truncated_speed_sq(q2, f, spec):
     """
     lam = np.asarray(q2, dtype=float)
     phi = np.asarray(_phi_of(f), dtype=float)
-    lam, phi = np.broadcast_arrays(lam, phi)
-
-    lam_lo = np.asarray(spec._lambda_lo(phi))
-    lam_hi = np.asarray(spec._lambda_hi(phi))
+    lam_lo = spec._lambda_lo(phi)           # scalar for a scalar phi
+    lam_hi = spec._lambda_hi(phi)
     below = lam <= lam_lo
     above = lam >= lam_hi
-    qhat = np.where(below, lam - 2.0 * phi, spec.saturation)
-    dl = np.where(below, 1.0, 0.0)
+    qhat = np.asarray(lam - 2.0 * phi)
+    qhat[~below] = spec.saturation
+    dl = np.asarray(below, dtype=float)
     dphi = np.where(below, -2.0, 0.0)
 
     # The bridge algebra runs only where a point lies on it (often nowhere).
     on = ~(below | above)
     if np.any(on):
-        lam, phi, lam_lo, lam_hi = lam[on], phi[on], lam_lo[on], lam_hi[on]
+        lam, phi, lam_lo, lam_hi = (a[on] for a in np.broadcast_arrays(lam, phi, lam_lo, lam_hi))
         v0 = lam_lo - 2.0 * phi
         sat = spec.saturation
         h = lam_hi - lam_lo
@@ -462,14 +444,16 @@ def closure(lam, phi, gas, cut):
 
         h(rho_hat) = eps^2 (q_inf^2 - qhat) / 2,
 
-    and the pressure slope there.  The density coincides with
-    density_from_speed on the identity branch and is constant past
-    saturation.  It is defined for every lam >= 0 as long as the saturated
-    Bernoulli level stays above the vacuum floor, which holds for all
-    epsilon <= eps_ref; beyond that the configuration is rejected.
+    and the pressure slope there, p' = gamma + (gamma - 1) h for every
+    gamma >= 1.  The density coincides with density_from_speed on the
+    identity branch and is constant past saturation.  It is defined for every
+    lam >= 0 while the saturated Bernoulli level stays above the vacuum floor,
+    as for all epsilon <= eps_ref; beyond that the configuration is rejected.
     """
     qhat, qhat_L, qhat_phi = truncated_speed_sq(lam, phi, cut)
-    lvl = gas.epsilon**2 * (gas.q_inf**2 - np.asarray(qhat)) / 2.0
+    lvl = np.asarray(gas.q_inf**2 - qhat)
+    lvl *= gas.epsilon**2
+    lvl /= 2.0
     try:
         rho = enthalpy_inv(lvl, gas)
     except DomainError:
@@ -479,7 +463,9 @@ def closure(lam, phi, gas, cut):
                 float(np.min(lvl)), _enthalpy_range_floor(gas)
             )
         ) from None
-    return qhat, qhat_L, qhat_phi, rho, pressure_slope(rho, gas)
+    lvl *= gas.gamma - 1.0          # p'(rho_hat) = gamma + (gamma - 1) h, over h
+    lvl += gas.gamma
+    return qhat, qhat_L, qhat_phi, rho, _as_result(lvl)
 
 
 def truncated_density(q2, f, gas, spec):
@@ -487,34 +473,53 @@ def truncated_density(q2, f, gas, spec):
     return closure(q2, f, gas, spec)[3]
 
 
+def _ratio(num, den):
+    """num / den written over num, and 1 where den is 0 (as expm1(z)/z)."""
+    with np.errstate(invalid="ignore"):
+        np.divide(num, den, out=num)
+    num[den == 0.0] = 1.0
+    return num
+
+
 def level_departure(qhat, gas):
     """(rho_hat - 1) / epsilon^2 at the truncated speed variable ``qhat``.
 
-    Uses the parameter-integral form
+    In closed form, with A = (q_inf^2 - qhat)/2 and x = (gamma-1) eps^2 A/gamma,
 
-        (rho_hat - 1)/eps^2 = A * int_0^1 (h^-1)'(t eps^2 A) dt,
-        A = (q_inf^2 - qhat)/2,
+        (rho_hat - 1)/eps^2 = expm1(log1p(x) / (gamma - 1)) / eps^2,
 
-    with an 8-point Gauss rule in t, so the value stays accurate down to
-    epsilon ~ 1e-8, where the direct difference cancels.  The rule is summed
-    node by node, so no array is larger than ``qhat``.
+    or expm1(eps^2 A) / eps^2 at gamma = 1.  It is evaluated as
+    A/gamma [log1p(x)/x] [expm1(y)/y], y = log1p(x)/(gamma - 1), with each
+    bracket 1 + O(x): exact to round-off for every epsilon > 0, and A/gamma
+    where eps^2 underflows.  A level at or below the vacuum floor raises
+    ConfigError.
     """
-    amp = np.asarray((gas.q_inf**2 - np.asarray(qhat)) / 2.0)
-    level = gas.epsilon**2 * amp
-    total = np.zeros(amp.shape)
-    try:
-        for t, w in zip(_T8, _W8):
-            total += w * np.asarray(enthalpy_inv_deriv(level * t, gas))
-    except DomainError:
-        raise ConfigError(
-            "epsilon too large: the truncated Bernoulli level leaves the "
-            "enthalpy range"
-        ) from None
-    return _as_result(amp * total)
+    q = np.asarray(qhat, dtype=float)
+    amp = gas.q_inf**2 - q.reshape(-1)
+    amp /= 2.0
+    g = gas.gamma
+    if g == 1.0:
+        y = amp * gas.epsilon**2
+        ratio = None
+    else:
+        y = amp * ((g - 1.0) * gas.epsilon**2 / g)      # x, then y in place
+        if np.any(y <= -1.0):
+            raise ConfigError(
+                "epsilon too large: the truncated Bernoulli level leaves the "
+                "enthalpy range"
+            )
+        ratio = _ratio(np.log1p(y), y)                  # log1p(x)/x
+        y *= ratio
+        y /= g - 1.0
+        amp /= g
+        amp *= ratio                                    # A/gamma log1p(x)/x
+    dep = _ratio(np.expm1(y, out=ratio), y)
+    dep *= amp
+    return _as_result(dep.reshape(q.shape))
 
 
 def density_departure(q2, f, gas, spec):
-    """(truncated_density - 1) / epsilon^2, evaluated without cancellation.
+    """(truncated_density - 1) / epsilon^2, exact to round-off for every epsilon.
 
     See level_departure.  Converges to (q_inf^2 - q2 + 2 phi) / (2 gamma)
     on the identity branch as epsilon -> 0.

@@ -384,14 +384,12 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     xr = rr * np.sin(th_nodes)[None, :]
     nodes = np.stack([x1.ravel(), xr.ravel()], axis=1)
 
-    # cells, positively oriented (xi radial outward, eta along theta)
-    def nid(i, j):
-        return i * n_th_nodes + (j % n_th_nodes)
-
-    cells = np.empty((n_r * n_t, 4), dtype=np.int64)
-    for i in range(n_r):
-        for j in range(n_t):
-            cells[i * n_t + j] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
+    # cells, positively oriented (xi radial outward, eta along theta); node
+    # (i, j) is i * n_th_nodes + j, and the angle wraps on planar meshes
+    i, j = np.divmod(np.arange(n_r * n_t, dtype=np.int64), n_t)
+    j_next = (j + 1) % n_th_nodes
+    cells = np.stack([i * n_th_nodes + j, (i + 1) * n_th_nodes + j,
+                      (i + 1) * n_th_nodes + j_next, i * n_th_nodes + j_next], axis=1)
 
     mesh = ExteriorMesh(
         mode=mode, shape=shape, r_far=float(r_far), n_r=int(n_r), n_t=int(n_t),
@@ -405,8 +403,8 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     _attach_quadrature(mesh)
     _attach_facets(mesh)
 
-    mesh.gamma_nodes = np.array([nid(0, j) for j in range(n_th_nodes)], dtype=np.int64)
-    mesh.sigma_nodes = np.array([nid(n_r, j) for j in range(n_th_nodes)], dtype=np.int64)
+    mesh.gamma_nodes = np.arange(n_th_nodes, dtype=np.int64)
+    mesh.sigma_nodes = n_r * n_th_nodes + mesh.gamma_nodes
 
     _validate_mesh(mesh)
     return mesh
@@ -452,7 +450,7 @@ def _attach_facets(mesh):
     Qf = gx.size
     facets = {}
     for tag, i_cell, xi_val, sign in (("gamma", 0, 0.0, -1.0), ("sigma", mesh.n_r - 1, 1.0, +1.0)):
-        cells = np.array([mesh.cell_id(i_cell, j) for j in range(mesh.n_t)])
+        cells = mesh.cell_id(i_cell, np.arange(mesh.n_t))
         F = cells.size
         cid = np.repeat(cells, Qf)
         xi = np.full(F * Qf, xi_val)

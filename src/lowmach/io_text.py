@@ -59,9 +59,9 @@ def dump_field(field, path_or_file, cfg_hash="", extra=None):
             + (f" {kv}" if kv else "") + "\n"
         )
         fh.write("# columns: x1 xr weight value\n")
-        wts = node_weights(mesh)
-        for (x, y), w, v in zip(mesh.nodes, wts, field.values):
-            fh.write(f"{x:.17g} {y:.17g} {w:.17g} {v:.17g}\n")
+        cols = np.column_stack([mesh.nodes, node_weights(mesh), field.values])
+        # one %-format over every row: the same text as a .17g f-string per value
+        fh.write("%.17g %.17g %.17g %.17g\n" * len(cols) % tuple(cols.ravel().tolist()))
     finally:
         if own:
             fh.close()

@@ -94,6 +94,21 @@ def threshold_speed_sq(m, phi, gamma, eps_ref, q_inf, n_eps=2001):
     return float(np.min(0.5 * (lo + hi)) ** 2)
 
 
+def level_departure_mp(qhat, gamma, epsilon, q_inf_sq, dps=50):
+    """(rho - 1)/eps^2 at 50 digits, rho from the Bernoulli level
+    eps^2 (q_inf_sq - qhat)/2 through the power form of the enthalpy
+    inverse, (1 + (gamma-1) h/gamma)^(1/(gamma-1)), or exp(h) at gamma = 1.
+    The inputs are taken as the exact values of their doubles; at 50 digits
+    the difference rho - 1 keeps more than 30 of them for eps >= 1e-8."""
+    import mpmath as mp  # only this oracle needs it
+
+    with mp.workdps(dps):
+        g, eps2 = mp.mpf(gamma), mp.mpf(epsilon) ** 2
+        lvl = eps2 * (mp.mpf(q_inf_sq) - mp.mpf(qhat)) / 2
+        rho = mp.exp(lvl) if gamma == 1.0 else mp.power(1 + (g - 1) * lvl / g, 1 / (g - 1))
+        return float((rho - 1) / eps2)
+
+
 def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
                  chunk=2048):
     """Potential and meridian-plane gradient of a uniform ball by direct summation.
@@ -386,3 +401,29 @@ def weak_dp_gaps_tensor(state, force=None):
             + dep * np.einsum("mqd,mqd->mq", force_grad, w)
         gaps[name] = float(eps2 * np.sum(mesh.qweights * pair))
     return gaps
+
+
+# Structured-mesh index tables and the field dump, one node at a time.
+
+def structured_tables(n_r, n_t, periodic):
+    """(cells, gamma_nodes, sigma_nodes) of the shell: node (i, j) is
+    i * n_th + (j mod n_th), with n_th = n_t angles on a periodic mesh and
+    n_t + 1 otherwise; cell (i, j) lists its corners counter-clockwise."""
+    n_th = n_t if periodic else n_t + 1
+
+    def nid(i, j):
+        return i * n_th + (j % n_th)
+
+    cells = np.empty((n_r * n_t, 4), dtype=np.int64)
+    for i in range(n_r):
+        for j in range(n_t):
+            cells[i * n_t + j] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
+    gamma = np.array([nid(0, j) for j in range(n_th)], dtype=np.int64)
+    sigma = np.array([nid(n_r, j) for j in range(n_th)], dtype=np.int64)
+    return cells, gamma, sigma
+
+
+def field_dump_rows(nodes, weights, values):
+    """The rows of a field dump, one f-string per node."""
+    return "".join(f"{x:.17g} {y:.17g} {w:.17g} {v:.17g}\n"
+                   for (x, y), w, v in zip(nodes, weights, values))

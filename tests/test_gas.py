@@ -1,11 +1,14 @@
 """Gas closure: closed forms vs independent oracles, and cut-off behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from lowmach import (
+    CutoffSpec,
     ConfigError,
     DomainError,
     GasModel,
@@ -23,6 +26,7 @@ from lowmach import (
     truncated_density,
     truncated_speed_sq,
 )
+from lowmach.gas import closure, level_departure, pressure_slope
 
 GAS = GasModel(gamma=1.4, epsilon=0.1, q_inf=1.0)
 
@@ -411,6 +415,84 @@ def test_density_departure_low_mach_limit(cut_forced):
         assert got == pytest.approx(expect, rel=5e-5 if eps == 1e-3 else 5e-9)
 
 
+# The closure over its parameter domain: gamma in [1, 3], epsilon in
+# [1e-8, eps_ref] and the truncated speed variable in [0, saturation].
+_EPS_REF = 0.45
+
+
+def _force_free_spec(gamma, q_inf):
+    # the cut-off without its eigenvalue scan, which these properties never read
+    spec = CutoffSpec(0.65, _EPS_REF, gamma, q_inf, 0.0, float("nan"))
+    return replace(spec, saturation=float(spec._lambda_hi(0.0)))
+
+
+_CLOSURE_DOMAIN = dict(
+    gamma=st.floats(1.0, 3.0), log_eps=st.floats(-8.0, np.log10(_EPS_REF)),
+    q_inf=st.floats(0.5, 2.0),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(frac=st.floats(0.0, 1.0), **_CLOSURE_DOMAIN)
+@example(frac=1.0, gamma=1.0, log_eps=-8.0, q_inf=1.0)
+@example(frac=1.0, gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0)
+@example(frac=1.0, gamma=3.0, log_eps=np.log10(_EPS_REF), q_inf=2.0)
+def test_departure_matches_high_precision_oracle(frac, gamma, log_eps, q_inf):
+    gas = GasModel(gamma, 10.0**log_eps, q_inf)
+    spec = _force_free_spec(gamma, q_inf)
+    qhat = np.concatenate([np.linspace(0.0, spec.saturation, 9),
+                           [q_inf**2, frac * spec.saturation]])
+    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(0.0), 9)
+    cases = [(qhat, level_departure(qhat, gas)),
+             (truncated_speed_sq(lam, 0.0, spec)[0], density_departure(lam, 0.0, gas, spec))]
+    for q, got in cases:
+        want = np.array([oracles.level_departure_mp(v, gamma, gas.epsilon, q_inf**2)
+                         for v in q])
+        # zero exactly at the anchor level, 2e-15 relative elsewhere
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nz = want != 0.0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 2e-15 * np.abs(want[nz]))
+
+
+def test_departure_limit_survives_eps_squared_underflow():
+    # eps^2 = 1e-400 is 0 in double precision; the departure is its limit
+    for gamma in (1.0, 1.4, 3.0):
+        gas = GasModel(gamma, 1e-200, 1.0)
+        q = np.array([0.0, 0.3, 1.0, 2.5])
+        expect = (1.0 - q) / (2.0 * gamma)
+        got = level_departure(q, gas)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+        assert level_departure(0.3, gas) == pytest.approx(0.7 / (2.0 * gamma), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_CLOSURE_DOMAIN)
+@example(gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0)
+def test_closure_slope_is_pressure_slope(gamma, log_eps, q_inf):
+    gas = GasModel(gamma, 10.0**log_eps, q_inf)
+    spec = _force_free_spec(gamma, q_inf)
+    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(0.0), 33)
+    _, _, _, rho, ps = closure(lam, 0.0, gas, spec)
+    want = pressure_slope(rho, gas)
+    assert np.all(np.abs(ps - want) <= 1e-14 * want)
+
+
+def test_level_departure_rejects_levels_past_vacuum():
+    gamma, eps = 1.4, 0.3
+    gas = GasModel(gamma, eps, 1.0)
+    # the Bernoulli level eps^2 (1 - qhat)/2 reaches the vacuum floor
+    # -gamma/(gamma - 1) at this qhat
+    floor = 1.0 + 2.0 * gamma / ((gamma - 1.0) * eps**2)
+    inside = level_departure(np.array([0.999 * floor]), gas)[0]
+    assert -1.0 / eps**2 < inside < 0.0
+    for qhat in (1.001 * floor, 1.01 * floor, np.array([0.5, 1.01 * floor])):
+        with pytest.raises(ConfigError):
+            level_departure(qhat, gas)
+    # the isothermal gas has no vacuum level
+    iso = GasModel(1.0, eps, 1.0)
+    assert -1.0 / eps**2 < level_departure(1.01 * floor, iso) < 0.0
+
+
 def test_energy_density_zero(cut):
     assert energy_density(0.0, 0.0, GAS, cut) == 0.0
 
@@ -480,6 +562,20 @@ def test_elliptic_coeffs_bounds_random_states(cut_forced):
         norm2 = np.sum(xi * xi, axis=1)
         assert np.all(quad >= lam1 * norm2)
         assert np.all(quad <= lam2 * norm2)
+
+
+def test_elliptic_coeffs_broadcasts_one_velocity_over_phi(cut_forced):
+    # a single velocity against an array of force potentials gives one
+    # matrix per potential, each equal to the call at that potential alone
+    v = np.array([0.7, 0.2, -0.1])
+    phis = np.linspace(-0.3, 0.3, 7)
+    grad = np.array([0.1, -0.2, 0.3])
+    a, b, _ = elliptic_coeffs(v, phis, GAS, cut_forced, grad_force=grad)
+    assert a.shape == (7, 3, 3) and b.shape == (7, 3)
+    for k, phi in enumerate(phis):
+        a_k, b_k, _ = elliptic_coeffs(v, float(phi), GAS, cut_forced, grad_force=grad)
+        assert np.array_equal(a[k], a_k)
+        assert np.array_equal(b[k], b_k)
 
 
 def test_drift_vector_bounded(cut_forced):

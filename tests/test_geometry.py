@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import oracles
 from lowmach import ObstacleShape, build_mesh
 from lowmach.errors import ConfigError
 from lowmach.geometry import dump_mesh, load_mesh, mesh_dump_string, refined
@@ -189,3 +190,23 @@ def test_refined_preserves_distribution(sphere_mesh):
     fine_r = np.sort(np.unique(np.round(
         np.linalg.norm(fine.nodes, axis=1), 9)))
     assert set(coarse_r).issubset(set(fine_r))
+
+
+@pytest.mark.parametrize("shape, mode, n_r, n_t", [
+    (SPHERE, "axisymmetric-3d", 8, 8),
+    (SPHERE, "axisymmetric-3d", 5, 7),
+    (DISK, "planar-2d", 8, 8),
+    (DISK, "planar-2d", 5, 7),
+    (ObstacleShape("ellipse", semi_axes=(1.0, 0.6)), "planar-2d", 4, 9),
+])
+def test_index_tables_match_loop_form(shape, mode, n_r, n_t):
+    mesh = build_mesh(shape, 10.0, n_r, n_t, mode=mode)
+    cells, gamma, sigma = oracles.structured_tables(n_r, n_t, mode == "planar-2d")
+    for got, want in ((mesh.cells, cells), (mesh.gamma_nodes, gamma),
+                      (mesh.sigma_nodes, sigma)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the planar angle wraps: the last cell of a ring closes on node j = 0
+    if mode == "planar-2d":
+        assert mesh.cells[n_t - 1, 2] == n_t and mesh.cells[n_t - 1, 3] == 0
+    for tag, ring in (("gamma", 0), ("sigma", n_r - 1)):
+        assert np.array_equal(mesh.facets[tag].cells, ring * n_t + np.arange(n_t))
