@@ -59,9 +59,9 @@ print("(identity branch up to the onset, constant past the cap)\n")
 
 print("=== coefficient matrix at an aligned state ===")
 v = np.array([1.0, 0.0, 0.0])
-a, b, (lam1, lam2) = elliptic_coeffs(v, 0.0, gas, cut)
+a = elliptic_coeffs(v, 0.0, gas, cut)
 print("a =")
 print(np.array_str(a, precision=6, suppress_small=True))
-print(f"eigenvalues within [{lam1:.4f}, {lam2:.4f}]: "
+print(f"eigenvalues within [{cut.lam1:.4f}, {cut.lam2:.4f}]: "
       f"{np.sort(np.linalg.eigvalsh(a))}")
 print(f"\nspeed at Mach 0.5 for this gas: {speed_at_mach(0.5, 0.0, gas):.4f}")

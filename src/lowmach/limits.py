@@ -31,6 +31,8 @@ __all__ = [
     "ConvergenceReport",
     "SweepSetup",
     "build_force",
+    "prepare",
+    "solve_epsilon",
     "newtonian_potential",
     "validate_force",
     "fit_rate",
@@ -81,12 +83,7 @@ class ForceField:
 
     def __post_init__(self):
         self.phi_star = float(
-            max(np.max(np.abs(self.phi_qpts)), np.max(np.abs(self.phi_nodes)))
-        ) if self.phi_qpts.size else 0.0
-
-    @property
-    def is_zero(self):
-        return self.spec.kind == "none"
+            max(np.max(np.abs(self.phi_qpts)), np.max(np.abs(self.phi_nodes))))
 
 
 def newtonian_potential(spec, mesh):
@@ -117,16 +114,9 @@ def newtonian_potential(spec, mesh):
 
 
 def build_force(spec, mesh):
-    """ForceField for a ForceSpec; None/"none" gives the zero field."""
+    """ForceField for a ForceSpec; None when there is no force."""
     if spec is None or spec.kind == "none":
-        zero_spec = spec if spec is not None else ForceSpec("none")
-        return ForceField(
-            mesh=mesh,
-            phi_qpts=np.zeros(mesh.qweights.shape),
-            grad_qpts=np.zeros(mesh.qpts.shape),
-            phi_nodes=np.zeros(mesh.n_nodes),
-            spec=zero_spec,
-        )
+        return None
     return newtonian_potential(spec, mesh)
 
 
@@ -160,8 +150,8 @@ def validate_force(force, beta, q, mesh):
     shell and extrapolates the radial tails with the fitted decay exponents
     of |grad phi| and |phi|.  The admissibility verdict is the finiteness of
     the gradient integral (the hypothesis the convergence theory needs); the
-    potential's own L2 tail is reported alongside for reference.  The zero
-    force is admissible with all residuals zero.
+    potential's own L2 tail is reported alongside for reference.  No force
+    (``force`` None) is admissible with all residuals zero.
     """
     ndim = mesh.ndim
     if not q > ndim:
@@ -169,14 +159,7 @@ def validate_force(force, beta, q, mesh):
     if not beta > 1.0 - ndim / q:
         raise ConfigError("admissibility requires beta > 1 - n/q")
     bp = beta_prime(beta, q, ndim)
-
-    gmag = np.linalg.norm(force.grad_qpts, axis=-1)
-    w = mesh.qweights
-    r = np.linalg.norm(mesh.qpts, axis=-1)
-    grad_int = float(np.sum(w * (1.0 + r**beta) ** q * gmag**q))
-    l2_int = float(np.sum(w * force.phi_qpts**2))
-
-    if force.is_zero:
+    if force is None:
         return AdmissibilityReport(
             admissible=True, beta=beta, q=q, beta_prime=bp,
             phi_star=0.0, grad_lq_truncated=0.0, grad_tail_exponent=math.inf,
@@ -184,6 +167,11 @@ def validate_force(force, beta, q, mesh):
             phi_tail_exponent=math.inf, phi_tail_finite=True,
         )
 
+    gmag = np.linalg.norm(force.grad_qpts, axis=-1)
+    w = mesh.qweights
+    r = np.linalg.norm(mesh.qpts, axis=-1)
+    grad_int = float(np.sum(w * (1.0 + r**beta) ** q * gmag**q))
+    l2_int = float(np.sum(w * force.phi_qpts**2))
     d_grad = _field_decay_exponent(mesh, gmag)
     d_phi = _field_decay_exponent(mesh, np.abs(force.phi_qpts))
     # tail integrand exponents: q*beta - q*d + (n-1) < -1 for convergence
@@ -322,6 +310,11 @@ class SweepSetup:
     force_spec: ForceSpec = ForceSpec("none")
     tol: float = 1e-10
     max_newton: int = 40
+    max_backtracks: int = 40
+    far_field: str = "dirichlet"
+
+
+_DECAY_RAY = np.pi / 4.0
 
 
 @dataclass
@@ -348,29 +341,45 @@ class ConvergenceReport:
         return {k: v.slope for k, v in self.slopes.items()}
 
 
-def _run_single(setup, eps, psi, force, cut):
+def prepare(setup):
+    """(psi, force, cut): what every epsilon of a setup shares.
+
+    The incompressible base flow, the sampled force (None without one) and
+    the cut-off, whose thresholds depend on the gas through gamma and q_inf
+    only.
+    """
+    mesh = setup.mesh
+    force = build_force(setup.force_spec, mesh)
+    phi_samples = None if force is None else np.concatenate(
+        [force.phi_nodes, force.phi_qpts.ravel()])
+    cut = make_cutoff(GasModel(setup.gamma, setup.eps_ref, setup.q_inf),
+                      setup.mach_threshold, setup.eps_ref, phi_samples=phi_samples)
+    psi = incompressible.solve_incompressible(
+        mesh, setup.q_inf, tol=setup.tol, far_field=setup.far_field)
+    return psi, force, cut
+
+
+def solve_epsilon(setup, eps, psi, force, cut):
+    """Compressible solve at one epsilon: (FlowState, MinimizeInfo)."""
     gas = GasModel(setup.gamma, float(eps), setup.q_inf)
     corr, info = compressible.minimize(
-        psi, force, gas, cut, tol=setup.tol, max_newton=setup.max_newton
-    )
-    state = compressible.flow_state(corr, psi, gas, force, cut)
-    return state, info
+        psi, force, gas, cut, tol=setup.tol, max_newton=setup.max_newton,
+        max_backtracks=setup.max_backtracks)
+    return compressible.flow_state(corr, psi, gas, force, cut), info
 
 
 def _sweep_rows(setup, eps_grid):
-    mesh = setup.mesh
-    gas0 = GasModel(setup.gamma, float(eps_grid[0]), setup.q_inf)
-    force = build_force(setup.force_spec, mesh)
-    phi_samples = np.concatenate([force.phi_nodes, force.phi_qpts.ravel()])
-    cut = make_cutoff(gas0, setup.mach_threshold, setup.eps_ref,
-                      phi_samples=None if force.is_zero else phi_samples)
-    psi = incompressible.solve_incompressible(mesh, setup.q_inf, tol=setup.tol)
-
-    rows, states = [], []
+    """(psi, report rows, last converged correction or None)."""
+    psi, force, cut = prepare(setup)
+    rows, last = [], None
     for eps in eps_grid:
         row = {"epsilon": float(eps)}
         try:
-            state, info = _run_single(setup, eps, psi, force, cut)
+            state, info = solve_epsilon(setup, eps, psi, force, cut)
+        except (SolverError, ConfigError) as exc:
+            row.update({"converged": False, "cutoff_removed": False,
+                        "cutoff_margin": float("nan"), "error": str(exc)})
+        else:
             removed, margin = compressible.cutoff_active_check(state)
             row.update(state.norms)
             row.update({f"dp_gap_{k}": v for k, v in state.dp_gap.items()})
@@ -380,16 +389,13 @@ def _sweep_rows(setup, eps_grid):
                 "cutoff_margin": float(margin),
                 "newton_iterations": int(info.iterations),
             })
-            states.append(state)
-        except (SolverError, ConfigError) as exc:
-            row.update({"converged": False, "cutoff_removed": False,
-                        "cutoff_margin": float("nan"), "error": str(exc)})
-            states.append(None)
+            last = state.phi_corr
+            del state       # one FlowState alive at a time
         rows.append(row)
-    return psi, force, cut, rows, states
+    return psi, rows, last
 
 
-def _fit_slopes(eps_grid, rows):
+def _fit_slopes(rows):
     # every reported slope is fitted from at least 4 epsilon points; with
     # fewer converged rows the slope is simply absent (partial report)
     names = ("rho_diff_inf", "u_diff_l2", "mach_max")
@@ -407,7 +413,7 @@ def _fit_slopes(eps_grid, rows):
     return slopes
 
 
-def sweep(setup, eps_grid, sensitivity=True, decay_ray=np.pi / 4.0):
+def sweep(setup, eps_grid, sensitivity=True):
     """Run the epsilon sweep and assemble a ConvergenceReport.
 
     Solves the incompressible problem once and the compressible problem per
@@ -424,8 +430,8 @@ def sweep(setup, eps_grid, sensitivity=True, decay_ray=np.pi / 4.0):
         raise ConfigError("epsilon grid must be positive and strictly decreasing")
 
     setup_mesh = setup.mesh
-    psi, force, cut, rows, states = _sweep_rows(setup, eps_grid)
-    slopes = _fit_slopes(eps_grid, rows)
+    psi, rows, last = _sweep_rows(setup, eps_grid)
+    slopes = _fit_slopes(rows)
 
     # uniform difference-velocity bound over the lower half of the grid
     lower = [r for r in rows[len(rows) // 2:] if r.get("converged")]
@@ -445,10 +451,9 @@ def sweep(setup, eps_grid, sensitivity=True, decay_ray=np.pi / 4.0):
     eps_c = max(removed_eps) if removed_eps else float("nan")
 
     decay = {}
-    decay["incompressible_grad"] = decay_fit(psi, decay_ray)
-    last = next((s for s in reversed(states) if s is not None), None)
+    decay["incompressible_grad"] = decay_fit(psi, _DECAY_RAY)
     if last is not None:
-        decay["correction_grad"] = decay_fit(last.phi_corr, decay_ray)
+        decay["correction_grad"] = decay_fit(last, _DECAY_RAY)
 
     sens = {}
     if sensitivity:
@@ -460,8 +465,8 @@ def sweep(setup, eps_grid, sensitivity=True, decay_ray=np.pi / 4.0):
             ("refine", geometry.refined(setup_mesh)),
         ):
             alt = replace(setup, mesh=mesh_v)
-            _, _, _, rows_v, _ = _sweep_rows(alt, eps_grid)
-            slopes_v = _fit_slopes(eps_grid, rows_v)
+            _, rows_v, _ = _sweep_rows(alt, eps_grid)
+            slopes_v = _fit_slopes(rows_v)
             sens[name] = {
                 k: slopes_v[k].slope - slopes[k].slope
                 for k in slopes if k in slopes_v

@@ -165,15 +165,60 @@ def test_sweep_empty_eps_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("solver", [{"far_field": "neumann"},
-                                    {"max_backtracks": 10}])
-def test_sweep_rejects_unsupported_solver_keys(tmp_path, capsys, solver):
-    cfg = _write_config(tmp_path, {"solver": solver})
-    out = tmp_path / "o"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-    key, = solver
-    assert f"solver.{key}" in capsys.readouterr().err
-    assert not out.exists() or not list(out.rglob("report.json"))
+# the forced epsilon sweep of the README and the ROADMAP baseline (48^2)
+FORCED = {"cutoff": {"theta": 0.45, "eps0": 0.3},
+          "force": {"kind": "newtonian", "mass": 0.5},
+          "sweep": {"eps": [0.3, 0.2, 0.1, 0.05]}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    FORCED,
+    {"solver": {"far_field": "neumann"}},
+    {"solver": {"max_backtracks": 10}},
+], ids=["force-free", "newtonian", "neumann", "max-backtracks"])
+def test_sweep_rows_match_solve_compressible(tmp_path, overrides):
+    # sweep and solve-compressible share one per-epsilon solve, and the
+    # sweep honours every solver key, so each report row equals the state
+    # file of its epsilon on every key the two share
+    cfg = _write_config(tmp_path, overrides)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    run, _ = _run_files(out)
+    rows = json.loads(open(os.path.join(run, "report.json")).read())["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        eps = row["epsilon"]
+        out_e = str(tmp_path / f"solve{eps:g}")
+        code = main(["solve-compressible", "--config", cfg, "--out", out_e,
+                     "--epsilon", repr(eps)])
+        assert code == (0 if row["cutoff_removed"] else 4)
+        run_e, _ = _run_files(out_e)
+        state = json.loads(open(os.path.join(run_e, f"state_eps{eps:g}.json")).read())
+        shared = row.keys() & state.keys()
+        assert {"rho_diff_inf", "u_diff_l2", "mach_max", "dp_gap_radial",
+                "cutoff_margin", "newton_iterations"} <= shared
+        for key in shared:
+            assert row[key] == state[key], key
+
+
+def test_forced_sweep_keeps_rates(tmp_path):
+    # the extra force's effect vanishes with the Mach number: the forced
+    # sweep keeps the low-Mach rate windows, the uniform bounds and its
+    # slopes under r_far doubling and one refinement
+    path = tmp_path / "forced.json"
+    path.write_text(json.dumps(FORCED))
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", str(path), "--out", out,
+                 "--assert-rates"]) == 0
+    run, _ = _run_files(out)
+    rep = json.loads(open(os.path.join(run, "report.json")).read())
+    assert rep["uniform_u_ratio"] < 1.25
+    assert rep["energy_uniform_ratio"] < 2.0
+    for deltas in rep["sensitivity"].values():
+        assert deltas
+        for delta in deltas.values():
+            assert abs(delta) < 0.1
 
 
 def test_validate_force_verdicts(tmp_path):

@@ -522,15 +522,14 @@ def test_energy_density_slope_is_half_density(cut_forced):
 
 
 def test_elliptic_coeffs_stagnation(cut):
-    a, b, _ = elliptic_coeffs(np.zeros(3), 0.0, GAS, cut)
+    a = elliptic_coeffs(np.zeros(3), 0.0, GAS, cut)
     rho0 = truncated_density(0.0, 0.0, GAS, cut)
     assert np.allclose(a, rho0 * np.eye(3), rtol=1e-14)
-    assert np.allclose(b, 0.0)
 
 
 def test_elliptic_coeffs_rank_one_eigenvalues(cut):
     v = np.array([GAS.q_inf, 0.0, 0.0])
-    a, _, _ = elliptic_coeffs(v, 0.0, GAS, cut)
+    a = elliptic_coeffs(v, 0.0, GAS, cut)
     evals = np.sort(np.linalg.eigvalsh(a))
     rho = 1.0
     deflated = rho * (1.0 - GAS.epsilon**2 * GAS.q_inf**2 / (1.4 * rho**0.4))
@@ -541,7 +540,7 @@ def test_elliptic_coeffs_rank_one_eigenvalues(cut):
 
 def test_elliptic_coeffs_saturated_isotropic(cut):
     v = np.array([2.5 * cut.q_upper(0.0), 0.0, 0.0])
-    a, _, _ = elliptic_coeffs(v, 0.0, GAS, cut)
+    a = elliptic_coeffs(v, 0.0, GAS, cut)
     rho_sat = truncated_density(np.sum(v * v), 0.0, GAS, cut)
     assert np.allclose(a, rho_sat * np.eye(3), rtol=1e-14)
 
@@ -556,12 +555,12 @@ def test_elliptic_coeffs_bounds_random_states(cut_forced):
         v = rng.normal(size=(n_state, 3))
         v *= (np.sqrt(rng.uniform(0.0, lam_max, n_state)) / np.linalg.norm(v, axis=1))[:, None]
         phi = rng.uniform(-0.3, 0.3, n_state)
-        a, _, (lam1, lam2) = elliptic_coeffs(v, phi, gas, spec)
+        a = elliptic_coeffs(v, phi, gas, spec)
         xi = rng.normal(size=(n_state, 3))
         quad = np.einsum("ni,nij,nj->n", xi, a, xi)
         norm2 = np.sum(xi * xi, axis=1)
-        assert np.all(quad >= lam1 * norm2)
-        assert np.all(quad <= lam2 * norm2)
+        assert np.all(quad >= spec.lam1 * norm2)
+        assert np.all(quad <= spec.lam2 * norm2)
 
 
 def test_elliptic_coeffs_broadcasts_one_velocity_over_phi(cut_forced):
@@ -569,26 +568,10 @@ def test_elliptic_coeffs_broadcasts_one_velocity_over_phi(cut_forced):
     # matrix per potential, each equal to the call at that potential alone
     v = np.array([0.7, 0.2, -0.1])
     phis = np.linspace(-0.3, 0.3, 7)
-    grad = np.array([0.1, -0.2, 0.3])
-    a, b, _ = elliptic_coeffs(v, phis, GAS, cut_forced, grad_force=grad)
-    assert a.shape == (7, 3, 3) and b.shape == (7, 3)
+    a = elliptic_coeffs(v, phis, GAS, cut_forced)
+    assert a.shape == (7, 3, 3)
     for k, phi in enumerate(phis):
-        a_k, b_k, _ = elliptic_coeffs(v, float(phi), GAS, cut_forced, grad_force=grad)
-        assert np.array_equal(a[k], a_k)
-        assert np.array_equal(b[k], b_k)
-
-
-def test_drift_vector_bounded(cut_forced):
-    spec = cut_forced
-    rng = np.random.default_rng(99)
-
-    for _ in range(200):
-        v = rng.normal(size=3) * rng.uniform(0.0, 2.0)
-        grad = rng.normal(size=3)
-        phi = float(rng.uniform(-0.3, 0.3))
-        _, b, _ = elliptic_coeffs(v, phi, GAS, spec, grad_force=grad)
-        xi = rng.normal(size=3)
-        assert abs(b @ xi) <= spec.drift_bound * np.linalg.norm(grad) * np.linalg.norm(xi) + 1e-14
+        assert np.array_equal(a[k], elliptic_coeffs(v, float(phi), GAS, cut_forced))
 
 
 def test_gas_model_validation():
