@@ -51,7 +51,7 @@ print(f"saturation constant {cut.saturation:.4f}; "
       f"eigenvalue bounds [{cut.lam1:.4f}, {cut.lam2:.4f}]")
 print(f"{'speed':>8} {'qhat':>10} {'d/dLambda':>10} {'rho_hat':>10} {'Mach':>8}")
 for q in np.linspace(0.0, 1.4 * q_hi, 9):
-    qhat, dl, _ = truncated_speed_sq(q * q, 0.0, cut)
+    qhat, dl = truncated_speed_sq(q * q, 0.0, cut)
     rho = truncated_density(q * q, 0.0, gas, cut)
     m = mach(q, rho, gas)
     print(f"{q:8.3f} {qhat:10.4f} {dl:10.4f} {rho:10.6f} {m:8.4f}")

@@ -38,7 +38,6 @@ from .incompressible import (
 )
 from .compressible import (
     FlowState,
-    cutoff_active_check,
     flow_state,
     minimize,
 )

@@ -6,16 +6,18 @@ writes its artifacts into a directory addressed by the configuration hash,
 and is byte-deterministic: the solver uses no randomness and one thread, so
 a rerun of the same configuration writes the same bytes.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 cut-off not
-removed, 5 rate assertion failure.
+Exit codes: 0 ok, 2 configuration error (including a mistyped configuration
+value or a non-finite or non-positive --rate-tol), 3 solver error, 4 cut-off
+not removed, 5 rate assertion failure.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from . import compressible, geometry, incompressible, io_text, limits
+from . import geometry, incompressible, io_text, limits
 from .errors import ConfigError, LowmachError, SolverError
 # not called here since limits.prepare builds the cut-off, but
 # perfbench/test_perfbench.py checks that the tracer wraps cli.make_cutoff
@@ -60,6 +62,26 @@ _DEFAULTS = {
     "output": {"directory": "out"},
 }
 
+# keys that must hold an integer, and keys that must hold a finite real
+_INT_KEYS = {"geometry": ("n_r", "n_t"),
+             "solver": ("quad_order", "max_newton", "max_backtracks")}
+_REAL_KEYS = {"geometry": ("radius", "r_far", "grading"),
+              "gas": ("gamma", "q_inf"), "cutoff": ("theta", "eps0"),
+              "force": ("mass", "source_radius", "beta", "q"),
+              "solver": ("tol",)}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_reals(v):
+    return isinstance(v, list) and all(_is_real(x) for x in v)
+
 
 class RunConfig:
     """Validated run configuration; rejects unknown keys outright."""
@@ -83,12 +105,20 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
+        for section, keys in _INT_KEYS.items():
+            for key in keys:
+                if not _is_int(self.raw[section][key]):
+                    raise ConfigError(f"{section}.{key}: must be an integer")
+        for section, keys in _REAL_KEYS.items():
+            for key in keys:
+                if key in self.raw[section] and not _is_real(self.raw[section][key]):
+                    raise ConfigError(f"{section}.{key}: must be a finite number")
         g = self.raw["geometry"]
         if g["kind"] not in ("sphere", "disk", "ellipse"):
             raise ConfigError(f"geometry.kind: unknown kind {g['kind']!r}")
         if g["kind"] == "ellipse":
             ax = g.get("semi_axes")
-            if not ax or len(ax) != 2 or min(ax) <= 0:
+            if not _is_reals(ax) or len(ax) != 2 or min(ax) <= 0:
                 raise ConfigError("geometry.semi_axes: two positive lengths required")
         elif not g.get("radius", 0) > 0:
             raise ConfigError("geometry.radius: must be positive")
@@ -114,10 +144,9 @@ class RunConfig:
             raise ConfigError("solver.tol: must be positive")
         if sv["far_field"] not in ("dirichlet", "neumann"):
             raise ConfigError("solver.far_field: dirichlet or neumann")
-        sw = self.raw["sweep"]
-        if not sw["eps"]:
-            raise ConfigError("sweep.eps: must be a non-empty list")
-        eps = [float(e) for e in sw["eps"]]
+        eps = self.raw["sweep"]["eps"]
+        if not _is_reals(eps) or not eps:
+            raise ConfigError("sweep.eps: must be a non-empty list of numbers")
         if any(e <= 0 for e in eps):
             raise ConfigError("sweep.eps: entries must be positive")
         if len(eps) > 1 and any(b >= a for a, b in zip(eps, eps[1:])):
@@ -203,7 +232,6 @@ def cmd_solve_incompressible(cfg, out_dir):
 def cmd_solve_compressible(cfg, epsilon, out_dir):
     setup = cfg.sweep_setup(cfg.build_mesh())
     state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
-    removed, _ = compressible.cutoff_active_check(state)
 
     run = _run_dir(cfg, out_dir)
     _write(os.path.join(run, f"correction_eps{epsilon:g}.txt"),
@@ -226,7 +254,7 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
     })
     _write(os.path.join(run, f"state_eps{epsilon:g}.json"),
            io_text.canonical_json(summary, compact=True))
-    return EXIT_OK if removed else EXIT_CUTOFF
+    return EXIT_OK if state.cutoff_margin > 0.0 else EXIT_CUTOFF
 
 
 def cmd_sweep(cfg, out_dir, assert_rates=False, rate_tol=None):
@@ -304,6 +332,9 @@ def main(argv=None):
 
     try:
         cfg = RunConfig(raw)
+        if args.rate_tol is not None and not (math.isfinite(args.rate_tol)
+                                              and args.rate_tol > 0.0):
+            raise ConfigError("--rate-tol: must be a finite positive number")
         if args.command == "solve-incompressible":
             return cmd_solve_incompressible(cfg, args.out)
         if args.command == "solve-compressible":

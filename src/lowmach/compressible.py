@@ -55,7 +55,6 @@ __all__ = [
     "DifferenceProblem",
     "minimize",
     "flow_state",
-    "cutoff_active_check",
     "build_test_panel",
     "station_mass_flux",
 ]
@@ -109,7 +108,7 @@ class DifferenceProblem:
             s = t * eps2
             lam = self.base_sq + s * (2.0 * base_dot_g + s * g_sq)
             v_dot_g = base_dot_g + s * g_sq
-            _, qhat_L, _, rho, ps = closure(lam, self.phi, self.gas, self.cut)
+            _, qhat_L, rho, ps = closure(lam, self.phi, self.gas, self.cut)
             quad += (w * (1.0 - t)) * rho * (g_sq - eps2 * qhat_L * v_dot_g**2 / ps)
         integrand = quad + self.base_departure * base_dot_g
         return float(np.sum(self.mesh.qweights * integrand))
@@ -273,7 +272,13 @@ def _as_field(mesh, values, gas, info):
 
 @dataclass
 class FlowState:
-    """Full compressible state derived from the converged correction."""
+    """Full compressible state derived from the converged correction.
+
+    ``cutoff_margin`` is the smallest gap between the blending-onset speed
+    and the local flow speed.  When it is positive the cut-off is removed:
+    the minimizer of the truncated problem is a solution of the original
+    subsonic potential equation.
+    """
 
     gas: object
     cut: object
@@ -325,7 +330,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     margin = float(np.min(q_low - speed))
     truncated = margin <= 0.0
 
-    qhat, _, _, rho, slope = closure(lam, phi, gas, cut)
+    qhat, _, rho, slope = closure(lam, phi, gas, cut)
     dep = level_departure(qhat, gas)
     if not truncated:
         rho_b = np.asarray(density_from_speed(lam, phi, gas))
@@ -367,16 +372,6 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     state.dp_gap = _weak_dp_gaps(state, base, force)
     state.norms["dp_gap_max"] = max(abs(v) for v in state.dp_gap.values())
     return state
-
-
-def cutoff_active_check(state):
-    """(removed, margin): whether every speed stays below the blending onset.
-
-    When removed is True the minimizer of the truncated problem is a
-    solution of the original subsonic potential equation; the margin is the
-    smallest gap between the onset speed and the local flow speed.
-    """
-    return bool(state.cutoff_margin > 0.0), float(state.cutoff_margin)
 
 
 # ----------------------------------------------------------------------

@@ -365,6 +365,15 @@ def _ellipticity_scan(spec):
     scan covers Lambda up to past saturation, phi in [-phi_star, phi_star]
     and a geometric epsilon grid up to eps_ref; a 2% guard band absorbs
     pockets between scan points.
+
+    The extremes over epsilon do not all sit at eps_ref, so eps_ref alone
+    would not do.  As epsilon -> 0 the matrix tends to the identity, so
+    lam1 <= 1 <= lam2; but once the saturation constant lies below q_inf^2,
+    rho_hat > 1 for every state at eps_ref (gamma 1, q_inf 2, threshold
+    0.05, eps_ref 0.95: the smallest eigenvalue there is 4.43).  And the
+    smallest eigenvalue can be interior: for gamma 3, q_inf 2, threshold
+    0.05, eps_ref 0.95 and phi sampled on [0, 0.3] it is 0.99394 near
+    epsilon 0.53, against 1.0125 at eps_ref.
     """
     star = spec.phi_star
     phis = np.linspace(-star, star, 33) if star > 0 else np.zeros(1)
@@ -374,7 +383,7 @@ def _ellipticity_scan(spec):
     lo, hi = math.inf, -math.inf
     for eps in np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25):
         gas = GasModel(spec.gamma, float(eps), spec.q_inf)
-        _, qhat_L, _, rho, ps = closure(lams, phis[:, None], gas, spec)
+        _, qhat_L, rho, ps = closure(lams, phis[:, None], gas, spec)
         w = eps**2 * qhat_L * lams / ps
         ev_min = rho * np.minimum(1.0, 1.0 - w)
         ev_max = rho * np.maximum(1.0, 1.0 - w)
@@ -384,14 +393,13 @@ def _ellipticity_scan(spec):
 
 
 def truncated_speed_sq(q2, f, spec):
-    """Truncated speed-squared variable and its two partial derivatives.
+    """Truncated speed-squared variable and its Lambda-partial.
 
-    Returns (qhat, d qhat / d Lambda, d qhat / d phi) where Lambda = q2.
-    Identity branch: (q2 - 2 phi, 1, -2).  Saturated branch: (saturation,
-    0, 0).  The bridge is the monotone cubic Hermite between them; its
-    Lambda-slope stays in [0, ~3/2 * secant slope] (a C^1 bridge matching
-    value and slope at both ends necessarily exceeds slope 1 somewhere, by
-    the mean value theorem).
+    Returns (qhat, d qhat / d Lambda) where Lambda = q2.  Identity branch:
+    (q2 - 2 phi, 1).  Saturated branch: (saturation, 0).  The bridge is the
+    monotone cubic Hermite between them; its Lambda-slope stays in
+    [0, ~3/2 * secant slope] (a C^1 bridge matching value and slope at both
+    ends necessarily exceeds slope 1 somewhere, by the mean value theorem).
     """
     lam = np.asarray(q2, dtype=float)
     phi = np.asarray(_phi_of(f), dtype=float)
@@ -402,7 +410,6 @@ def truncated_speed_sq(q2, f, spec):
     qhat = np.asarray(lam - 2.0 * phi)
     qhat[~below] = spec.saturation
     dl = np.asarray(below, dtype=float)
-    dphi = np.where(below, -2.0, 0.0)
 
     # The bridge algebra runs only where a point lies on it (often nowhere).
     on = ~(below | above)
@@ -421,23 +428,15 @@ def truncated_speed_sq(q2, f, spec):
         d01 = -d00
 
         qhat[on] = v0 * h00 + h * h10 + sat * h01
-        bridge_dl = (v0 * d00 + h * d10 + sat * d01) / h
-        dl[on] = bridge_dl
-
-        dlo = spec._dlambda_dphi(spec.mach_threshold)
-        dhi = spec._dlambda_dphi((spec.mach_threshold + 1.0) / 2.0)
-        dv0 = dlo - 2.0
-        dh = dhi - dlo
-        ds = -(dlo + s * dh) / h
-        dphi[on] = dv0 * h00 + dh * h10 + ds * h * bridge_dl
-    return _as_result(qhat), _as_result(dl), _as_result(dphi)
+        dl[on] = (v0 * d00 + h * d10 + sat * d01) / h
+    return _as_result(qhat), _as_result(dl)
 
 
 def closure(lam, phi, gas, cut):
     """The truncated closure at squared speed ``lam`` and force potential ``phi``.
 
-    Returns (qhat, qhat_L, qhat_phi, rho_hat, p'(rho_hat)): the truncated
-    speed variable and its partials (truncated_speed_sq), the density
+    Returns (qhat, qhat_L, rho_hat, p'(rho_hat)): the truncated speed
+    variable and its Lambda-partial (truncated_speed_sq), the density
     through the truncated Bernoulli relation
 
         h(rho_hat) = eps^2 (q_inf^2 - qhat) / 2,
@@ -448,7 +447,7 @@ def closure(lam, phi, gas, cut):
     lam >= 0 while the saturated Bernoulli level stays above the vacuum floor,
     as for all epsilon <= eps_ref; beyond that the configuration is rejected.
     """
-    qhat, qhat_L, qhat_phi = truncated_speed_sq(lam, phi, cut)
+    qhat, qhat_L = truncated_speed_sq(lam, phi, cut)
     lvl = np.asarray(gas.q_inf**2 - qhat)
     lvl *= gas.epsilon**2
     lvl /= 2.0
@@ -463,12 +462,12 @@ def closure(lam, phi, gas, cut):
         ) from None
     lvl *= gas.gamma - 1.0          # p'(rho_hat) = gamma + (gamma - 1) h, over h
     lvl += gas.gamma
-    return qhat, qhat_L, qhat_phi, rho, _as_result(lvl)
+    return qhat, qhat_L, rho, _as_result(lvl)
 
 
 def truncated_density(q2, f, gas, spec):
     """Density through the truncated Bernoulli relation (see closure)."""
-    return closure(q2, f, gas, spec)[3]
+    return closure(q2, f, gas, spec)[2]
 
 
 def _ratio(num, den):
@@ -522,7 +521,7 @@ def density_departure(q2, f, gas, spec):
     See level_departure.  Converges to (q_inf^2 - q2 + 2 phi) / (2 gamma)
     on the identity branch as epsilon -> 0.
     """
-    qhat, _, _ = truncated_speed_sq(q2, f, spec)
+    qhat, _ = truncated_speed_sq(q2, f, spec)
     return level_departure(qhat, gas)
 
 
@@ -568,13 +567,13 @@ def energy_density(lam, f, gas, spec):
         b_hi = np.minimum(lam, lam_hi)
         seg = np.where(on_bridge, b_hi - lam_lo, 0.0)
         nodes = lam_lo[..., None] + seg[..., None] * _T16
-        rho_b = closure(nodes, phi[..., None], gas, spec)[3]
+        rho_b = closure(nodes, phi[..., None], gas, spec)[2]
         out = out + 0.5 * seg * (np.asarray(rho_b) @ _W16)
 
     # Saturated tail.
     past = lam > lam_hi
     if np.any(past):
-        rho_sat = closure(lam_hi, phi, gas, spec)[3]
+        rho_sat = closure(lam_hi, phi, gas, spec)[2]
         out = out + np.where(past, 0.5 * np.asarray(rho_sat) * (lam - lam_hi), 0.0)
 
     return _as_result(out)
@@ -604,7 +603,7 @@ def elliptic_coeffs(grad_phi, f, gas, spec):
     """
     v = np.asarray(grad_phi, dtype=float)
     lam = np.sum(v * v, axis=-1)
-    _, qhat_L, _, rho, ps = closure(lam, f, gas, spec)
+    _, qhat_L, rho, ps = closure(lam, f, gas, spec)
     rho, ps = np.asarray(rho), np.asarray(ps)
 
     eye = np.eye(v.shape[-1])

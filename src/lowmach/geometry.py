@@ -20,7 +20,6 @@ the exact obstacle geometry: for circles/spheres the inner boundary is
 exact; for ellipses the stations use the exact polar radius function.
 """
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "refined",
-           "dump_mesh", "load_mesh"]
+           "mesh_dump_string", "load_mesh"]
 
 AXISYM = "axisymmetric-3d"
 PLANAR = "planar-2d"
@@ -111,10 +110,6 @@ class FacetSet:
     basis: np.ndarray          # (F, Qf, 4) owner-cell basis values
     bgrads: np.ndarray         # (F, Qf, 4, 2) owner-cell basis gradients
 
-    @property
-    def area(self):
-        return float(self.weights.sum())
-
 
 @dataclass
 class ExteriorMesh:
@@ -135,7 +130,6 @@ class ExteriorMesh:
     cells: np.ndarray          # (M, 4) corner node ids, positively oriented
     qpts: np.ndarray           # (M, Q, 2)
     qweights: np.ndarray       # (M, Q) full measure incl. axisym factor
-    axisym_weight: np.ndarray  # (M, Q) 2*pi*xr in axisym mode, 1 in planar
     basis: np.ndarray          # (Q, 4) reference bilinear basis values
     bgrads: np.ndarray         # (M, 4, Q, 2) physical basis gradients, cell-major:
                                # bgrads[m].reshape(4, 2 * Q) is one matmul operand
@@ -165,9 +159,6 @@ class ExteriorMesh:
     @property
     def volume(self):
         return float(self.qweights.sum())
-
-    def cell_volumes(self):
-        return self.qweights.sum(axis=1)
 
     def exact_shell_volume(self):
         """Analytic shell volume; exact for sphere/disk obstacles."""
@@ -395,7 +386,7 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
         mode=mode, shape=shape, r_far=float(r_far), n_r=int(n_r), n_t=int(n_t),
         grading=float(grading), quad_order=int(quad_order),
         nodes=nodes, cells=cells,
-        qpts=None, qweights=None, axisym_weight=None, basis=None, bgrads=None,
+        qpts=None, qweights=None, basis=None, bgrads=None,
         facets=None, gamma_nodes=None, sigma_nodes=None,
         beta_stations=beta, theta_stations=theta,
     )
@@ -432,7 +423,6 @@ def _attach_quadrature(mesh):
     axw = 2.0 * np.pi * xr if mesh.mode == AXISYM else np.ones_like(xr)
     mesh.qpts = np.stack([x1, xr], axis=-1)
     mesh.qweights = W2[None, :] * det * axw
-    mesh.axisym_weight = axw
 
     mesh.basis = _basis_values(xi, eta)
     # grad N = J^{-T} grad_ref N, cell-major: (M, 4, Q) per component.  The
@@ -517,50 +507,38 @@ def refined(mesh):
 # ----------------------------------------------------------------------
 
 
-def dump_mesh(mesh, path_or_file, config_hash=""):
-    """Write the mesh in a versioned plain-text format.
+def mesh_dump_string(mesh, config_hash=""):
+    """The mesh in a versioned plain-text format.
 
     One header line (format, mode, shape, counts, parameters, config hash),
     then the node table, the cell table and the boundary-facet table.
     Floats are written with 17 significant digits so the round-trip is
     bit-exact.
     """
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        shp = mesh.shape
-        geom = (f"radius={shp.radius!r}" if shp.kind != "ellipse"
-                else f"semi_axes={shp.semi_axes[0]!r},{shp.semi_axes[1]!r}")
-        fh.write(
-            f"{_MESH_FORMAT} mode={mesh.mode} kind={shp.kind} {geom} "
-            f"r_far={mesh.r_far!r} n_r={mesh.n_r} n_t={mesh.n_t} "
-            f"grading={mesh.grading!r} quad_order={mesh.quad_order} "
-            f"config={config_hash}\n"
-        )
-        fh.write(f"NODES {mesh.n_nodes}\n")
-        for k, (x, y) in enumerate(mesh.nodes):
-            fh.write(f"{k} {x:.17g} {y:.17g}\n")
-        fh.write(f"CELLS {mesh.n_cells}\n")
-        for k, quad in enumerate(mesh.cells):
-            fh.write(f"{k} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n")
-        nfac = sum(fs.cells.size for fs in mesh.facets.values())
-        fh.write(f"FACETS {nfac}\n")
-        k = 0
-        for tag in ("gamma", "sigma"):
-            fs = mesh.facets[tag]
-            for c, (a, b) in zip(fs.cells, fs.nodes):
-                fh.write(f"{k} {tag} {c} {a} {b}\n")
-                k += 1
-    finally:
-        if own:
-            fh.close()
+    shp = mesh.shape
+    geom = (f"radius={shp.radius!r}" if shp.kind != "ellipse"
+            else f"semi_axes={shp.semi_axes[0]!r},{shp.semi_axes[1]!r}")
+    lines = [
+        f"{_MESH_FORMAT} mode={mesh.mode} kind={shp.kind} {geom} "
+        f"r_far={mesh.r_far!r} n_r={mesh.n_r} n_t={mesh.n_t} "
+        f"grading={mesh.grading!r} quad_order={mesh.quad_order} "
+        f"config={config_hash}\n",
+        f"NODES {mesh.n_nodes}\n",
+    ]
+    lines += [f"{k} {x:.17g} {y:.17g}\n" for k, (x, y) in enumerate(mesh.nodes)]
+    lines.append(f"CELLS {mesh.n_cells}\n")
+    lines += [f"{k} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n"
+              for k, quad in enumerate(mesh.cells)]
+    facets = [(tag, c, a, b) for tag in ("gamma", "sigma")
+              for c, (a, b) in zip(mesh.facets[tag].cells, mesh.facets[tag].nodes)]
+    lines.append(f"FACETS {len(facets)}\n")
+    lines += [f"{k} {tag} {c} {a} {b}\n" for k, (tag, c, a, b) in enumerate(facets)]
+    return "".join(lines)
 
 
-def load_mesh(path_or_file):
+def load_mesh(path):
     """Rebuild a mesh from its dump and verify the tables bit-exactly."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith(_MESH_FORMAT):
             raise ConfigError(f"not a mesh dump (header {header!r})")
@@ -586,15 +564,6 @@ def load_mesh(path_or_file):
         cells = np.empty((m, 4), dtype=np.int64)
         for k in range(m):
             cells[k] = [int(v) for v in fh.readline().split()[1:]]
-        if not np.array_equal(cells, mesh.cells):
-            raise ConfigError("mesh dump does not match its parameters (cells)")
-        return mesh
-    finally:
-        if own:
-            fh.close()
-
-
-def mesh_dump_string(mesh, config_hash=""):
-    buf = io.StringIO()
-    dump_mesh(mesh, buf, config_hash=config_hash)
-    return buf.getvalue()
+    if not np.array_equal(cells, mesh.cells):
+        raise ConfigError("mesh dump does not match its parameters (cells)")
+    return mesh

@@ -7,7 +7,6 @@ configuration produce byte-identical artifacts (no timestamps anywhere).
 """
 
 import hashlib
-import io
 import json
 
 import numpy as np
@@ -46,32 +45,9 @@ def node_weights(mesh):
     return out
 
 
-def dump_field(field, path_or_file, cfg_hash="", extra=None):
-    """Point-cloud dump of a nodal field: x1 xr weight value per line."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        mesh = field.mesh
-        kv = " ".join(f"{k}={v}" for k, v in (extra or {}).items())
-        fh.write(
-            f"# {FIELD_FORMAT} kind={field.name} mode={mesh.mode} "
-            f"n={mesh.n_nodes} config={cfg_hash}"
-            + (f" {kv}" if kv else "") + "\n"
-        )
-        fh.write("# columns: x1 xr weight value\n")
-        cols = np.column_stack([mesh.nodes, node_weights(mesh), field.values])
-        # one %-format over every row: the same text as a .17g f-string per value
-        fh.write("%.17g %.17g %.17g %.17g\n" * len(cols) % tuple(cols.ravel().tolist()))
-    finally:
-        if own:
-            fh.close()
-
-
-def load_field(path_or_file):
+def load_field(path):
     """Parse a field dump; returns (points, weights, values, header dict)."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with open(path) as fh:
         header = fh.readline().strip()
         if FIELD_FORMAT not in header:
             raise ConfigError(f"not a field dump (header {header!r})")
@@ -79,19 +55,22 @@ def load_field(path_or_file):
         fh.readline()  # column comment
         rows = np.array([[float(tok) for tok in line.split()]
                          for line in fh if line.strip()])
-        n = int(meta["n"])
-        if rows.shape != (n, 4):
-            raise ConfigError("field dump row count does not match header")
-        return rows[:, :2], rows[:, 2], rows[:, 3], meta
-    finally:
-        if own:
-            fh.close()
+    n = int(meta["n"])
+    if rows.shape != (n, 4):
+        raise ConfigError("field dump row count does not match header")
+    return rows[:, :2], rows[:, 2], rows[:, 3], meta
 
 
 def field_dump_string(field, cfg_hash="", extra=None):
-    buf = io.StringIO()
-    dump_field(field, buf, cfg_hash=cfg_hash, extra=extra)
-    return buf.getvalue()
+    """Point-cloud dump of a nodal field: x1 xr weight value per line."""
+    mesh = field.mesh
+    kv = " ".join(f"{k}={v}" for k, v in (extra or {}).items())
+    cols = np.column_stack([mesh.nodes, node_weights(mesh), field.values])
+    header = (f"# {FIELD_FORMAT} kind={field.name} mode={mesh.mode} "
+              f"n={mesh.n_nodes} config={cfg_hash}" + (f" {kv}" if kv else "")
+              + "\n# columns: x1 xr weight value\n")
+    # one %-format over every row: the same text as a .17g f-string per value
+    return header + "%.17g %.17g %.17g %.17g\n" * len(cols) % tuple(cols.ravel().tolist())
 
 
 def surface_csv(psi, q_inf, cfg_hash=""):
@@ -133,15 +112,10 @@ def report_csv(report, cfg_hash=""):
     return "\n".join(lines) + "\n"
 
 
-def load_report(path_or_file):
+def load_report(path):
     """Parse a JSON report back into the dictionary that produced it."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with open(path) as fh:
         out = json.load(fh)
-    finally:
-        if own:
-            fh.close()
     if out.get("schema") != REPORT_FORMAT:
         raise ConfigError(f"not a report file (schema {out.get('schema')!r})")
     return out

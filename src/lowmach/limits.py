@@ -331,14 +331,8 @@ class ConvergenceReport:
     energy_uniform_ratio: float  # correction energy vs its largest-eps value
     sensitivity: dict            # "r_far"/"refine" -> {slope deltas}
 
-    def all_removed(self):
-        return all(r["cutoff_removed"] for r in self.rows)
-
     def all_converged(self):
         return all(r["converged"] for r in self.rows)
-
-    def headline_slopes(self):
-        return {k: v.slope for k, v in self.slopes.items()}
 
 
 def prepare(setup):
@@ -380,13 +374,12 @@ def _sweep_rows(setup, eps_grid):
             row.update({"converged": False, "cutoff_removed": False,
                         "cutoff_margin": float("nan"), "error": str(exc)})
         else:
-            removed, margin = compressible.cutoff_active_check(state)
             row.update(state.norms)
             row.update({f"dp_gap_{k}": v for k, v in state.dp_gap.items()})
             row.update({
                 "converged": bool(info.converged),
-                "cutoff_removed": bool(removed),
-                "cutoff_margin": float(margin),
+                "cutoff_removed": bool(state.cutoff_margin > 0.0),
+                "cutoff_margin": float(state.cutoff_margin),
                 "newton_iterations": int(info.iterations),
             })
             last = state.phi_corr

@@ -143,7 +143,7 @@ def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
 
 
 def truncated_speed_sq(q2, phi, spec):
-    """The cut-off variable and its partials, every branch evaluated everywhere.
+    """The cut-off variable and its Lambda-partial, every branch evaluated everywhere.
 
     The bridge algebra runs at every point and np.where picks the branch;
     the library evaluates the bridge only where a point lies on it, so the
@@ -170,19 +170,11 @@ def truncated_speed_sq(q2, phi, spec):
     bridge_val = v0 * h00 + h * h10 + sat * h01
     bridge_dl = (v0 * d00 + h * d10 + sat * d01) / h
 
-    dlo = spec._dlambda_dphi(spec.mach_threshold)
-    dhi = spec._dlambda_dphi((spec.mach_threshold + 1.0) / 2.0)
-    dv0 = dlo - 2.0
-    dh = dhi - dlo
-    ds = -(dlo + s * dh) / h
-    bridge_dphi = dv0 * h00 + dh * h10 + ds * h * bridge_dl
-
     below = lam <= lam_lo
     above = lam >= lam_hi
     qhat = np.where(below, lam - 2.0 * phi, np.where(above, sat, bridge_val))
     dl = np.where(below, 1.0, np.where(above, 0.0, bridge_dl))
-    dphi = np.where(below, -2.0, np.where(above, 0.0, bridge_dphi))
-    return qhat, dl, dphi
+    return qhat, dl
 
 
 # Finite-element kernels written as einsum contractions over the

@@ -97,7 +97,7 @@ def test_criterion_2_incompressible_oracle(mesh64, psi64):
 def test_criterion_3_low_mach_rates(report64):
     rep, elapsed = report64
     assert rep.all_converged()
-    sl = rep.headline_slopes()
+    sl = {k: fit.slope for k, fit in rep.slopes.items()}
     assert abs(sl["rho_diff_inf"] - 2.0) <= 0.1
     assert abs(sl["u_diff_l2"] - 2.0) <= 0.15
     assert abs(sl["mach_max"] - 1.0) <= 0.05

@@ -165,6 +165,36 @@ def test_sweep_empty_eps_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"geometry": {"n_r": "12"}},
+    {"solver": {"max_newton": "3"}},
+    {"gas": {"gamma": None}},
+    {"sweep": {"eps": 0.1}},
+    {"solver": {"quad_order": 2.5}},
+    {"gas": {"gamma": True}},
+], ids=["n_r-string", "max_newton-string", "gamma-null", "eps-scalar",
+        "quad_order-float", "gamma-bool"])
+def test_mistyped_config_value_exits_2(tmp_path, overrides, capsys):
+    # a value of the wrong type is a configuration error, neither a crash
+    # nor a silent conversion
+    cfg = _write_config(tmp_path, overrides)
+    out = tmp_path / "o"
+    assert main(["solve-compressible", "--config", cfg, "--out", str(out),
+                 "--epsilon", "0.1"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.1"])
+def test_sweep_bad_rate_tol_exits_2(tmp_path, tol):
+    # every comparison with nan is False, so a nan window would pass any slope
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--assert-rates", "--rate-tol", tol]) == 2
+    assert not out.exists()
+
+
 # the forced epsilon sweep of the README and the ROADMAP baseline (48^2)
 FORCED = {"cutoff": {"theta": 0.45, "eps0": 0.3},
           "force": {"kind": "newtonian", "mass": 0.5},

@@ -11,7 +11,6 @@ from lowmach import (
     ObstacleShape,
     build_force,
     build_mesh,
-    cutoff_active_check,
     flow_state,
     make_cutoff,
     minimize,
@@ -314,9 +313,8 @@ def test_cutoff_margin_shrinks_with_eps(mesh, psi, cut):
         gas = _gas(eps)
         corr, _ = minimize(psi, None, gas, cut)
         state = flow_state(corr, psi, gas, None, cut)
-        removed, margin = cutoff_active_check(state)
-        assert removed
-        margins.append(margin)
+        assert state.cutoff_margin > 0.0
+        margins.append(state.cutoff_margin)
     assert margins[0] > margins[1] > margins[2]
 
 
@@ -327,9 +325,7 @@ def test_forced_saturation_not_removed(mesh, psi):
     wide = make_cutoff(GasModel(1.4, 0.9, 1.0), 0.1, 0.9)
     corr, info = minimize(psi, None, gas, wide)
     state = flow_state(corr, psi, gas, None, wide)
-    removed, margin = cutoff_active_check(state)
-    assert not removed
-    assert margin < 0.0
+    assert state.cutoff_margin < 0.0       # not removed
     assert state.truncated_regime
 
 
