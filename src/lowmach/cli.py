@@ -19,9 +19,9 @@ import sys
 
 from . import geometry, incompressible, io_text, limits
 from .errors import ConfigError, LowmachError, SolverError
-# not called here since limits.prepare builds the cut-off, but
-# perfbench/test_perfbench.py checks that the tracer wraps cli.make_cutoff
-from .gas import make_cutoff  # noqa: F401
+# make_cutoff is not called here since limits.prepare builds the cut-off,
+# but perfbench/test_perfbench.py checks that the tracer wraps cli.make_cutoff
+from .gas import GasModel, make_cutoff  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,8 +140,8 @@ class RunConfig:
         if not 0.0 < cut["eps0"] < 1.0:
             raise ConfigError("cutoff.eps0: must lie in (0, 1)")
         sv = self.raw["solver"]
-        if not sv["tol"] > 0.0:
-            raise ConfigError("solver.tol: must be positive")
+        if not 0.0 < sv["tol"] < 1.0:
+            raise ConfigError("solver.tol: must lie in (0, 1)")
         if sv["far_field"] not in ("dirichlet", "neumann"):
             raise ConfigError("solver.far_field: dirichlet or neumann")
         eps = self.raw["sweep"]["eps"]
@@ -230,6 +230,8 @@ def cmd_solve_incompressible(cfg, out_dir):
 
 
 def cmd_solve_compressible(cfg, epsilon, out_dir):
+    # a bad epsilon is a configuration error before any mesh or base flow
+    GasModel(cfg.raw["gas"]["gamma"], epsilon, cfg.raw["gas"]["q_inf"])
     setup = cfg.sweep_setup(cfg.build_mesh())
     state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
 

@@ -23,16 +23,22 @@ cross the cut-off's C^1 kinks -- harmless, since only the line search
 consumes functional values and the gradient/Hessian come from the closure
 directly.
 
-The minimizer is found by Newton's method with the coefficient-matrix
-Hessian assembled in weak form, an Armijo backtracking line search, and a
-multigrid-preconditioned conjugate-gradient inner solve (``fem.pcg``); the
-Hessian is uniformly elliptic, so that solve takes about as many iterations
-on every mesh.  For epsilon at or below the cut-off reference the Hessian
-is uniformly positive definite; beyond it (allowed, but outside the regime
-where the truncated problem is convex) negative curvature triggers a
-diagonal regularization so the iteration still reaches a stationary point.
+The minimizer is found by an inexact Newton method: the coefficient-matrix
+Hessian assembled in weak form (in its rank-one form, see
+``DifferenceProblem.hessian``), an Armijo backtracking line search, and a
+multigrid-preconditioned conjugate-gradient inner solve (``fem.pcg``) taken
+only to a forcing tolerance proportional to the gradient norm (see
+``minimize``).  For epsilon at or below the cut-off reference the Hessian
+is uniformly elliptic, with eigenvalues in a band around the Laplacian's
+fixed for all states and epsilons, so one V-cycle of the mesh's Laplacian
+preconditions every Newton solve and each takes about as many iterations on
+every mesh.  Beyond the reference (allowed, but outside the regime where the
+truncated problem is convex) each step builds the cycle of its own Hessian,
+and negative curvature triggers a diagonal regularization so the iteration
+still reaches a stationary point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +50,10 @@ from .gas import (
     density_bounds,
     density_departure,
     density_from_speed,
-    elliptic_coeffs,
     enthalpy,
     level_departure,
 )
-from .incompressible import PotentialField, VelocityField
+from .incompressible import PotentialField, VelocityField, laplacian_cycle
 
 __all__ = [
     "FlowState",
@@ -61,7 +66,7 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
-# Relative residual of the inner CG solve for each Newton step.
+# Floor of the inner CG solve's relative residual (see ``minimize``).
 _LIN_TOL = 1e-12
 # Resolution of a functional value, relative to its size.
 _ENERGY_RESOLUTION = 4.0 * np.finfo(float).eps
@@ -121,11 +126,18 @@ class DifferenceProblem:
         return fem.assemble_vector_load(self.mesh, dep[..., None] * v + g)
 
     def hessian(self, corr):
-        """Weak-form Hessian: the truncated coefficient matrix at the state."""
-        g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
-        v = self.base + self.gas.epsilon**2 * g
-        return fem.assemble_matrix(
-            self.mesh, elliptic_coeffs(v, self.phi, self.gas, self.cut))
+        """Weak-form Hessian: the truncated coefficient matrix at the state,
+        rho_hat (I - s v v^T) with s = eps^2 qhat_L / p'(rho_hat) (see
+        ``gas.elliptic_coeffs``), assembled in that rank-one form."""
+        eps2 = self.gas.epsilon**2
+        v = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
+        v *= eps2
+        v += self.base
+        d, rho, ps = closure(_dot(v, v), self.phi, self.gas, self.cut)[1:]
+        d *= eps2
+        d /= ps
+        d *= rho                        # rho_hat s, from qhat_L in place
+        return fem.assemble_matrix(self.mesh, rho, d, v)
 
 
 @dataclass
@@ -162,27 +174,44 @@ def _line_search(prob, x, d, energy, slope, max_backtracks):
 
 
 def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
-             max_backtracks=_MAX_BACKTRACKS, initial=None):
+             max_backtracks=_MAX_BACKTRACKS, initial=None, cycle=None):
     """Minimize the difference functional; returns (correction, info).
 
     Newton iteration with Armijo backtracking; convergence when the free-dof
-    gradient norm falls below ``tol`` relative to its initial value.  The
-    minimizer is unique for epsilon <= the cut-off reference (uniform
-    convexity), so restarts from different initial guesses must agree.  For
-    epsilon beyond the reference the Hessian may lose definiteness on the
-    blending band; negative curvature triggers diagonal regularization, a
-    failed Newton line search falls back to preconditioned descent, and the
-    gradient target is relaxed (and recorded in the diagnostics).
+    gradient norm falls below ``tol`` relative to its initial value.  Step k
+    solves its Newton system by CG only to the inexact-Newton forcing
+
+        eta_k = min(|g_k| / |g_0|, 0.01 sqrt(relative target)),
+
+    floored at 1e-12 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): eta_k =
+    O(|g_k|) keeps Newton's quadratic rate, and the cap keeps the first steps
+    as accurate as the target needs.  The minimizer is unique for epsilon <=
+    the cut-off reference (uniform convexity), so restarts from different
+    initial guesses must agree.  There every Hessian has its eigenvalues in
+    [cut.lam1, cut.lam2], so the Laplacian's V-cycle ``cycle`` (the mesh's
+    ``incompressible.laplacian_cycle``, built here when None) preconditions
+    every Newton solve.  For epsilon beyond the reference the Hessian may
+    lose definiteness on the blending band; each step then builds the cycle
+    of its own Hessian, whose pivots detect that, negative curvature
+    triggers diagonal regularization, a failed Newton line search falls back
+    to preconditioned descent, and the gradient target is relaxed (and
+    recorded in the diagnostics).
     """
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
     x = (np.zeros(mesh.n_nodes) if initial is None
          else np.asarray(initial, dtype=float).copy())
     x[prob.fixed] = 0.0
-    grid = fem.Multigrid(mesh, prob.fixed)
-    free = grid.levels[0].ravel()       # 0 on the far-field station
     beyond_reference = gas.epsilon > cut.eps_ref
+    if beyond_reference:
+        grid = precondition = fem.Multigrid(mesh, prob.fixed)
+    else:
+        precondition = laplacian_cycle(mesh) if cycle is None else cycle
+        grid = precondition.grid
+    free = grid.levels[0].ravel()       # 0 on the far-field station
     rel_target = max(tol, _BEYOND_REFERENCE_TOL) if beyond_reference else tol
+    max_forcing = 0.01 * math.sqrt(rel_target)
 
     energy = prob.functional(x)
     grad = free * prob.gradient(x)
@@ -203,6 +232,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
             info.converged = True
             break
         h = prob.hessian(x)
+        eta = max(_LIN_TOL, min(gn / gn0, max_forcing))
         tau = 0.0
         while True:
             try:
@@ -210,7 +240,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                 if tau > 0.0:
                     hmat = h.copy()
                     hmat[1, 1] += tau * np.abs(h[1, 1]) + tau
-                d, cg_hist = fem.pcg(hmat, -grad, grid, tol=_LIN_TOL)
+                d, cg_hist = fem.pcg(hmat, -grad, precondition, tol=eta)
                 break
             except SolverError:
                 if not beyond_reference:
@@ -323,7 +353,41 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     base = fem.grad_at_qpts(mesh, psi_base.values)
     base[..., 0] += gas.q_inf
     u = base + eps2 * corr_grad
-    speed = np.linalg.norm(u, axis=-1)
+    rho, dep, m, margin = _pointwise_state(u, phi, gas, cut)
+    truncated = margin <= 0.0
+
+    grad_sq = _dot(corr_grad, corr_grad)
+    energy = np.sum(mesh.qweights * grad_sq)
+    grad_inf = np.sqrt(np.max(grad_sq))      # sqrt is monotone: max of the norms
+    del grad_sq                              # gone before the pressure gaps
+    norms = {
+        "u_diff_l2": float(eps2 * np.sqrt(energy)),
+        "u_diff_inf": float(eps2 * grad_inf),
+        "rho_diff_inf": float(eps2 * np.max(np.abs(dep))),
+        "mach_max": float(np.max(m)),
+        "corr_energy": float(energy),
+        "corr_grad_inf": float(grad_inf),
+    }
+
+    state = FlowState(
+        gas=gas, cut=cut, psi_base=psi_base, phi_corr=phi_corr,
+        u=VelocityField(mesh, u, name="compressible_velocity"),
+        rho=rho, departure=np.asarray(dep), mach=np.asarray(m),
+        corr_grad=corr_grad,
+        cutoff_margin=margin, truncated_regime=truncated,
+        norms=norms, dp_gap={},
+    )
+    state.dp_gap = _weak_dp_gaps(state, base, force)
+    state.norms["dp_gap_max"] = max(abs(v) for v in state.dp_gap.values())
+    return state
+
+
+def _pointwise_state(u, phi, gas, cut):
+    """(rho, departure, Mach number, cut-off margin) at the velocities ``u``,
+    checked as ``flow_state`` describes; its temporaries are gone before the
+    pressure gaps are evaluated."""
+    eps2 = gas.epsilon**2
+    speed = np.sqrt(_dot(u, u))
     lam = speed**2
 
     q_low = np.asarray(cut.q_lower(phi))
@@ -350,28 +414,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     m = np.divide(gas.epsilon * speed, np.sqrt(slope, out=slope), out=slope)
     if not truncated and float(np.max(m)) >= 1.0:
         raise SolverError("supersonic point inside the removal region")
-
-    w = mesh.qweights
-    norms = {
-        "u_diff_l2": float(eps2 * np.sqrt(np.sum(w * np.sum(corr_grad**2, -1)))),
-        "u_diff_inf": float(eps2 * np.max(np.linalg.norm(corr_grad, axis=-1))),
-        "rho_diff_inf": float(eps2 * np.max(np.abs(dep))),
-        "mach_max": float(np.max(m)),
-        "corr_energy": float(np.sum(w * np.sum(corr_grad**2, -1))),
-        "corr_grad_inf": float(np.max(np.linalg.norm(corr_grad, axis=-1))),
-    }
-
-    state = FlowState(
-        gas=gas, cut=cut, psi_base=psi_base, phi_corr=phi_corr,
-        u=VelocityField(mesh, u, name="compressible_velocity"),
-        rho=rho, departure=np.asarray(dep), mach=np.asarray(m),
-        corr_grad=corr_grad,
-        cutoff_margin=margin, truncated_regime=truncated,
-        norms=norms, dp_gap={},
-    )
-    state.dp_gap = _weak_dp_gaps(state, base, force)
-    state.norms["dp_gap_max"] = max(abs(v) for v in state.dp_gap.values())
-    return state
+    return rho, dep, m, margin
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ node grid: linear interpolation between levels, Galerkin coarse operators
 (again 9-point stencils), damped block-Jacobi smoothing over radial lines
 (graded cells near the obstacle are strongly anisotropic) and a dense solve
 on the coarsest level; its iteration count does not grow with the mesh.  A
+cycle built once can precondition every matrix spectrally equivalent to its
+own: the Newton solves of the compressible problem share the Laplacian's.  A
 node held at zero (the far-field station, or a pinned node) stays an
 identity row on every level, so callers pass the assembled operator and the
 nodal right-hand side as they are and get a nodal solution back.  Only
@@ -59,23 +61,28 @@ def _scatter(mesh, blocks):
     return s.reshape(3, 3, n_i, n_j)
 
 
-def assemble_matrix(mesh, coeff):
-    """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a stencil.
+def assemble_matrix(mesh, c, d=None, v=None):
+    """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a stencil, for the
+    coefficient C = c I - d v v^T.
 
-    coeff : (M, Q) scalars for an isotropic coefficient, or (M, Q, 2, 2)
-        matrices.
+    c : (M, Q) scalars; alone, an isotropic coefficient.
+    d, v : (M, Q) scalars and (M, Q, 2) vectors of the rank-one part, or
+        None.  Every symmetric 2x2 matrix has this form: with eigenvalues
+        l_min <= l_max and a unit eigenvector e of l_min it is
+        l_max I - (l_max - l_min) e e^T.
     """
-    c = np.asarray(coeff)
     w = mesh.qweights
     bg = mesh.bgrads
-    # flux_j = w C grad(N_j), (M, 4, Q, 2)
-    if c.ndim == 2:
-        flux = bg * (w * c)[:, None, :, None]
-    else:
-        wc = (w[..., None, None] * c)[:, None]            # (M, 1, Q, 2, 2)
-        flux = np.empty_like(bg)
-        for d in range(2):
-            flux[..., d] = bg[..., 0] * wc[..., d, 0] + bg[..., 1] * wc[..., d, 1]
+    # flux_j = w c grad(N_j) - w d (v . grad(N_j)) v, (M, 4, Q, 2)
+    flux = bg * (w * np.asarray(c))[:, None, :, None]
+    if d is not None:
+        # w d (v . grad(N_j)), then one component of the flux at a time
+        v = np.asarray(v)[:, None]                            # (M, 1, Q, 2)
+        along, term = bg[..., 0] * v[..., 0], bg[..., 1] * v[..., 1]
+        along += term
+        along *= (w * d)[:, None]
+        for k in range(2):
+            flux[..., k] -= np.multiply(along, v[..., k], out=term)
     flux = flux.reshape(bg.shape[0], 4, -1)
     blocks = _cell_grads(mesh) @ flux.transpose(0, 2, 1)    # (M, 4, 4)
     return _scatter(mesh, blocks)
@@ -381,17 +388,23 @@ def pcg(a, b, grid, tol=1e-10):
     """Multigrid-preconditioned conjugate gradient for SPD systems.
 
     ``a`` is the assembled stencil and ``b`` the nodal right-hand side.
-    The fixed nodes of ``grid`` (a ``Multigrid``) are held at zero: the
-    system solved is ``a`` with their rows and columns made identity ones and
-    ``b`` zeroed there, so the finite values ``a`` and ``b`` store for them do
-    not matter.  One ``VCycle(grid, a)`` is the preconditioner.  Starts from
-    zero and converges on the relative residual ||b - A x|| <= tol * ||b||
-    within max(20 n, 200) iterations, n the number of free nodes.  Returns
-    (x, history), x nodal and exactly zero on the fixed nodes.
-    Non-positive curvature, or a non-positive pivot while the cycle is built,
-    raises SolverError instead of silently diverging, which the Newton loop
-    uses to trigger Hessian regularization.
+    ``grid`` is a ``Multigrid`` or a prebuilt ``VCycle``; its fixed nodes are
+    held at zero: the system solved is ``a`` with their rows and columns made
+    identity ones and ``b`` zeroed there, so the finite values ``a`` and
+    ``b`` store for them do not matter.  The preconditioner is
+    ``VCycle(grid, a)`` for a ``Multigrid``, and the given cycle itself
+    otherwise: any cycle of a matrix spectrally equivalent to ``a`` keeps the
+    iteration count bounded, and one built once serves every solve.  Starts
+    from zero and converges on the relative residual
+    ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations, n the
+    number of free nodes.  Returns (x, history), x nodal and exactly zero on
+    the fixed nodes.  Non-positive curvature, or a non-positive pivot while
+    a cycle of ``a`` is built, raises SolverError instead of silently
+    diverging, which the Newton loop uses to trigger Hessian regularization.
     """
+    precondition = grid if isinstance(grid, VCycle) else None
+    if precondition is not None:
+        grid = precondition.grid
     free = grid.levels[0].ravel()
     b = free * b
     n = b.shape[0]
@@ -399,8 +412,11 @@ def pcg(a, b, grid, tol=1e-10):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
-    precondition = VCycle(grid, a)
-    a = precondition.ops[0]                 # fixed nodes as identity rows
+    if precondition is None:
+        precondition = VCycle(grid, a)
+        a = precondition.ops[0]             # fixed nodes as identity rows
+    else:
+        a = Operator(_identity_rows(a, grid.levels[0]))
     x = np.zeros(n)
     r = b.copy()
     z = precondition(r)

@@ -87,6 +87,9 @@ class GasModel:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        # every kernel scales by epsilon**2, which must be a finite float
+        if not math.isfinite(self.epsilon * self.epsilon):
+            raise ConfigError(f"epsilon**2 must be finite, got epsilon = {self.epsilon}")
         # q_inf = 0 is admitted for the trivial-data cases (zero flow)
         if not self.q_inf >= 0.0:
             raise ConfigError(f"q_inf must be >= 0, got {self.q_inf}")
@@ -380,10 +383,14 @@ def _ellipticity_scan(spec):
     lam_hi_max = float(np.max(spec._lambda_hi(phis)))
     lams = np.linspace(0.0, 1.25 * lam_hi_max, 801)
 
+    # the truncation does not depend on epsilon: per epsilon only the
+    # closure's Bernoulli level and what follows from it (see closure)
+    qhat, qhat_L = truncated_speed_sq(lams, phis[:, None], spec)
+    head = spec.q_inf**2 - qhat
+    gas = GasModel(spec.gamma, spec.eps_ref, spec.q_inf)   # its gamma only
     lo, hi = math.inf, -math.inf
     for eps in np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25):
-        gas = GasModel(spec.gamma, float(eps), spec.q_inf)
-        _, qhat_L, rho, ps = closure(lams, phis[:, None], gas, spec)
+        rho, ps = _density_and_slope(head * float(eps)**2, gas)
         w = eps**2 * qhat_L * lams / ps
         ev_min = rho * np.minimum(1.0, 1.0 - w)
         ev_max = rho * np.maximum(1.0, 1.0 - w)
@@ -450,6 +457,12 @@ def closure(lam, phi, gas, cut):
     qhat, qhat_L = truncated_speed_sq(lam, phi, cut)
     lvl = np.asarray(gas.q_inf**2 - qhat)
     lvl *= gas.epsilon**2
+    return (qhat, qhat_L) + _density_and_slope(lvl, gas)
+
+
+def _density_and_slope(lvl, gas):
+    """(rho_hat, p'(rho_hat)) from the array eps^2 (q_inf^2 - qhat), which
+    is overwritten; only ``gas.gamma`` is read."""
     lvl /= 2.0
     try:
         rho = enthalpy_inv(lvl, gas)
@@ -462,7 +475,7 @@ def closure(lam, phi, gas, cut):
         ) from None
     lvl *= gas.gamma - 1.0          # p'(rho_hat) = gamma + (gamma - 1) h, over h
     lvl += gas.gamma
-    return qhat, qhat_L, rho, _as_result(lvl)
+    return rho, _as_result(lvl)
 
 
 def truncated_density(q2, f, gas, spec):

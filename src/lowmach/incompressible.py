@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "PotentialField",
     "VelocityField",
+    "laplacian_cycle",
     "solve_incompressible",
     "velocity",
     "velocity_at_points",
@@ -67,7 +68,19 @@ class VelocityField:
         return np.linalg.norm(self.at_qpts, axis=-1)
 
 
-def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
+def laplacian_cycle(mesh):
+    """``fem.VCycle`` of the Laplacian with the far-field station held at zero.
+
+    It preconditions the Dirichlet closure below, and every Newton Hessian of
+    the compressible problem up to the cut-off reference, whose eigenvalues
+    lie in a fixed band around the Laplacian's (see ``compressible.minimize``).
+    """
+    a = fem.assemble_matrix(mesh, np.ones_like(mesh.qweights))
+    return fem.VCycle(fem.Multigrid(mesh, mesh.sigma_nodes), a)
+
+
+def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet",
+                         cycle=None):
     """Solve for the incompressible perturbation potential.
 
     Weak form: find the nodal field with
@@ -77,18 +90,22 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     for all test functions, with the far-field closure above.  The linear
     system is solved by multigrid-preconditioned CG (``fem.pcg``) to a
     relative residual of ``tol``; failure raises SolverError carrying the
-    residual history.
+    residual history.  ``cycle``, the mesh's ``laplacian_cycle`` when the
+    caller already holds it, is the Dirichlet closure's system and
+    preconditioner; the Neumann closure pins one node instead, a hierarchy of
+    its own.
     """
     if far_field not in ("dirichlet", "neumann"):
         raise ConfigError(f"unknown far-field closure {far_field!r}")
-    a = fem.assemble_matrix(mesh, np.ones_like(mesh.qweights))
     b = -q_inf * fem.boundary_component_load(mesh, "gamma", component=0)
     if far_field == "dirichlet":
-        fixed = mesh.sigma_nodes
+        cycle = laplacian_cycle(mesh) if cycle is None else cycle
+        values, history = fem.pcg(cycle.ops[0].stencil, b, cycle, tol=tol)
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
-        fixed = mesh.sigma_nodes[:1]
-    values, history = fem.pcg(a, b, fem.Multigrid(mesh, fixed), tol=tol)
+        a = fem.assemble_matrix(mesh, np.ones_like(mesh.qweights))
+        values, history = fem.pcg(a, b, fem.Multigrid(mesh, mesh.sigma_nodes[:1]),
+                                  tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,

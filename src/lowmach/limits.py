@@ -9,8 +9,9 @@ gradients are fitted along rays and checked one-sidedly against
 min(n/2, beta + n/q - 1), the rate the force admissibility parameters
 dictate.
 
-Per-epsilon solves are independent of one another (each owns its state);
-the report assembly itself is sequential and deterministic.
+Per-epsilon solves share only what ``prepare`` builds; the Laplacian
+V-cycle among it applies its operators through work buffers, so the solves
+run one after another.  The report assembly is sequential and deterministic.
 """
 
 import math
@@ -336,11 +337,13 @@ class ConvergenceReport:
 
 
 def prepare(setup):
-    """(psi, force, cut): what every epsilon of a setup shares.
+    """(psi, force, cut, cycle): what every epsilon of a setup shares.
 
-    The incompressible base flow, the sampled force (None without one) and
-    the cut-off, whose thresholds depend on the gas through gamma and q_inf
-    only.
+    The incompressible base flow, the sampled force (None without one), the
+    cut-off, whose thresholds depend on the gas through gamma and q_inf
+    only, and the mesh's Laplacian V-cycle
+    (``incompressible.laplacian_cycle``), which solves the Dirichlet base
+    flow and preconditions every Newton step up to the cut-off reference.
     """
     mesh = setup.mesh
     force = build_force(setup.force_spec, mesh)
@@ -348,28 +351,29 @@ def prepare(setup):
         [force.phi_nodes, force.phi_qpts.ravel()])
     cut = make_cutoff(GasModel(setup.gamma, setup.eps_ref, setup.q_inf),
                       setup.mach_threshold, setup.eps_ref, phi_samples=phi_samples)
+    cycle = incompressible.laplacian_cycle(mesh)
     psi = incompressible.solve_incompressible(
-        mesh, setup.q_inf, tol=setup.tol, far_field=setup.far_field)
-    return psi, force, cut
+        mesh, setup.q_inf, tol=setup.tol, far_field=setup.far_field, cycle=cycle)
+    return psi, force, cut, cycle
 
 
-def solve_epsilon(setup, eps, psi, force, cut):
+def solve_epsilon(setup, eps, psi, force, cut, cycle):
     """Compressible solve at one epsilon: (FlowState, MinimizeInfo)."""
     gas = GasModel(setup.gamma, float(eps), setup.q_inf)
     corr, info = compressible.minimize(
         psi, force, gas, cut, tol=setup.tol, max_newton=setup.max_newton,
-        max_backtracks=setup.max_backtracks)
+        max_backtracks=setup.max_backtracks, cycle=cycle)
     return compressible.flow_state(corr, psi, gas, force, cut), info
 
 
 def _sweep_rows(setup, eps_grid):
     """(psi, report rows, last converged correction or None)."""
-    psi, force, cut = prepare(setup)
+    psi, force, cut, cycle = prepare(setup)
     rows, last = [], None
     for eps in eps_grid:
         row = {"epsilon": float(eps)}
         try:
-            state, info = solve_epsilon(setup, eps, psi, force, cut)
+            state, info = solve_epsilon(setup, eps, psi, force, cut, cycle)
         except (SolverError, ConfigError) as exc:
             row.update({"converged": False, "cutoff_removed": False,
                         "cutoff_margin": float("nan"), "error": str(exc)})
@@ -421,6 +425,8 @@ def sweep(setup, eps_grid, sensitivity=True):
         raise ConfigError("sweep needs at least 4 epsilon points")
     if any(e <= 0.0 for e in eps_grid) or any(np.diff(eps_grid) >= 0.0):
         raise ConfigError("epsilon grid must be positive and strictly decreasing")
+    for eps in eps_grid:        # an epsilon no gas admits fails the whole sweep
+        GasModel(setup.gamma, eps, setup.q_inf)
 
     setup_mesh = setup.mesh
     psi, rows, last = _sweep_rows(setup, eps_grid)

@@ -177,6 +177,25 @@ def truncated_speed_sq(q2, phi, spec):
     return qhat, dl
 
 
+def ellipticity_scan(spec):
+    """The eigenvalue bounds of gas._ellipticity_scan by one full closure
+    call per epsilon, truncation included (the library evaluates the
+    epsilon-independent truncation once); the two must agree bit for bit."""
+    from lowmach.gas import GasModel, closure
+
+    star = spec.phi_star
+    phis = np.linspace(-star, star, 33) if star > 0 else np.zeros(1)
+    lams = np.linspace(0.0, 1.25 * float(np.max(spec._lambda_hi(phis))), 801)
+    lo, hi = np.inf, -np.inf
+    for eps in np.geomspace(1e-3 * spec.eps_ref, spec.eps_ref, 25):
+        gas = GasModel(spec.gamma, float(eps), spec.q_inf)
+        _, qhat_L, rho, ps = closure(lams, phis[:, None], gas, spec)
+        w = eps**2 * qhat_L * lams / ps
+        lo = min(lo, float((rho * np.minimum(1.0, 1.0 - w)).min()))
+        hi = max(hi, float((rho * np.maximum(1.0, 1.0 - w)).max()))
+    return 0.98 * lo, 1.02 * hi
+
+
 # Finite-element kernels written as einsum contractions over the
 # point-major (M, Q, 4, 2) basis-gradient layout.
 

@@ -185,6 +185,46 @@ def test_mistyped_config_value_exits_2(tmp_path, overrides, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", [1.0, 2.0])
+@pytest.mark.parametrize("command", ["solve-incompressible", "solve-compressible"])
+def test_solver_tol_of_one_or_more_exits_2(tmp_path, command, tol, capsys):
+    # a relative tolerance >= 1 is met by the zero start: it would write
+    # zero fields after no iteration at all
+    cfg = _write_config(tmp_path, {"solver": {"tol": tol}})
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "solve-compressible":
+        argv += ["--epsilon", "0.1"]
+    assert main(argv) == 2
+    assert "solver.tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1e308", "1e200", "inf", "nan", "-0.1"])
+def test_solve_compressible_bad_epsilon_exits_2_before_solving(
+        tmp_path, eps, capsys, monkeypatch):
+    import lowmach.cli
+
+    def no_mesh(self):
+        raise AssertionError("mesh built for a bad epsilon")
+
+    monkeypatch.setattr(lowmach.cli.RunConfig, "build_mesh", no_mesh)
+    out = tmp_path / "o"
+    assert main(["solve-compressible", "--config", _write_config(tmp_path),
+                 "--out", str(out), "--epsilon", eps]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_an_overflowing_epsilon_exits_2(tmp_path, capsys):
+    # epsilon**2 overflows: rejected up front, not a traceback mid-sweep
+    cfg = _write_config(tmp_path, {"sweep": {"eps": [1e200, 0.2, 0.1, 0.05]}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.1"])
 def test_sweep_bad_rate_tol_exits_2(tmp_path, tol):
     # every comparison with nan is False, so a nan window would pass any slope

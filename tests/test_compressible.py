@@ -140,6 +140,21 @@ def test_hessian_matches_gradient_differences(mesh, psi, force_and_cut):
         assert np.linalg.norm(fd - hv) <= 1e-5 * max(1.0, np.linalg.norm(hv))
 
 
+def test_hessian_is_the_assembled_coefficient_matrix(mesh, psi, force_and_cut):
+    # the rank-one assembly against the einsum oracle of elliptic_coeffs
+    import lowmach.fem as fem
+    from lowmach.gas import elliptic_coeffs
+
+    force, cut = force_and_cut
+    gas = _gas(0.2)
+    prob = DifferenceProblem(psi, force, gas, cut)
+    x = 0.05 * np.random.default_rng(29).standard_normal(mesh.n_nodes)
+    v = prob.base + gas.epsilon**2 * fem.grad_at_qpts(mesh, x)
+    want = oracles.assemble_matrix(mesh, elliptic_coeffs(v, prob.phi, gas, cut))
+    got = oracles.stencil_to_csr(prob.hessian(x))
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
 def test_gradient_matches_finite_differences(mesh, psi, force_and_cut):
     force, cut = force_and_cut
     rng = np.random.default_rng(23)
@@ -244,6 +259,48 @@ def test_minimizer_unique_across_starts(mesh, psi, cut):
                          initial=0.5 * rng.standard_normal(mesh.n_nodes))
     scale = max(1.0, np.max(np.abs(corr_a.values)))
     assert np.max(np.abs(corr_a.values - corr_b.values)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.4])
+def test_forcing_keeps_newton_steps_and_minimizer(mesh, psi, cut, eps, monkeypatch):
+    # the inexact-Newton forcing against every step solved to the floor
+    from lowmach import compressible, fem
+
+    corr, info = minimize(psi, None, _gas(eps), cut)
+    real_pcg = fem.pcg
+    monkeypatch.setattr(fem, "pcg", lambda a, b, grid, tol:
+                        real_pcg(a, b, grid, compressible._LIN_TOL))
+    corr_tight, info_tight = minimize(psi, None, _gas(eps), cut)
+    assert info.iterations == info_tight.iterations
+    assert sum(info.cg_iterations) < sum(info_tight.cg_iterations)
+    scale = max(1.0, np.max(np.abs(corr_tight.values)))
+    assert np.max(np.abs(corr.values - corr_tight.values)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.45, 0.5])
+def test_one_laplacian_cycle_serves_every_newton_step(psi, cut, eps, monkeypatch):
+    # up to the cut-off reference a given cycle is the only one: no solve
+    # builds its own; beyond it every Newton step builds its Hessian's
+    from lowmach import fem
+    from lowmach.incompressible import laplacian_cycle
+
+    built = []
+
+    class Counted(fem.VCycle):
+        def __init__(self, grid, a):
+            built.append(a)
+            super().__init__(grid, a)
+
+    monkeypatch.setattr(fem, "VCycle", Counted)
+    cycle = laplacian_cycle(psi.mesh)
+    built.clear()
+    corr, info = minimize(psi, None, _gas(eps), cut, cycle=cycle)
+    beyond = eps > cut.eps_ref
+    assert len(built) == (info.iterations if beyond else 0)
+    if not beyond:
+        monkeypatch.undo()
+        corr_own, _ = minimize(psi, None, _gas(eps), cut)
+        assert corr_own.values.tobytes() == corr.values.tobytes()
 
 
 def test_minimizer_optimality_and_el_residual(mesh, psi, cut):

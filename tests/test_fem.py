@@ -49,12 +49,26 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _rank_one(sym):
+    """(c, d, v) with c I - d v v^T equal to the symmetric 2x2 matrices sym:
+    c the larger eigenvalue, v a unit eigenvector of the smaller."""
+    lam, vec = np.linalg.eigh(sym)
+    return lam[..., 1], lam[..., 1] - lam[..., 0], vec[..., 0]
+
+
 def _coefficients(mesh):
+    # per kind: the arguments of assemble_matrix after the mesh, and the
+    # coefficient (scalar or 2x2 matrix) the einsum oracle takes
     rng = np.random.default_rng(7)
     iso = rng.uniform(0.5, 2.0, mesh.qweights.shape)
     a = rng.standard_normal(mesh.qweights.shape + (2, 2))
     sym = a + np.swapaxes(a, -1, -2)
-    return {"isotropic": iso, "matrix": sym}
+    c, d = rng.uniform(-2.0, 2.0, (2,) + mesh.qweights.shape)
+    v = rng.standard_normal(mesh.qpts.shape)
+    outer = v[..., :, None] * v[..., None, :]
+    return {"isotropic": ((iso,), iso), "matrix": (_rank_one(sym), sym),
+            "rank_one": ((c, d, v), c[..., None, None] * np.eye(2)
+                         - d[..., None, None] * outer)}
 
 
 def test_basis_gradients_are_cell_major(mesh):
@@ -76,10 +90,10 @@ def test_assemble_vector_load_matches_oracle(mesh):
     assert _rel_err(got, oracles.assemble_vector_load(mesh, vec)) <= RTOL
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "matrix"])
+@pytest.mark.parametrize("kind", ["isotropic", "matrix", "rank_one"])
 def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind):
-    coeff = _coefficients(mesh)[kind]
-    got = oracles.stencil_to_csr(assemble_matrix(mesh, coeff))
+    args, coeff = _coefficients(mesh)[kind]
+    got = oracles.stencil_to_csr(assemble_matrix(mesh, *args))
     want = oracles.assemble_matrix(mesh, coeff)
     scale = np.max(np.abs(want.data))
     assert got.shape == want.shape == (mesh.n_nodes, mesh.n_nodes)
@@ -192,7 +206,7 @@ def test_vcycle_is_symmetric_positive_definite(system):
         # node fixed the stiffness matrix is singular: keep the mass matrix)
         m = rng.standard_normal(mesh.qweights.shape + (2, 2))
         coeff = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)
-        a = assemble_matrix(mesh, coeff)
+        a = assemble_matrix(mesh, *_rank_one(coeff))
     apply = VCycle(Multigrid(mesh, fixed), a)
     r1, r2 = rng.standard_normal((2, mesh.n_nodes))
     z1, z2 = apply(r1), apply(r2)
@@ -241,6 +255,22 @@ def test_indefinite_matrix_raises():
     shifted[1, 1] -= 0.5 * (lam[0] + lam[1])
     with pytest.raises(SolverError, match="non-positive curvature"):
         pcg(shifted, b, grid)
+
+
+def test_indefinite_matrix_raises_with_the_laplacian_cycle():
+    # a prebuilt cycle has no pivot of the solved matrix to check: the
+    # curvature test in CG must catch the flipped diagonal on its own
+    mesh = _sphere(24, 24)
+    a, b = _laplacian(mesh)
+    cycle = VCycle(Multigrid(mesh, mesh.sigma_nodes), a)
+    flipped = a.copy()
+    flipped[1, 1].reshape(-1)[40] *= -0.01
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        pcg(flipped, b, cycle)
+    # the Laplacian itself solves as with a cycle built in the call
+    x, history = pcg(a, b, cycle, tol=SOLVE_TOL)
+    x_own, history_own = pcg(a, b, Multigrid(mesh, mesh.sigma_nodes), tol=SOLVE_TOL)
+    assert x.tobytes() == x_own.tobytes() and history == history_own
 
 
 def _couplings_of(mesh, nodes):

@@ -590,6 +590,27 @@ def test_elliptic_coeffs_bounds_random_states(gamma, q_inf, theta, eps0, star,
     assert np.all(ev <= spec.lam2)
 
 
+def test_ellipticity_scan_matches_per_epsilon_closure(cut, cut_forced):
+    for spec in (cut, cut_forced):
+        assert (spec.lam1, spec.lam2) == oracles.ellipticity_scan(spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1.0, 3.0), q_inf=st.floats(0.2, 2.0),
+       theta=st.floats(0.05, 0.95), eps0=st.floats(0.05, 0.95),
+       star=st.floats(0.0, 1.0), phi_low=st.floats(-1.0, 0.0))
+def test_ellipticity_scan_matches_per_epsilon_closure_random_configs(
+        gamma, q_inf, theta, eps0, star, phi_low):
+    # the admissible configurations of test_elliptic_coeffs_bounds_random_states
+    samples = np.linspace(phi_low * star, star, 31)
+    try:
+        spec = make_cutoff(GasModel(gamma, eps0, q_inf), theta, eps0,
+                           phi_samples=samples)
+    except ConfigError:
+        assume(False)
+    assert (spec.lam1, spec.lam2) == oracles.ellipticity_scan(spec)
+
+
 def test_elliptic_coeffs_broadcasts_one_velocity_over_phi(cut_forced):
     # a single velocity against an array of force potentials gives one
     # matrix per potential, each equal to the call at that potential alone
@@ -608,6 +629,13 @@ def test_gas_model_validation():
         GasModel(gamma=1.4, epsilon=0.0, q_inf=1.0)
     with pytest.raises(ConfigError):
         GasModel(gamma=1.4, epsilon=0.1, q_inf=-1.0)
+
+
+@pytest.mark.parametrize("eps", [1e200, 1e308, np.inf])
+def test_gas_model_rejects_an_epsilon_whose_square_overflows(eps):
+    with pytest.raises(ConfigError, match="epsilon"):
+        GasModel(gamma=1.4, epsilon=eps, q_inf=1.0)
+    GasModel(gamma=1.4, epsilon=1e150, q_inf=1.0)    # 1e300 is still finite
 
 
 def test_make_cutoff_validation():
