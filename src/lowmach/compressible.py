@@ -53,7 +53,7 @@ from .gas import (
     enthalpy,
     level_departure,
 )
-from .incompressible import PotentialField, VelocityField, laplacian_cycle
+from .incompressible import PotentialField, VelocityField
 
 __all__ = [
     "FlowState",
@@ -174,7 +174,7 @@ def _line_search(prob, x, d, energy, slope, max_backtracks):
 
 
 def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
-             max_backtracks=_MAX_BACKTRACKS, initial=None, cycle=None):
+             max_backtracks=_MAX_BACKTRACKS, initial=None):
     """Minimize the difference functional; returns (correction, info).
 
     Newton iteration with Armijo backtracking; convergence when the free-dof
@@ -189,14 +189,13 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     as accurate as the target needs.  The minimizer is unique for epsilon <=
     the cut-off reference (uniform convexity), so restarts from different
     initial guesses must agree.  There every Hessian has its eigenvalues in
-    [cut.lam1, cut.lam2], so the Laplacian's V-cycle ``cycle`` (the mesh's
-    ``incompressible.laplacian_cycle``, built here when None) preconditions
+    [cut.lam1, cut.lam2], so the mesh's ``laplacian_cycle`` preconditions
     every Newton solve.  For epsilon beyond the reference the Hessian may
     lose definiteness on the blending band; each step then builds the cycle
-    of its own Hessian, whose pivots detect that, negative curvature
-    triggers diagonal regularization, a failed Newton line search falls back
-    to preconditioned descent, and the gradient target is relaxed (and
-    recorded in the diagnostics).
+    of its own Hessian on the same hierarchy, whose pivots detect that,
+    negative curvature triggers diagonal regularization, a failed Newton
+    line search falls back to preconditioned descent, and the gradient
+    target is relaxed (and recorded in the diagnostics).
     """
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
@@ -204,12 +203,8 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
          else np.asarray(initial, dtype=float).copy())
     x[prob.fixed] = 0.0
     beyond_reference = gas.epsilon > cut.eps_ref
-    if beyond_reference:
-        grid = precondition = fem.Multigrid(mesh, prob.fixed)
-    else:
-        precondition = laplacian_cycle(mesh) if cycle is None else cycle
-        grid = precondition.grid
-    free = grid.levels[0].ravel()       # 0 on the far-field station
+    cycle = mesh.laplacian_cycle
+    free = cycle.grid.levels[0].ravel()     # 0 on the far-field station
     rel_target = max(tol, _BEYOND_REFERENCE_TOL) if beyond_reference else tol
     max_forcing = 0.01 * math.sqrt(rel_target)
 
@@ -240,7 +235,9 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                 if tau > 0.0:
                     hmat = h.copy()
                     hmat[1, 1] += tau * np.abs(h[1, 1]) + tau
-                d, cg_hist = fem.pcg(hmat, -grad, precondition, tol=eta)
+                d, cg_hist = fem.pcg(
+                    hmat, -grad, fem.VCycle(cycle.grid, hmat) if beyond_reference else cycle,
+                    tol=eta)
                 break
             except SolverError:
                 if not beyond_reference:

@@ -16,12 +16,12 @@ node grid: linear interpolation between levels, Galerkin coarse operators
 (again 9-point stencils), damped block-Jacobi smoothing over radial lines
 (graded cells near the obstacle are strongly anisotropic) and a dense solve
 on the coarsest level; its iteration count does not grow with the mesh.  A
-cycle built once can precondition every matrix spectrally equivalent to its
-own: the Newton solves of the compressible problem share the Laplacian's.  A
-node held at zero (the far-field station, or a pinned node) stays an
-identity row on every level, so callers pass the assembled operator and the
-nodal right-hand side as they are and get a nodal solution back.  Only
-numpy is used.
+cycle preconditions every matrix spectrally equivalent to its own: the
+mesh's Laplacian cycle (``ExteriorMesh.laplacian_cycle``) serves the Newton
+solves of the compressible problem.  A node held at zero (the far-field
+station, or a pinned node) stays an identity row on every level, so callers
+pass the assembled operator and the nodal right-hand side as they are and
+get a nodal solution back.  Only numpy is used.
 """
 
 import numpy as np
@@ -125,7 +125,7 @@ def project_to_nodes(mesh, qpt_values):
     np.add.at(num, mesh.cells.ravel(),
               (w * np.asarray(qpt_values)[..., None]).sum(axis=1).ravel())
     m = assemble_mass(mesh)
-    x, _ = pcg(m, num, Multigrid(mesh), tol=1e-13)
+    x, _ = pcg(m, num, VCycle(Multigrid(mesh), m), tol=1e-13)
     return x
 
 
@@ -159,10 +159,10 @@ class Operator:
     """
 
     def __init__(self, s):
-        self.stencil = s
         _, _, n_i, n_j = s.shape
         coef = np.zeros((3, 3, n_i, n_j + 2))
         coef[..., 1:-1] = s
+        self.stencil = coef[..., 1:-1]      # a view: ``s`` is not kept
         halo = np.zeros((n_i + 2) * (n_j + 2) + 2)
         view = as_strided(halo, (3, 3, coef[0, 0].size), (8 * (n_j + 2), 8, 8),
                           writeable=False)
@@ -384,42 +384,35 @@ def _line_solver(s):
     return solve
 
 
-def pcg(a, b, grid, tol=1e-10):
+def pcg(a, b, cycle, tol=1e-10):
     """Multigrid-preconditioned conjugate gradient for SPD systems.
 
     ``a`` is the assembled stencil and ``b`` the nodal right-hand side.
-    ``grid`` is a ``Multigrid`` or a prebuilt ``VCycle``; its fixed nodes are
-    held at zero: the system solved is ``a`` with their rows and columns made
+    ``cycle`` is a ``VCycle`` and the fixed nodes of its grid are held at
+    zero: the system solved is ``a`` with their rows and columns made
     identity ones and ``b`` zeroed there, so the finite values ``a`` and
-    ``b`` store for them do not matter.  The preconditioner is
-    ``VCycle(grid, a)`` for a ``Multigrid``, and the given cycle itself
-    otherwise: any cycle of a matrix spectrally equivalent to ``a`` keeps the
-    iteration count bounded, and one built once serves every solve.  Starts
-    from zero and converges on the relative residual
+    ``b`` store for them do not matter.  The cycle may be that of ``a``
+    itself (``VCycle(grid, a)``, whose pivots check that ``a`` is positive
+    definite) or of any matrix spectrally equivalent to it, which keeps the
+    iteration count bounded: one cycle built once serves every solve.
+    Starts from zero and converges on the relative residual
     ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations, n the
     number of free nodes.  Returns (x, history), x nodal and exactly zero on
-    the fixed nodes.  Non-positive curvature, or a non-positive pivot while
-    a cycle of ``a`` is built, raises SolverError instead of silently
-    diverging, which the Newton loop uses to trigger Hessian regularization.
+    the fixed nodes.  Non-positive curvature raises SolverError instead of
+    silently diverging, which the Newton loop uses to trigger Hessian
+    regularization.
     """
-    precondition = grid if isinstance(grid, VCycle) else None
-    if precondition is not None:
-        grid = precondition.grid
-    free = grid.levels[0].ravel()
-    b = free * b
+    free = cycle.grid.levels[0]
+    b = free.ravel() * b
     n = b.shape[0]
     maxiter = max(20 * int(free.sum()), 200)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
-    if precondition is None:
-        precondition = VCycle(grid, a)
-        a = precondition.ops[0]             # fixed nodes as identity rows
-    else:
-        a = Operator(_identity_rows(a, grid.levels[0]))
+    a = Operator(_identity_rows(a, free))
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r)
+    z = cycle(r)
     p = z.copy()
     rz = r @ z
     history = [float(np.linalg.norm(r) / bnorm)]
@@ -433,7 +426,7 @@ def pcg(a, b, grid, tol=1e-10):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = precondition(r)
+        z = cycle(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

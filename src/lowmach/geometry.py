@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fem
 from .errors import ConfigError, DomainError
 
 __all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "refined",
@@ -115,8 +116,10 @@ class FacetSet:
 class ExteriorMesh:
     """Structured shell mesh with quadrature, tags and axisymmetric weights.
 
-    Immutable after construction (arrays are not written to); safe to share
-    across threads and across solver instances.
+    Immutable after construction (arrays are not written to).  It caches
+    the finite-element data that depend on it alone (``stencil_slots``,
+    ``laplacian_cycle``); the cycle applies its operators through work
+    buffers, so solves on one mesh run one after another.
     """
 
     mode: str
@@ -194,6 +197,19 @@ class ExteriorMesh:
         di, dj = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
         slot = 3 * (di - di[:, None] + 1) + dj - dj[:, None] + 1     # [p, q]
         return (slot * self.n_nodes + self.cells[:, :, None]).ravel()
+
+    @cached_property
+    def laplacian_cycle(self):
+        """``fem.VCycle`` of the Laplacian with the far-field station held at
+        zero.
+
+        It solves the Dirichlet closure of the incompressible flow and
+        preconditions every Newton Hessian of the compressible problem up to
+        the cut-off reference, whose eigenvalues lie in a fixed band around
+        the Laplacian's (see ``compressible.minimize``).
+        """
+        a = fem.assemble_matrix(self, np.ones_like(self.qweights))
+        return fem.VCycle(fem.Multigrid(self, self.sigma_nodes), a)
 
     def cell_id(self, i, j):
         return i * self.n_t + (j % self.n_t)

@@ -9,9 +9,10 @@ gradients are fitted along rays and checked one-sidedly against
 min(n/2, beta + n/q - 1), the rate the force admissibility parameters
 dictate.
 
-Per-epsilon solves share only what ``prepare`` builds; the Laplacian
-V-cycle among it applies its operators through work buffers, so the solves
-run one after another.  The report assembly is sequential and deterministic.
+Per-epsilon solves share only what ``prepare`` builds and the mesh's
+Laplacian V-cycle, which applies its operators through work buffers, so the
+solves run one after another.  The report assembly is sequential and
+deterministic.
 """
 
 import math
@@ -337,13 +338,13 @@ class ConvergenceReport:
 
 
 def prepare(setup):
-    """(psi, force, cut, cycle): what every epsilon of a setup shares.
+    """(psi, force, cut): what every epsilon of a setup shares.
 
-    The incompressible base flow, the sampled force (None without one), the
-    cut-off, whose thresholds depend on the gas through gamma and q_inf
-    only, and the mesh's Laplacian V-cycle
-    (``incompressible.laplacian_cycle``), which solves the Dirichlet base
-    flow and preconditions every Newton step up to the cut-off reference.
+    The incompressible base flow, the sampled force (None without one) and
+    the cut-off, whose thresholds depend on the gas through gamma and q_inf
+    only.  The mesh's ``laplacian_cycle``, which preconditions every Newton
+    step up to the cut-off reference, is built by the first solve that reads
+    it and stays on the mesh.
     """
     mesh = setup.mesh
     force = build_force(setup.force_spec, mesh)
@@ -351,29 +352,28 @@ def prepare(setup):
         [force.phi_nodes, force.phi_qpts.ravel()])
     cut = make_cutoff(GasModel(setup.gamma, setup.eps_ref, setup.q_inf),
                       setup.mach_threshold, setup.eps_ref, phi_samples=phi_samples)
-    cycle = incompressible.laplacian_cycle(mesh)
     psi = incompressible.solve_incompressible(
-        mesh, setup.q_inf, tol=setup.tol, far_field=setup.far_field, cycle=cycle)
-    return psi, force, cut, cycle
+        mesh, setup.q_inf, tol=setup.tol, far_field=setup.far_field)
+    return psi, force, cut
 
 
-def solve_epsilon(setup, eps, psi, force, cut, cycle):
+def solve_epsilon(setup, eps, psi, force, cut):
     """Compressible solve at one epsilon: (FlowState, MinimizeInfo)."""
     gas = GasModel(setup.gamma, float(eps), setup.q_inf)
     corr, info = compressible.minimize(
         psi, force, gas, cut, tol=setup.tol, max_newton=setup.max_newton,
-        max_backtracks=setup.max_backtracks, cycle=cycle)
+        max_backtracks=setup.max_backtracks)
     return compressible.flow_state(corr, psi, gas, force, cut), info
 
 
 def _sweep_rows(setup, eps_grid):
     """(psi, report rows, last converged correction or None)."""
-    psi, force, cut, cycle = prepare(setup)
+    psi, force, cut = prepare(setup)
     rows, last = [], None
     for eps in eps_grid:
         row = {"epsilon": float(eps)}
         try:
-            state, info = solve_epsilon(setup, eps, psi, force, cut, cycle)
+            state, info = solve_epsilon(setup, eps, psi, force, cut)
         except (SolverError, ConfigError) as exc:
             row.update({"converged": False, "cutoff_removed": False,
                         "cutoff_margin": float("nan"), "error": str(exc)})
@@ -456,15 +456,15 @@ def sweep(setup, eps_grid, sensitivity=True):
 
     sens = {}
     if sensitivity:
-        for name, mesh_v in (
-            ("r_far", geometry.build_mesh(
-                setup_mesh.shape, 2.0 * setup_mesh.r_far, setup_mesh.n_r,
-                setup_mesh.n_t, grading=setup_mesh.grading,
-                mode=setup_mesh.mode, quad_order=setup_mesh.quad_order)),
-            ("refine", geometry.refined(setup_mesh)),
+        # each variant mesh is built when its re-run starts, and only the
+        # rows are kept: one variant mesh (and its cycle) alive at a time
+        for name, variant in (
+            ("r_far", lambda m: geometry.build_mesh(
+                m.shape, 2.0 * m.r_far, m.n_r, m.n_t, grading=m.grading,
+                mode=m.mode, quad_order=m.quad_order)),
+            ("refine", geometry.refined),
         ):
-            alt = replace(setup, mesh=mesh_v)
-            _, rows_v, _ = _sweep_rows(alt, eps_grid)
+            rows_v = _sweep_rows(replace(setup, mesh=variant(setup_mesh)), eps_grid)[1]
             slopes_v = _fit_slopes(rows_v)
             sens[name] = {
                 k: slopes_v[k].slope - slopes[k].slope

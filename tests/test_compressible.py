@@ -222,11 +222,11 @@ def test_regularization_shifts_the_hessian_centre(psi, monkeypatch):
 
     real_pcg, seen = fem.pcg, []
 
-    def first_solve_fails(a, b, grid, tol=1e-10):
+    def first_solve_fails(a, b, cycle, tol=1e-10):
         seen.append(a)
         if len(seen) == 1:
             raise SolverError("non-positive curvature in CG", [1.0])
-        return real_pcg(a, b, grid, tol)
+        return real_pcg(a, b, cycle, tol)
 
     monkeypatch.setattr(fem, "pcg", first_solve_fails)
     _, info = minimize(psi, None, _gas(0.25), make_cutoff(_gas(0.1), 0.65, 0.2))
@@ -268,8 +268,8 @@ def test_forcing_keeps_newton_steps_and_minimizer(mesh, psi, cut, eps, monkeypat
 
     corr, info = minimize(psi, None, _gas(eps), cut)
     real_pcg = fem.pcg
-    monkeypatch.setattr(fem, "pcg", lambda a, b, grid, tol:
-                        real_pcg(a, b, grid, compressible._LIN_TOL))
+    monkeypatch.setattr(fem, "pcg", lambda a, b, cycle, tol:
+                        real_pcg(a, b, cycle, compressible._LIN_TOL))
     corr_tight, info_tight = minimize(psi, None, _gas(eps), cut)
     assert info.iterations == info_tight.iterations
     assert sum(info.cg_iterations) < sum(info_tight.cg_iterations)
@@ -277,12 +277,10 @@ def test_forcing_keeps_newton_steps_and_minimizer(mesh, psi, cut, eps, monkeypat
     assert np.max(np.abs(corr.values - corr_tight.values)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("eps", [0.2, 0.45, 0.5])
-def test_one_laplacian_cycle_serves_every_newton_step(psi, cut, eps, monkeypatch):
-    # up to the cut-off reference a given cycle is the only one: no solve
-    # builds its own; beyond it every Newton step builds its Hessian's
+@pytest.fixture
+def built_cycles(monkeypatch):
+    # the matrix of every fem.VCycle built while the test runs
     from lowmach import fem
-    from lowmach.incompressible import laplacian_cycle
 
     built = []
 
@@ -292,15 +290,36 @@ def test_one_laplacian_cycle_serves_every_newton_step(psi, cut, eps, monkeypatch
             super().__init__(grid, a)
 
     monkeypatch.setattr(fem, "VCycle", Counted)
-    cycle = laplacian_cycle(psi.mesh)
-    built.clear()
-    corr, info = minimize(psi, None, _gas(eps), cut, cycle=cycle)
+    return built
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.45, 0.5])
+def test_one_laplacian_cycle_serves_every_newton_step(psi, cut, eps, built_cycles,
+                                                      monkeypatch):
+    # up to the cut-off reference the mesh's cycle is the only one: no solve
+    # builds its own; beyond it every Newton step builds its Hessian's
+    cycle = psi.mesh.laplacian_cycle
+    built_cycles.clear()
+    corr, info = minimize(psi, None, _gas(eps), cut)
     beyond = eps > cut.eps_ref
-    assert len(built) == (info.iterations if beyond else 0)
+    assert len(built_cycles) == (info.iterations if beyond else 0)
+    assert psi.mesh.laplacian_cycle is cycle
     if not beyond:
         monkeypatch.undo()
         corr_own, _ = minimize(psi, None, _gas(eps), cut)
         assert corr_own.values.tobytes() == corr.values.tobytes()
+
+
+def test_mesh_builds_one_laplacian_cycle(cut, built_cycles):
+    # the base flow and every Newton solve up to the cut-off reference share
+    # the cycle the mesh holds
+    mesh = build_mesh(ObstacleShape("sphere", 1.0), 20.0, 16, 16, grading=1.15)
+    psi = solve_incompressible(mesh, 1.0)
+    for eps in (0.2, 0.1):
+        _, info = minimize(psi, None, _gas(eps), cut)
+        assert info.converged
+    assert len(built_cycles) == 1
+    assert mesh.laplacian_cycle is mesh.laplacian_cycle
 
 
 def test_minimizer_optimality_and_el_residual(mesh, psi, cut):

@@ -170,7 +170,7 @@ def test_solution_matches_dense_solve(system):
     mesh, fixed, a, b = system
     grid = Multigrid(mesh, fixed)
     assert len(grid.transfers) >= 1           # the cycle really coarsens
-    x, history = pcg(a, b, grid, tol=SOLVE_TOL)
+    x, history = pcg(a, b, VCycle(grid, a), tol=SOLVE_TOL)
     a_ff, b_f, free = _free_block(a, b, fixed)
     dense = np.zeros(mesh.n_nodes)
     dense[free] = np.linalg.solve(a_ff.toarray(), b_f)
@@ -185,7 +185,7 @@ def test_solution_matches_dense_solve(system):
 def test_fixed_nodes_are_identity_rows(name):
     mesh, fixed, a, b = _system(name)
     grid = Multigrid(mesh, fixed)
-    x, history = pcg(a, b, grid, tol=SOLVE_TOL)
+    x, history = pcg(a, b, VCycle(grid, a), tol=SOLVE_TOL)
     assert np.all(x[fixed] == 0.0)
     # whatever finite values are stored for the fixed nodes, nothing changes
     rng = np.random.default_rng(13)
@@ -193,7 +193,7 @@ def test_fixed_nodes_are_identity_rows(name):
     a_junk, b_junk = a.copy(), b.copy()
     a_junk[on_fixed] = rng.uniform(-1e3, 1e3, np.count_nonzero(on_fixed))
     b_junk[fixed] = rng.uniform(-1e3, 1e3, fixed.size)
-    x_junk, history_junk = pcg(a_junk, b_junk, grid, tol=SOLVE_TOL)
+    x_junk, history_junk = pcg(a_junk, b_junk, VCycle(grid, a_junk), tol=SOLVE_TOL)
     assert x_junk.tobytes() == x.tobytes()
     assert history_junk == history
 
@@ -226,7 +226,8 @@ def test_iterations_are_mesh_independent(sphere_family, matrix):
     counts, jacobi_counts = [], []
     for mesh in sphere_family:
         a, b = _laplacian(mesh) if matrix == "laplacian" else _newton_hessian(mesh)
-        _, history = pcg(a, b, Multigrid(mesh, mesh.sigma_nodes), tol=SOLVE_TOL)
+        _, history = pcg(a, b, VCycle(Multigrid(mesh, mesh.sigma_nodes), a),
+                         tol=SOLVE_TOL)
         counts.append(len(history) - 1)
         a_ff, b_f, _ = _free_block(a, b, mesh.sigma_nodes)
         jacobi_counts.append(len(oracles.jacobi_pcg(a_ff, b_f, tol=SOLVE_TOL)[1]) - 1)
@@ -248,13 +249,13 @@ def test_indefinite_matrix_raises():
     with pytest.raises(SolverError, match="non-positive curvature"):
         VCycle(grid, flipped)
     with pytest.raises(SolverError, match="non-positive curvature"):
-        pcg(flipped, b, grid)
+        pcg(flipped, b, VCycle(grid, flipped))
     # one negative eigenvalue: shifted between the two smallest
     lam = np.linalg.eigvalsh(_free_block(a, b, mesh.sigma_nodes)[0].toarray())[:2]
     shifted = a.copy()
     shifted[1, 1] -= 0.5 * (lam[0] + lam[1])
     with pytest.raises(SolverError, match="non-positive curvature"):
-        pcg(shifted, b, grid)
+        pcg(shifted, b, VCycle(grid, shifted))
 
 
 def test_indefinite_matrix_raises_with_the_laplacian_cycle():
@@ -269,7 +270,8 @@ def test_indefinite_matrix_raises_with_the_laplacian_cycle():
         pcg(flipped, b, cycle)
     # the Laplacian itself solves as with a cycle built in the call
     x, history = pcg(a, b, cycle, tol=SOLVE_TOL)
-    x_own, history_own = pcg(a, b, Multigrid(mesh, mesh.sigma_nodes), tol=SOLVE_TOL)
+    x_own, history_own = pcg(a, b, VCycle(Multigrid(mesh, mesh.sigma_nodes), a),
+                             tol=SOLVE_TOL)
     assert x.tobytes() == x_own.tobytes() and history == history_own
 
 
