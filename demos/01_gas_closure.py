@@ -13,13 +13,13 @@ from lowmach import (
     critical_density,
     critical_speed,
     density_from_speed,
-    elliptic_coeffs,
     mach,
     make_cutoff,
     speed_at_mach,
     truncated_density,
     truncated_speed_sq,
 )
+from lowmach.gas import coefficients
 
 print("=== density along the Bernoulli branch (gamma = 1.4, q_inf = 1) ===")
 speeds = np.array([0.0, 0.5, 1.0, 1.25, 1.5])
@@ -57,11 +57,13 @@ for q in np.linspace(0.0, 1.4 * q_hi, 9):
     print(f"{q:8.3f} {qhat:10.4f} {dl:10.4f} {rho:10.6f} {m:8.4f}")
 print("(identity branch up to the onset, constant past the cap)\n")
 
-print("=== coefficient matrix at an aligned state ===")
+print("=== coefficient matrix c I - d v v^T at an aligned state ===")
 v = np.array([1.0, 0.0, 0.0])
-a = elliptic_coeffs(v, 0.0, gas, cut)
+lam = float(v @ v)
+c, d = coefficients(lam, 0.0, gas, cut)
 print("a =")
-print(np.array_str(a, precision=6, suppress_small=True))
-print(f"eigenvalues within [{cut.lam1:.4f}, {cut.lam2:.4f}]: "
-      f"{np.sort(np.linalg.eigvalsh(a))}")
+print(np.array_str(c * np.eye(3) - d * np.outer(v, v), precision=6,
+                   suppress_small=True))
+print(f"eigenvalues c = {c:.6f} (twice) and c - d |v|^2 = {c - d * lam:.6f}, "
+      f"within [{cut.lam1:.4f}, {cut.lam2:.4f}]")
 print(f"\nspeed at Mach 0.5 for this gas: {speed_at_mach(0.5, 0.0, gas):.4f}")

@@ -16,7 +16,6 @@ from .gas import (
     density_bounds,
     density_departure,
     density_from_speed,
-    elliptic_coeffs,
     energy_density,
     enthalpy,
     enthalpy_inv,
@@ -32,7 +31,6 @@ from .incompressible import (
     VelocityField,
     analytic_disk_reference,
     analytic_sphere_reference,
-    incompressible_pressure_grad,
     solve_incompressible,
     velocity,
 )

@@ -14,7 +14,8 @@ through its exact algebraic expansion in powers of the correction gradient:
     I = int [ int_0^1 (1-t) g^T A(base + t eps^2 g) g dt
               + departure(|base|^2) * base . g ] dV,
 
-where g is the correction gradient, A the truncated coefficient matrix and
+where g is the correction gradient, A(v) = c I - d v v^T the truncated
+coefficient matrix, whose (c, d) come from ``gas.coefficients``, and
 ``departure`` the cancellation-free (rho_hat - 1)/eps^2.  Both terms are
 O(1) uniformly in epsilon; the t-integral uses an 8-point Gauss rule, which
 is essentially exact while the expansion path stays on the subsonic branch
@@ -23,11 +24,11 @@ cross the cut-off's C^1 kinks -- harmless, since only the line search
 consumes functional values and the gradient/Hessian come from the closure
 directly.
 
-The minimizer is found by an inexact Newton method: the coefficient-matrix
-Hessian assembled in weak form (in its rank-one form, see
-``DifferenceProblem.hessian``), an Armijo backtracking line search, and a
-multigrid-preconditioned conjugate-gradient inner solve (``fem.pcg``) taken
-only to a forcing tolerance proportional to the gradient norm (see
+The minimizer is found by an inexact Newton method: the Hessian, the same
+coefficient matrix at the state, assembled in weak form in its rank-one
+form (``DifferenceProblem.hessian``), an Armijo backtracking line search,
+and a multigrid-preconditioned conjugate-gradient inner solve (``fem.pcg``)
+taken only to a forcing tolerance proportional to the gradient norm (see
 ``minimize``).  For epsilon at or below the cut-off reference the Hessian
 is uniformly elliptic, with eigenvalues in a band around the Laplacian's
 fixed for all states and epsilons, so one V-cycle of the mesh's Laplacian
@@ -47,13 +48,14 @@ from . import fem
 from .errors import DomainError, SolverError
 from .gas import (
     closure,
+    coefficients,
     density_bounds,
     density_departure,
     density_from_speed,
     enthalpy,
     level_departure,
 )
-from .incompressible import PotentialField, VelocityField
+from .incompressible import PotentialField, VelocityField, velocity
 
 __all__ = [
     "FlowState",
@@ -88,12 +90,10 @@ class DifferenceProblem:
         # force potential at the quadrature points; a scalar 0 without a
         # force keeps the closure's cut-off thresholds scalar
         self.phi = 0.0 if force is None else force.phi_qpts
-        base = fem.grad_at_qpts(mesh, psi_base.values)
-        base[..., 0] += gas.q_inf
+        base = velocity(psi_base, gas.q_inf).at_qpts
         self.base = base                               # grad of incompressible potential
         self.base_sq = _dot(base, base)
         self.base_departure = density_departure(self.base_sq, self.phi, gas, cut)
-        self.fixed = mesh.sigma_nodes
         tn, tw = np.polynomial.legendre.leggauss(t_order)
         self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
 
@@ -113,8 +113,8 @@ class DifferenceProblem:
             s = t * eps2
             lam = self.base_sq + s * (2.0 * base_dot_g + s * g_sq)
             v_dot_g = base_dot_g + s * g_sq
-            _, qhat_L, rho, ps = closure(lam, self.phi, self.gas, self.cut)
-            quad += (w * (1.0 - t)) * rho * (g_sq - eps2 * qhat_L * v_dot_g**2 / ps)
+            c, d = coefficients(lam, self.phi, self.gas, self.cut)
+            quad += (w * (1.0 - t)) * (c * g_sq - d * v_dot_g**2)
         integrand = quad + self.base_departure * base_dot_g
         return float(np.sum(self.mesh.qweights * integrand))
 
@@ -126,18 +126,14 @@ class DifferenceProblem:
         return fem.assemble_vector_load(self.mesh, dep[..., None] * v + g)
 
     def hessian(self, corr):
-        """Weak-form Hessian: the truncated coefficient matrix at the state,
-        rho_hat (I - s v v^T) with s = eps^2 qhat_L / p'(rho_hat) (see
-        ``gas.elliptic_coeffs``), assembled in that rank-one form."""
-        eps2 = self.gas.epsilon**2
+        """Weak-form Hessian: the truncated coefficient matrix c I - d v v^T
+        at the state v (``gas.coefficients``), assembled in that rank-one
+        form."""
         v = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
-        v *= eps2
+        v *= self.gas.epsilon**2
         v += self.base
-        d, rho, ps = closure(_dot(v, v), self.phi, self.gas, self.cut)[1:]
-        d *= eps2
-        d /= ps
-        d *= rho                        # rho_hat s, from qhat_L in place
-        return fem.assemble_matrix(self.mesh, rho, d, v)
+        return fem.assemble_matrix(
+            self.mesh, *coefficients(_dot(v, v), self.phi, self.gas, self.cut), v)
 
 
 @dataclass
@@ -150,7 +146,6 @@ class MinimizeInfo:
     regularized: bool
     cg_iterations: list
     relative_target: float = float("nan")
-    message: str = ""
 
 
 # Beyond the cut-off reference the truncated equation changes type across
@@ -201,7 +196,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     mesh = prob.mesh
     x = (np.zeros(mesh.n_nodes) if initial is None
          else np.asarray(initial, dtype=float).copy())
-    x[prob.fixed] = 0.0
+    x[mesh.sigma_nodes] = 0.0
     beyond_reference = gas.epsilon > cut.eps_ref
     cycle = mesh.laplacian_cycle
     free = cycle.grid.levels[0].ravel()     # 0 on the far-field station
@@ -214,12 +209,9 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     gn = gn0
     info = MinimizeInfo(False, 0, [gn], [energy], [], False, [],
                         relative_target=rel_target)
-    if beyond_reference:
-        info.message = (f"epsilon {gas.epsilon:g} beyond the cut-off reference "
-                        f"{cut.eps_ref:g}: relative tolerance {rel_target:g}")
     if gn0 == 0.0:
         info.converged = True
-        return _as_field(mesh, x, gas, info), info
+        return PotentialField(mesh, x, name="compressibility_correction"), info
     target = rel_target * gn0
 
     for it in range(max_newton):
@@ -280,16 +272,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     # minimizer optimality: never above the zero-correction value
     if energy > 1e-12 * max(1.0, abs(info.energies[0])):
         raise SolverError("minimizer energy above I(0) = 0", info.energies)
-    return _as_field(mesh, x, gas, info), info
-
-
-def _as_field(mesh, values, gas, info):
-    return PotentialField(
-        mesh, values, name="compressibility_correction",
-        meta={"epsilon": gas.epsilon, "iterations": info.iterations,
-              "gradient_norm": info.gradient_norms[-1],
-              "kind": "compressibility_correction"},
-    )
+    return PotentialField(mesh, x, name="compressibility_correction"), info
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +291,6 @@ class FlowState:
     """
 
     gas: object
-    cut: object
     psi_base: PotentialField
     phi_corr: PotentialField
     u: VelocityField
@@ -347,8 +329,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     phi = 0.0 if force is None else force.phi_qpts
     eps2 = gas.epsilon**2
     corr_grad = fem.grad_at_qpts(mesh, phi_corr.values)
-    base = fem.grad_at_qpts(mesh, psi_base.values)
-    base[..., 0] += gas.q_inf
+    base = velocity(psi_base, gas.q_inf).at_qpts
     u = base + eps2 * corr_grad
     rho, dep, m, margin = _pointwise_state(u, phi, gas, cut)
     truncated = margin <= 0.0
@@ -367,8 +348,8 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     }
 
     state = FlowState(
-        gas=gas, cut=cut, psi_base=psi_base, phi_corr=phi_corr,
-        u=VelocityField(mesh, u, name="compressible_velocity"),
+        gas=gas, psi_base=psi_base, phi_corr=phi_corr,
+        u=VelocityField(mesh, u),
         rho=rho, departure=np.asarray(dep), mach=np.asarray(m),
         corr_grad=corr_grad,
         cutoff_margin=margin, truncated_regime=truncated,

@@ -54,7 +54,7 @@ __all__ = [
     "density_departure",
     "density_bounds",
     "energy_density",
-    "elliptic_coeffs",
+    "coefficients",
 ]
 
 # Gauss-Legendre nodes/weights on [0, 1], for the energy density's bridge.
@@ -603,23 +603,16 @@ def density_bounds(gas, spec):
     return float(low), float(high)
 
 
-def elliptic_coeffs(grad_phi, f, gas, spec):
-    """Coefficient matrix of the closure.
+def coefficients(lam, phi, gas, cut):
+    """The truncated coefficient matrix c I - d v v^T at a velocity v, in
+    any spatial dimension, from ``lam`` = |v|^2 and the force potential.
 
-    For a velocity v = grad_phi (any spatial dimension, batched in the
-    leading axes) and force potential f:
-
-        a_ij = rho_hat (delta_ij - eps^2 qhat_L v_i v_j / p'(rho_hat))
-
-    ``a`` is symmetric with eigenvalues in [spec.lam1, spec.lam2] for all
-    states and every epsilon <= eps_ref.
+    Returns (c, d) with c = rho_hat and d = rho_hat eps^2 qhat_L / p'(rho_hat),
+    from one closure call.  The eigenvalues are c and c - d lam, both in
+    [cut.lam1, cut.lam2] for all states and every epsilon <= eps_ref.
     """
-    v = np.asarray(grad_phi, dtype=float)
-    lam = np.sum(v * v, axis=-1)
-    _, qhat_L, rho, ps = closure(lam, f, gas, spec)
-    rho, ps = np.asarray(rho), np.asarray(ps)
-
-    eye = np.eye(v.shape[-1])
-    outer = v[..., :, None] * v[..., None, :]
-    scale = gas.epsilon**2 * np.asarray(qhat_L) / ps
-    return rho[..., None, None] * (eye - scale[..., None, None] * outer)
+    d, rho, ps = closure(lam, phi, gas, cut)[1:]
+    d *= gas.epsilon**2
+    d /= ps
+    d *= rho                            # from qhat_L in place
+    return rho, d

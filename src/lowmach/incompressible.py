@@ -29,7 +29,6 @@ __all__ = [
     "velocity_at_points",
     "surface_speeds",
     "weak_slip_residual",
-    "incompressible_pressure_grad",
     "analytic_sphere_reference",
     "analytic_disk_reference",
 ]
@@ -61,7 +60,6 @@ class VelocityField:
 
     mesh: object
     at_qpts: np.ndarray          # (M, Q, 2)
-    name: str = "velocity"
 
     def speed(self):
         return np.linalg.norm(self.at_qpts, axis=-1)
@@ -103,9 +101,9 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
 
 def velocity(psi, q_inf):
     """Velocity field of the incompressible flow: grad(psi) + stream."""
-    u = psi.grad_at_qpts().copy()
+    u = psi.grad_at_qpts()
     u[..., 0] += q_inf
-    return VelocityField(psi.mesh, u, name="incompressible_velocity")
+    return VelocityField(psi.mesh, u)
 
 
 def velocity_at_points(psi, q_inf, points):
@@ -140,18 +138,6 @@ def weak_slip_residual(psi, q_inf):
     res = mesh.laplacian_cycle.ops[0](psi.values) - b
     per_node = res[mesh.gamma_nodes]
     return per_node, float(per_node.sum())
-
-
-def incompressible_pressure_grad(u_bar, force_potential_qpts, mesh):
-    """Cell-wise pressure gradient of the incompressible flow.
-
-    The Bernoulli relation defines the pressure up to a constant through
-    phi_force - |u|^2 / 2; the gradient of its consistent L2 projection onto
-    the nodes is returned at the quadrature points, (M, Q, 2).
-    """
-    s = np.asarray(force_potential_qpts) - 0.5 * np.sum(u_bar.at_qpts**2, axis=-1)
-    nodal = fem.project_to_nodes(mesh, s)
-    return fem.grad_at_qpts(mesh, nodal)
 
 
 def analytic_sphere_reference(a, q_inf, point):

@@ -76,11 +76,9 @@ class ForceSpec:
 class ForceField:
     """Force potential and gradient sampled on a mesh."""
 
-    mesh: object
     phi_qpts: np.ndarray        # (M, Q)
     grad_qpts: np.ndarray       # (M, Q, 2)
     phi_nodes: np.ndarray       # (N,)
-    spec: ForceSpec
     phi_star: float = 0.0
 
     def __post_init__(self):
@@ -107,11 +105,9 @@ def newtonian_potential(spec, mesh):
 
     r_q = np.linalg.norm(mesh.qpts, axis=-1)
     return ForceField(
-        mesh=mesh,
         phi_qpts=spec.mass / r_q,
         grad_qpts=-spec.mass * mesh.qpts / r_q[..., None] ** 3,
         phi_nodes=spec.mass / np.linalg.norm(mesh.nodes, axis=-1),
-        spec=spec,
     )
 
 
@@ -261,10 +257,8 @@ def fit_rate(pairs):
 class DecayFit:
     exponent: float
     r_squared: float
-    n_samples: int
     window: tuple
     resolved: bool = True
-    message: str = ""
 
 
 def decay_fit(field, ray_direction, r_window=None, n_samples=24):
@@ -288,11 +282,10 @@ def decay_fit(field, ray_direction, r_window=None, n_samples=24):
     g = mesh.evaluate_gradient(field.values, pts)
     mag = np.linalg.norm(g, axis=1)
     if np.all(mag <= 1e3 * np.finfo(float).tiny):
-        return DecayFit(float("nan"), 0.0, n_samples, (lo, hi),
-                        resolved=False, message="decay unresolved")
+        return DecayFit(float("nan"), 0.0, (lo, hi), resolved=False)
     keep = mag > 0.0
     f = fit_rate(list(zip(1.0 + radii[keep], mag[keep])))
-    return DecayFit(-f.slope, f.r_squared, int(keep.sum()), (lo, hi))
+    return DecayFit(-f.slope, f.r_squared, (lo, hi))
 
 
 # ----------------------------------------------------------------------

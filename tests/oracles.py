@@ -196,6 +196,14 @@ def ellipticity_scan(spec):
     return 0.98 * lo, 1.02 * hi
 
 
+def coefficient_matrix(v, c, d):
+    """The n x n array c I - d v v^T of gas.coefficients at velocities v
+    (..., n), batched over the leading axes of v, c and d."""
+    v = np.asarray(v, dtype=float)
+    c, d = (np.asarray(x)[..., None, None] for x in (c, d))
+    return c * np.eye(v.shape[-1]) - d * (v[..., :, None] * v[..., None, :])
+
+
 # Finite-element kernels written as einsum contractions over the
 # point-major (M, Q, 4, 2) basis-gradient layout.
 

@@ -141,16 +141,17 @@ def test_hessian_matches_gradient_differences(mesh, psi, force_and_cut):
 
 
 def test_hessian_is_the_assembled_coefficient_matrix(mesh, psi, force_and_cut):
-    # the rank-one assembly against the einsum oracle of elliptic_coeffs
+    # the rank-one assembly against the einsum oracle of c I - d v v^T
     import lowmach.fem as fem
-    from lowmach.gas import elliptic_coeffs
+    from lowmach.gas import coefficients
 
     force, cut = force_and_cut
     gas = _gas(0.2)
     prob = DifferenceProblem(psi, force, gas, cut)
     x = 0.05 * np.random.default_rng(29).standard_normal(mesh.n_nodes)
     v = prob.base + gas.epsilon**2 * fem.grad_at_qpts(mesh, x)
-    want = oracles.assemble_matrix(mesh, elliptic_coeffs(v, prob.phi, gas, cut))
+    c, d = coefficients(np.sum(v * v, axis=-1), prob.phi, gas, cut)
+    want = oracles.assemble_matrix(mesh, oracles.coefficient_matrix(v, c, d))
     got = oracles.stencil_to_csr(prob.hessian(x))
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
 
@@ -403,6 +404,10 @@ def test_forced_saturation_not_removed(mesh, psi):
     state = flow_state(corr, psi, gas, None, wide)
     assert state.cutoff_margin < 0.0       # not removed
     assert state.truncated_regime
+    # beyond the reference: a real run through the regularized, damped path
+    assert info.regularized and info.converged
+    assert info.gradient_norms[-1] <= info.relative_target * info.gradient_norms[0]
+    assert min(info.step_sizes) < 1.0
 
 
 def test_mass_flux_station_independent(mesh, psi, cut):

@@ -16,7 +16,6 @@ from lowmach import (
     critical_speed,
     density_departure,
     density_from_speed,
-    elliptic_coeffs,
     energy_density,
     enthalpy,
     enthalpy_inv,
@@ -26,7 +25,7 @@ from lowmach import (
     truncated_density,
     truncated_speed_sq,
 )
-from lowmach.gas import closure, level_departure, pressure_slope
+from lowmach.gas import closure, coefficients, level_departure, pressure_slope
 
 GAS = GasModel(gamma=1.4, epsilon=0.1, q_inf=1.0)
 
@@ -534,28 +533,32 @@ def test_energy_density_slope_is_half_density(cut_forced):
     assert np.allclose(fd, expect, rtol=1e-6, atol=1e-8)
 
 
-def test_elliptic_coeffs_stagnation(cut):
-    a = elliptic_coeffs(np.zeros(3), 0.0, GAS, cut)
+def test_coefficients_stagnation(cut):
+    c, d = coefficients(0.0, 0.0, GAS, cut)
     rho0 = truncated_density(0.0, 0.0, GAS, cut)
-    assert np.allclose(a, rho0 * np.eye(3), rtol=1e-14)
+    assert c == pytest.approx(rho0, rel=1e-14)
+    assert np.array_equal(oracles.coefficient_matrix(np.zeros(3), c, d), c * np.eye(3))
 
 
-def test_elliptic_coeffs_rank_one_eigenvalues(cut):
+def test_coefficients_rank_one_eigenvalues(cut):
     v = np.array([GAS.q_inf, 0.0, 0.0])
-    a = elliptic_coeffs(v, 0.0, GAS, cut)
-    evals = np.sort(np.linalg.eigvalsh(a))
+    lam = GAS.q_inf**2
+    c, d = coefficients(lam, 0.0, GAS, cut)
     rho = 1.0
     deflated = rho * (1.0 - GAS.epsilon**2 * GAS.q_inf**2 / (1.4 * rho**0.4))
+    assert c - d * lam == pytest.approx(deflated, rel=1e-12)
+    assert c == pytest.approx(rho, rel=1e-12)
+    evals = np.sort(np.linalg.eigvalsh(oracles.coefficient_matrix(v, c, d)))
     assert evals[0] == pytest.approx(deflated, rel=1e-12)
     assert evals[1] == pytest.approx(rho, rel=1e-12)
     assert evals[2] == pytest.approx(rho, rel=1e-12)
 
 
-def test_elliptic_coeffs_saturated_isotropic(cut):
-    v = np.array([2.5 * cut.q_upper(0.0), 0.0, 0.0])
-    a = elliptic_coeffs(v, 0.0, GAS, cut)
-    rho_sat = truncated_density(np.sum(v * v), 0.0, GAS, cut)
-    assert np.allclose(a, rho_sat * np.eye(3), rtol=1e-14)
+def test_coefficients_saturated_isotropic(cut):
+    lam = (2.5 * cut.q_upper(0.0)) ** 2
+    c, d = coefficients(lam, 0.0, GAS, cut)
+    assert d == 0.0
+    assert c == pytest.approx(truncated_density(lam, 0.0, GAS, cut), rel=1e-14)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -568,8 +571,8 @@ def test_elliptic_coeffs_saturated_isotropic(cut):
 # eps ~ 0.53, against 1.0125 at eps_ref (see _ellipticity_scan)
 @example(gamma=3.0, q_inf=2.0, theta=0.05, eps0=0.95, star=0.3, phi_low=0.0,
          log_eps=np.log10(0.53 / 0.95), seed=0)
-def test_elliptic_coeffs_bounds_random_states(gamma, q_inf, theta, eps0, star,
-                                              phi_low, log_eps, seed):
+def test_coefficients_bounds_random_states(gamma, q_inf, theta, eps0, star,
+                                          phi_low, log_eps, seed):
     # the force potential is sampled on [phi_low * star, star]
     samples = np.linspace(phi_low * star, star, 31)
     try:
@@ -585,9 +588,12 @@ def test_elliptic_coeffs_bounds_random_states(gamma, q_inf, theta, eps0, star,
     v = rng.normal(size=(n_state, 3))
     v *= (np.sqrt(rng.uniform(0.0, lam_max, n_state)) / np.linalg.norm(v, axis=1))[:, None]
     phi = rng.uniform(-star, star, n_state)
-    ev = np.linalg.eigvalsh(elliptic_coeffs(v, phi, gas, spec))
-    assert np.all(ev >= spec.lam1)
-    assert np.all(ev <= spec.lam2)
+    lam = np.sum(v * v, axis=1)
+    c, d = coefficients(lam, phi, gas, spec)
+    eig = np.linalg.eigvalsh(oracles.coefficient_matrix(v, c, d))
+    for ev in (c, c - d * lam, eig):
+        assert np.all(ev >= spec.lam1)
+        assert np.all(ev <= spec.lam2)
 
 
 def test_ellipticity_scan_matches_per_epsilon_closure(cut, cut_forced):
@@ -601,7 +607,7 @@ def test_ellipticity_scan_matches_per_epsilon_closure(cut, cut_forced):
        star=st.floats(0.0, 1.0), phi_low=st.floats(-1.0, 0.0))
 def test_ellipticity_scan_matches_per_epsilon_closure_random_configs(
         gamma, q_inf, theta, eps0, star, phi_low):
-    # the admissible configurations of test_elliptic_coeffs_bounds_random_states
+    # the admissible configurations of test_coefficients_bounds_random_states
     samples = np.linspace(phi_low * star, star, 31)
     try:
         spec = make_cutoff(GasModel(gamma, eps0, q_inf), theta, eps0,
@@ -611,15 +617,15 @@ def test_ellipticity_scan_matches_per_epsilon_closure_random_configs(
     assert (spec.lam1, spec.lam2) == oracles.ellipticity_scan(spec)
 
 
-def test_elliptic_coeffs_broadcasts_one_velocity_over_phi(cut_forced):
-    # a single velocity against an array of force potentials gives one
-    # matrix per potential, each equal to the call at that potential alone
-    v = np.array([0.7, 0.2, -0.1])
+def test_coefficients_broadcast_over_phi(cut_forced):
+    # a single speed against an array of force potentials gives one pair
+    # per potential, each equal to the call at that potential alone
+    lam = 0.7**2 + 0.2**2 + 0.1**2
     phis = np.linspace(-0.3, 0.3, 7)
-    a = elliptic_coeffs(v, phis, GAS, cut_forced)
-    assert a.shape == (7, 3, 3)
+    c, d = coefficients(lam, phis, GAS, cut_forced)
+    assert c.shape == d.shape == (7,)
     for k, phi in enumerate(phis):
-        assert np.array_equal(a[k], elliptic_coeffs(v, float(phi), GAS, cut_forced))
+        assert (c[k], d[k]) == coefficients(lam, float(phi), GAS, cut_forced)
 
 
 def test_gas_model_validation():

@@ -9,7 +9,6 @@ from lowmach import (
     analytic_disk_reference,
     analytic_sphere_reference,
     build_mesh,
-    incompressible_pressure_grad,
     solve_incompressible,
     velocity,
 )
@@ -144,42 +143,6 @@ def test_neumann_far_field_close_to_dirichlet(mesh, psi):
     gn = psi_n.grad_at_qpts()
     diff = np.sqrt(np.sum(mesh.qweights * np.sum((gd - gn) ** 2, -1)))
     assert diff < 0.05
-
-
-def test_pressure_grad_uniform_flow(mesh):
-    psi0 = solve_incompressible(mesh, 0.0)
-    u = velocity(psi0, 1.0)  # uniform stream, zero perturbation
-    dp = incompressible_pressure_grad(u, np.zeros(mesh.qweights.shape), mesh)
-    assert np.allclose(dp, 0.0, atol=1e-8)
-
-
-def test_pressure_grad_linear_potential(mesh):
-    psi0 = solve_incompressible(mesh, 0.0)
-    u = velocity(psi0, 0.0)  # zero flow
-    c = 0.7
-    phi_f = c * mesh.qpts[..., 0]
-    dp = incompressible_pressure_grad(u, phi_f, mesh)
-    expect = np.zeros_like(dp)
-    expect[..., 0] = c
-    assert np.allclose(dp, expect, atol=1e-8)
-
-
-def test_pressure_grad_sphere_surface(psi):
-    # tangential component matches d/dtheta of -(9/8) q^2 sin^2(theta)
-    mesh = psi.mesh
-    u = velocity(psi, 1.0)
-    dp = incompressible_pressure_grad(u, np.zeros(mesh.qweights.shape), mesh)
-    fs = mesh.facets["gamma"]
-    cells = fs.cells
-    # innermost cell ring: tangential direction along theta
-    pts = mesh.qpts[cells]
-    th = np.arctan2(pts[..., 1], pts[..., 0])
-    that = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    tang = np.einsum("fqd,fqd->fq", dp[cells], that)
-    expect = -9.0 / 4.0 * np.sin(th) * np.cos(th)
-    mask = (th > 0.35) & (th < np.pi - 0.35)
-    err = np.abs(tang - expect)[mask]
-    assert np.max(err) < 0.12
 
 
 def test_analytic_references():
