@@ -38,7 +38,9 @@ for k, gn in enumerate(info.gradient_norms):
     e = info.energies[k] if k < len(info.energies) else float("nan")
     a = info.step_sizes[k - 1] if 0 < k <= len(info.step_sizes) else ""
     print(f"{k:>4} {gn:12.3e} {e:14.6e} {a!s:>6}")
-print(f"converged: {info.converged}, minimum value {info.energies[-1]:.6e} <= 0")
+rel = info.gradient_norms[-1] / info.gradient_norms[0]
+print(f"relative gradient norm {rel:.3e} <= {info.relative_target:g}, "
+      f"minimum value {info.energies[-1]:.6e} <= 0")
 
 state = flow_state(corr, psi, gas, None, cut)
 margin = state.cutoff_margin

@@ -39,6 +39,7 @@ and negative curvature triggers a diagonal regularization so the iteration
 still reaches a stationary point.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,7 +139,6 @@ class DifferenceProblem:
 
 @dataclass
 class MinimizeInfo:
-    converged: bool
     iterations: int
     gradient_norms: list
     energies: list
@@ -188,9 +188,11 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     every Newton solve.  For epsilon beyond the reference the Hessian may
     lose definiteness on the blending band; each step then builds the cycle
     of its own Hessian on the same hierarchy, whose pivots detect that,
-    negative curvature triggers diagonal regularization, a failed Newton
-    line search falls back to preconditioned descent, and the gradient
-    target is relaxed (and recorded in the diagnostics).
+    negative curvature triggers diagonal regularization, and the gradient
+    target is relaxed (and recorded in the diagnostics).  Each CG solve
+    starts from zero on an SPD matrix, so every Newton direction descends
+    and the backtracking search ends; a search that still fails raises
+    SolverError.
     """
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
@@ -207,17 +209,17 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     grad = free * prob.gradient(x)
     gn0 = float(np.linalg.norm(grad))
     gn = gn0
-    info = MinimizeInfo(False, 0, [gn], [energy], [], False, [],
+    info = MinimizeInfo(0, [gn], [energy], [], False, [],
                         relative_target=rel_target)
-    if gn0 == 0.0:
-        info.converged = True
-        return PotentialField(mesh, x, name="compressibility_correction"), info
     target = rel_target * gn0
 
-    for it in range(max_newton):
+    for it in itertools.count():
         if gn <= target:
-            info.converged = True
             break
+        if it >= max_newton:
+            raise SolverError(
+                f"Newton did not reach relative tolerance {rel_target:g} "
+                f"in {max_newton} iterations", info.gradient_norms)
         h = prob.hessian(x)
         eta = max(_LIN_TOL, min(gn / gn0, max_forcing))
         tau = 0.0
@@ -246,14 +248,8 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         slope = float(grad @ d)
         alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
         if alpha is None:
-            # fall back to preconditioned steepest descent for this step
-            d = -grad / np.maximum(h[1, 1].ravel(), 1e-12)
-            slope = float(grad @ d)
-            alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
-            if alpha is None:
-                raise SolverError(
-                    f"line search failed at Newton iteration {it}",
-                    info.gradient_norms)
+            raise SolverError(f"line search failed at Newton iteration {it}",
+                              info.gradient_norms)
         x = x + alpha * d
         energy = trial
         grad = free * prob.gradient(x)
@@ -262,12 +258,6 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         info.gradient_norms.append(gn)
         info.energies.append(energy)
         info.step_sizes.append(alpha)
-    else:
-        if gn > target:
-            raise SolverError(
-                f"Newton did not reach relative tolerance {rel_target:g} "
-                f"in {max_newton} iterations", info.gradient_norms)
-        info.converged = True
 
     # minimizer optimality: never above the zero-correction value
     if energy > 1e-12 * max(1.0, abs(info.energies[0])):

@@ -416,9 +416,13 @@ def pcg(a, b, cycle, tol=1e-10):
     p = z.copy()
     rz = r @ z
     history = [float(np.linalg.norm(r) / bnorm)]
-    for _ in range(maxiter):
-        if history[-1] <= tol:
+    while True:
+        if history[-1] <= tol:             # false on a NaN residual
             return x, history
+        if len(history) > maxiter:
+            raise SolverError(
+                f"CG did not reach tol={tol:g} in {maxiter} iterations "
+                f"(residual {history[-1]:.3e})", history)
         ap = a(p)
         pap = p @ ap
         if pap <= 0.0:
@@ -431,9 +435,3 @@ def pcg(a, b, cycle, tol=1e-10):
         p = z + (rz_new / rz) * p
         rz = rz_new
         history.append(float(np.linalg.norm(r) / bnorm))
-    if history[-1] <= tol:
-        return x, history
-    raise SolverError(
-        f"CG did not reach tol={tol:g} in {maxiter} iterations "
-        f"(residual {history[-1]:.3e})", history
-    )

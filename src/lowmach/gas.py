@@ -39,7 +39,6 @@ __all__ = [
     "CutoffSpec",
     "enthalpy",
     "enthalpy_inv",
-    "pressure",
     "pressure_slope",
     "density_from_speed",
     "mach",
@@ -111,11 +110,6 @@ def _phi_of(f):
 def _as_result(x):
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
-
-
-def pressure(rho, gas):
-    """Reduced pressure p(rho) = rho**gamma."""
-    return np.asarray(rho, dtype=float) ** gas.gamma
 
 
 def pressure_slope(rho, gas):
@@ -313,18 +307,15 @@ class CutoffSpec:
         return bound**2 * (g - 1.0) / (1.0 + bound**2 * (g - 1.0) / 2.0)
 
 
-def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
-                phi_star=None):
+def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None):
     """Build a CutoffSpec for the given gas and truncation parameters.
 
     phi_samples : array or None
         Force potential sampled where the closure will be evaluated (mesh
         nodes and quadrature points).  The saturation constant is the sup
         over these samples of q_upper(phi)^2 - 2*phi; with no force it is
-        simply q_upper(0)^2.
-    phi_star : float or None
-        Global force bound.  Defaults to max |phi_samples| (0 without
-        force).
+        simply q_upper(0)^2.  The global force bound ``phi_star`` is
+        max |phi_samples| (0 without force).
     """
     if not 0.0 < mach_threshold < 1.0:
         raise ConfigError(f"mach_threshold must be in (0,1), got {mach_threshold}")
@@ -335,7 +326,7 @@ def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None,
         samples = np.zeros(1)
     else:
         samples = np.asarray(phi_samples, dtype=float).ravel()
-    star = float(np.max(np.abs(samples))) if phi_star is None else float(phi_star)
+    star = float(np.max(np.abs(samples)))
 
     spec = CutoffSpec(
         mach_threshold=float(mach_threshold),

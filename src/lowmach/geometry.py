@@ -354,9 +354,8 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     quad_order : int
         Tensor Gauss order per cell (>= 2).
     """
-    if mode not in (AXISYM, PLANAR, "planar"):
+    if mode not in (AXISYM, PLANAR):
         raise ConfigError(f"unknown mesh mode {mode!r}")
-    mode = PLANAR if mode == "planar" else mode
     if shape.kind == "sphere" and mode == PLANAR:
         raise ConfigError("sphere obstacle requires axisymmetric mode")
     if shape.kind == "disk" and mode == AXISYM:

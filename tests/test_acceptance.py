@@ -213,7 +213,7 @@ def test_criterion_7_decay_bounds(report64):
     cut = make_cutoff(gas, 0.45, 0.3, phi_samples=samples)
     psi = solve_incompressible(mesh, 1.0)
     corr, info = minimize(psi, force, gas, cut)
-    assert info.converged
+    assert info.gradient_norms[-1] <= info.relative_target * info.gradient_norms[0]
     d_forced = decay_fit(corr, np.pi / 4.0).exponent
     assert d_forced >= 0.95 - 0.1
     _report(7, f"decay exponents: incompressible {d_psi:.2f} >= 1.4, "

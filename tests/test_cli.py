@@ -69,11 +69,47 @@ def test_solve_incompressible_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_config_error_names_field(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"geometry": {"radius": -2.0}})
-    assert main(["solve-incompressible", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "geometry.radius" in capsys.readouterr().err
+def _with(section, **vals):
+    cfg = json.loads(json.dumps(BASE))
+    cfg[section].update(vals)
+    return cfg
+
+
+# one rejected configuration per check: (raw config, what stderr names)
+CONFIG_ERRORS = {
+    "radius-negative": (_with("geometry", radius=-2.0), "geometry.radius"),
+    "kind-unknown": (_with("geometry", kind="cube"), "geometry.kind"),
+    "semi_axes-one": (_with("geometry", kind="ellipse", semi_axes=[1.0]),
+                      "geometry.semi_axes"),
+    "r_far-small": (_with("geometry", r_far=3), "geometry.r_far"),
+    "n_r-small": (_with("geometry", n_r=3), "geometry.n_r"),
+    "grading-below-1": (_with("geometry", grading=0.9), "geometry.grading"),
+    "mode-unknown": (_with("geometry", kind="disk", mode="planar"),
+                     "mesh mode 'planar'"),
+    "gamma-below-1": (_with("gas", gamma=0.9), "gas.gamma"),
+    "q_inf-zero": (_with("gas", q_inf=0), "gas.q_inf"),
+    "theta-one": (_with("cutoff", theta=1), "cutoff.theta"),
+    "eps0-zero": (_with("cutoff", eps0=0), "cutoff.eps0"),
+    "far_field-unknown": (_with("solver", far_field="robin"), "solver.far_field"),
+    "eps-negative": (_with("sweep", eps=[0.2, -0.1]), "sweep.eps"),
+    "eps-increasing": (_with("sweep", eps=[0.1, 0.2]), "sweep.eps"),
+    "force-unknown": (_with("force", kind="magnetic"), "force.kind"),
+    "top-level-list": ([BASE], "configuration"),
+    "section-not-object": ({**BASE, "gas": 1.4}, "'gas'"),
+    "section-unknown": ({**BASE, "wibble": {}}, "'wibble'"),
+}
+
+
+@pytest.mark.parametrize("raw, field", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS.keys())
+def test_config_error_names_field(tmp_path, capsys, raw, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["solve-incompressible", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -158,6 +194,32 @@ def test_sweep_sabotaged_tolerance_exits_5(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--assert-rates", "--rate-tol", "0.0001"]) == 5
+
+
+def test_sweep_unconverged_rows_exit_3(tmp_path):
+    cfg = _write_config(tmp_path, {"solver": {"max_newton": 1}})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    run, _ = _run_files(out)
+    report = json.loads(open(os.path.join(run, "report.json")).read())
+    error = "Newton did not reach relative tolerance 1e-10 in 1 iterations"
+    assert [r["epsilon"] for r in report["rows"]] == BASE["sweep"]["eps"]
+    for row in report["rows"]:
+        assert row["converged"] is False and row["cutoff_removed"] is False
+        assert row["error"] == error
+    assert report["slopes"] == {}
+
+
+def test_solve_compressible_solver_error_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"solver": {"max_newton": 1}})
+    out = tmp_path / "out"
+    assert main(["solve-compressible", "--config", cfg, "--out", str(out),
+                 "--epsilon", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert ("solver error: Newton did not reach relative tolerance 1e-10 "
+            "in 1 iterations") in err
+    assert "residual history (tail): 6.363e-01, 6.541e-06" in err
+    assert not out.exists()
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):
