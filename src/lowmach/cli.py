@@ -6,6 +6,9 @@ writes its artifacts into a directory addressed by the configuration hash,
 and is byte-deterministic: the solver uses no randomness and one thread, so
 a rerun of the same configuration writes the same bytes.
 
+Every configuration key has its default and its rule in one table, ``_KEYS``,
+and is checked before any work; a rejection names the dotted key.
+
 Exit codes: 0 ok, 2 configuration error (including a mistyped configuration
 value or a non-finite or non-positive --rate-tol), 3 solver error, 4 cut-off
 not removed, 5 rate assertion failure.
@@ -38,49 +41,62 @@ RATE_WINDOWS = {
     "dp_gap_quadrupole": (2.0, 0.2),
 }
 
-_SCHEMA = {
-    "geometry": {"kind", "radius", "semi_axes", "r_far", "n_r", "n_t",
-                 "grading", "mode"},
-    "gas": {"gamma", "q_inf"},
-    "cutoff": {"theta", "eps0"},
-    "force": {"kind", "mass", "source_radius", "beta", "q"},
-    "solver": {"tol", "max_newton", "max_backtracks", "quad_order",
-               "far_field"},
-    "sweep": {"eps"},
-    "output": {"directory"},
-}
-
-_DEFAULTS = {
-    "geometry": {"kind": "sphere", "radius": 1.0, "r_far": 20.0, "n_r": 48,
-                 "n_t": 48, "grading": 1.15, "mode": "axisymmetric-3d"},
-    "gas": {"gamma": 1.4, "q_inf": 1.0},
-    "cutoff": {"theta": 0.65, "eps0": 0.45},
-    "force": {"kind": "none"},
-    "solver": {"tol": 1e-10, "max_newton": 40, "max_backtracks": 40,
-               "quad_order": 3, "far_field": "dirichlet"},
-    "sweep": {"eps": [0.4, 0.2, 0.1, 0.05]},
-    "output": {"directory": "out"},
-}
-
-# keys that must hold an integer, and keys that must hold a finite real
-_INT_KEYS = {"geometry": ("n_r", "n_t"),
-             "solver": ("quad_order", "max_newton", "max_backtracks")}
-_REAL_KEYS = {"geometry": ("radius", "r_far", "grading"),
-              "gas": ("gamma", "q_inf"), "cutoff": ("theta", "eps0"),
-              "force": ("mass", "source_radius", "beta", "q"),
-              "solver": ("tol",)}
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
 
 def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _is_reals(v):
-    return isinstance(v, list) and all(_is_real(x) for x in v)
+def _int_from(lo):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
+            f"an integer >= {lo}")
+
+
+def _real(ok, rule):
+    return lambda v: _is_real(v) and ok(v), rule
+
+
+def _one_of(*names):
+    return lambda v: v in names, "one of " + ", ".join(names)
+
+
+_POSITIVE = _real(lambda v: v > 0.0, "a positive number")
+_AT_LEAST_1 = _real(lambda v: v >= 1.0, "a number >= 1")
+_UNIT = _real(lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_NUMBER = _real(lambda v: True, "a finite number")
+
+# section -> key -> (default, (test, rule)); a None default is left out of
+# the merged configuration, and so out of its hash
+_KEYS = {
+    "geometry": {
+        "kind": ("sphere", _one_of("sphere", "disk", "ellipse")),
+        "radius": (1.0, _POSITIVE),
+        "semi_axes": (None, (lambda v: isinstance(v, list) and len(v) == 2
+                             and all(_is_real(x) and x > 0.0 for x in v),
+                             "two positive lengths")),
+        "r_far": (20.0, _POSITIVE),
+        "n_r": (48, _int_from(4)),
+        "n_t": (48, _int_from(4)),
+        "grading": (1.15, _AT_LEAST_1),
+        "mode": ("axisymmetric-3d", _one_of("axisymmetric-3d", "planar-2d")),
+    },
+    "gas": {"gamma": (1.4, _AT_LEAST_1), "q_inf": (1.0, _POSITIVE)},
+    "cutoff": {"theta": (0.65, _UNIT), "eps0": (0.45, _UNIT)},
+    "force": {"kind": ("none", _one_of("none", "newtonian", "point_mass")),
+              **{k: (None, _NUMBER) for k in ("mass", "source_radius", "beta", "q")}},
+    "solver": {
+        "tol": (1e-10, _UNIT),
+        "max_newton": (40, _int_from(1)),
+        "max_backtracks": (40, _int_from(1)),
+        "quad_order": (3, _int_from(2)),
+        "far_field": ("dirichlet", _one_of("dirichlet", "neumann")),
+    },
+    "sweep": {"eps": ([0.4, 0.2, 0.1, 0.05], (
+        lambda v: isinstance(v, list) and len(v) > 0
+        and all(_is_real(e) and e > 0.0 for e in v)
+        and all(b < a for a, b in zip(v, v[1:])),
+        "a non-empty, strictly decreasing list of positive numbers"))},
+    "output": {"directory": ("out", (lambda v: isinstance(v, str), "a string"))},
+}
 
 
 class RunConfig:
@@ -90,70 +106,28 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         for section in raw:
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown configuration section {section!r}")
             if not isinstance(raw[section], dict):
                 raise ConfigError(f"section {section!r} must be an object")
             for key in raw[section]:
-                if key not in _SCHEMA[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-        merged = {}
-        for section, defaults in _DEFAULTS.items():
-            merged[section] = dict(defaults)
-            merged[section].update(raw.get(section, {}))
-        self.raw = merged
-        self._validate()
-
-    def _validate(self):
-        for section, keys in _INT_KEYS.items():
-            for key in keys:
-                if not _is_int(self.raw[section][key]):
-                    raise ConfigError(f"{section}.{key}: must be an integer")
-        for section, keys in _REAL_KEYS.items():
-            for key in keys:
-                if key in self.raw[section] and not _is_real(self.raw[section][key]):
-                    raise ConfigError(f"{section}.{key}: must be a finite number")
+        self.raw = {}
+        for section, keys in _KEYS.items():
+            merged = {k: d for k, (d, _) in keys.items() if d is not None}
+            merged.update(raw.get(section, {}))
+            for key, value in merged.items():
+                test, rule = keys[key][1]
+                if not test(value):
+                    raise ConfigError(f"{section}.{key}: {rule}")
+            self.raw[section] = merged
         g = self.raw["geometry"]
-        if g["kind"] not in ("sphere", "disk", "ellipse"):
-            raise ConfigError(f"geometry.kind: unknown kind {g['kind']!r}")
-        if g["kind"] == "ellipse":
-            ax = g.get("semi_axes")
-            if not _is_reals(ax) or len(ax) != 2 or min(ax) <= 0:
-                raise ConfigError("geometry.semi_axes: two positive lengths required")
-        elif not g.get("radius", 0) > 0:
-            raise ConfigError("geometry.radius: must be positive")
+        if g["kind"] == "ellipse" and "semi_axes" not in g:
+            raise ConfigError("geometry.semi_axes: required for an ellipse")
         size = max(g["semi_axes"]) if g["kind"] == "ellipse" else g["radius"]
         if not g["r_far"] >= 5.0 * size:
             raise ConfigError("geometry.r_far: must be at least 5x the obstacle size")
-        if g["n_r"] < 4 or g["n_t"] < 4:
-            raise ConfigError("geometry.n_r/n_t: must be >= 4")
-        if not g["grading"] >= 1.0:
-            raise ConfigError("geometry.grading: must be >= 1")
-        gas = self.raw["gas"]
-        if not gas["gamma"] >= 1.0:
-            raise ConfigError("gas.gamma: must be >= 1")
-        if not gas["q_inf"] > 0.0:
-            raise ConfigError("gas.q_inf: must be positive")
-        cut = self.raw["cutoff"]
-        if not 0.0 < cut["theta"] < 1.0:
-            raise ConfigError("cutoff.theta: must lie in (0, 1)")
-        if not 0.0 < cut["eps0"] < 1.0:
-            raise ConfigError("cutoff.eps0: must lie in (0, 1)")
-        sv = self.raw["solver"]
-        if not 0.0 < sv["tol"] < 1.0:
-            raise ConfigError("solver.tol: must lie in (0, 1)")
-        if sv["far_field"] not in ("dirichlet", "neumann"):
-            raise ConfigError("solver.far_field: dirichlet or neumann")
-        eps = self.raw["sweep"]["eps"]
-        if not _is_reals(eps) or not eps:
-            raise ConfigError("sweep.eps: must be a non-empty list of numbers")
-        if any(e <= 0 for e in eps):
-            raise ConfigError("sweep.eps: entries must be positive")
-        if len(eps) > 1 and any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("sweep.eps: entries must be strictly decreasing")
-        fc = self.raw["force"]
-        if fc["kind"] not in ("none", "newtonian", "point_mass"):
-            raise ConfigError(f"force.kind: unknown kind {fc['kind']!r}")
 
     @property
     def hash(self):
@@ -171,11 +145,7 @@ class RunConfig:
         )
 
     def force_spec(self):
-        fc = dict(self.raw["force"])
-        kind = fc.pop("kind")
-        if kind == "none":
-            return limits.ForceSpec("none")
-        return limits.ForceSpec(kind=kind, **fc)
+        return limits.ForceSpec(**self.raw["force"])
 
     def sweep_setup(self, mesh):
         return limits.SweepSetup(

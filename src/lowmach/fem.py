@@ -92,19 +92,15 @@ def assemble_vector_load(mesh, vec_at_qpts):
     """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k)."""
     wv = np.asarray(vec_at_qpts) * mesh.qweights[..., None]      # (M, Q, 2)
     contrib = _cell_grads(mesh) @ wv.reshape(wv.shape[0], -1, 1)   # (M, 4, 1)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.cells.ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.cells.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def boundary_component_load(mesh, tag, component=0):
     """Nodal vector of the facet integral of n_component * N_k over a tag."""
     fs = mesh.facets[tag]
     contrib = np.einsum("fq,fqc,fq->fc", fs.normals[..., component], fs.basis, fs.weights)
-    out = np.zeros(mesh.n_nodes)
-    cells = mesh.cells[fs.cells]
-    np.add.at(out, cells.ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.cells[fs.cells].ravel(), contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def assemble_mass(mesh):
@@ -120,10 +116,10 @@ def project_to_nodes(mesh, qpt_values):
     A mass-matrix solve, so any function already in the space is reproduced
     exactly.
     """
-    num = np.zeros(mesh.n_nodes)
     w = mesh.qweights[..., None] * mesh.basis[None, ...]   # (M, Q, 4)
-    np.add.at(num, mesh.cells.ravel(),
-              (w * np.asarray(qpt_values)[..., None]).sum(axis=1).ravel())
+    num = np.bincount(mesh.cells.ravel(),
+                      (w * np.asarray(qpt_values)[..., None]).sum(axis=1).ravel(),
+                      minlength=mesh.n_nodes)
     m = assemble_mass(mesh)
     x, _ = pcg(m, num, VCycle(Multigrid(mesh), m), tol=1e-13)
     return x

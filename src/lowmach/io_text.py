@@ -8,6 +8,7 @@ configuration produce byte-identical artifacts (no timestamps anywhere).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -31,18 +32,26 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def canonical_json(obj, compact=False):
-    if compact:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a NaN or infinite float is written as null."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    return json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False,
+                      **layout) + "\n"
 
 
 def node_weights(mesh):
     """Lumped nodal measure weights (include the axisymmetric factor)."""
-    out = np.zeros(mesh.n_nodes)
     w = mesh.qweights[..., None] * mesh.basis[None, ...]
-    np.add.at(out, mesh.cells.ravel(), w.sum(axis=1).ravel())
-    return out
+    return np.bincount(mesh.cells.ravel(), w.sum(axis=1).ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def load_field(path):

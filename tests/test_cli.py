@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,24 +88,43 @@ CONFIG_ERRORS = {
     "n_r-small": (_with("geometry", n_r=3), "geometry.n_r"),
     "grading-below-1": (_with("geometry", grading=0.9), "geometry.grading"),
     "mode-unknown": (_with("geometry", kind="disk", mode="planar"),
-                     "mesh mode 'planar'"),
+                     "geometry.mode"),
+    "ellipse-no-semi_axes": (_with("geometry", kind="ellipse"),
+                             "geometry.semi_axes"),
     "gamma-below-1": (_with("gas", gamma=0.9), "gas.gamma"),
     "q_inf-zero": (_with("gas", q_inf=0), "gas.q_inf"),
     "theta-one": (_with("cutoff", theta=1), "cutoff.theta"),
     "eps0-zero": (_with("cutoff", eps0=0), "cutoff.eps0"),
     "far_field-unknown": (_with("solver", far_field="robin"), "solver.far_field"),
+    "max_newton-zero": (_with("solver", max_newton=0), "solver.max_newton"),
+    "max_backtracks-zero": (_with("solver", max_backtracks=0),
+                            "solver.max_backtracks"),
+    "quad_order-one": (_with("solver", quad_order=1), "solver.quad_order"),
     "eps-negative": (_with("sweep", eps=[0.2, -0.1]), "sweep.eps"),
     "eps-increasing": (_with("sweep", eps=[0.1, 0.2]), "sweep.eps"),
     "force-unknown": (_with("force", kind="magnetic"), "force.kind"),
+    "output-directory-int": ({**BASE, "output": {"directory": 3}},
+                             "output.directory"),
     "top-level-list": ([BASE], "configuration"),
     "section-not-object": ({**BASE, "gas": 1.4}, "'gas'"),
     "section-unknown": ({**BASE, "wibble": {}}, "'wibble'"),
 }
 
 
+@pytest.fixture
+def no_mesh(monkeypatch):
+    import lowmach.cli
+
+    def build_mesh(self):
+        raise AssertionError("mesh built for a rejected configuration")
+
+    monkeypatch.setattr(lowmach.cli.RunConfig, "build_mesh", build_mesh)
+
+
 @pytest.mark.parametrize("raw, field", CONFIG_ERRORS.values(),
                          ids=CONFIG_ERRORS.keys())
-def test_config_error_names_field(tmp_path, capsys, raw, field):
+def test_config_error_names_field(tmp_path, capsys, no_mesh, raw, field):
+    # every key is checked before any work: no mesh, no run directory
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "o"
@@ -110,6 +132,73 @@ def test_config_error_names_field(tmp_path, capsys, raw, field):
                  "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_python_dash_m_exits_2_and_writes_nothing(tmp_path):
+    # the module entry point returns main's exit code to the shell; the
+    # default output directory lies under the working directory
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_with("gas", gamma=0.9)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "lowmach", "sweep",
+                           "--config", str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "gas.gamma" in proc.stderr
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_solve_incompressible_ellipse(tmp_path):
+    cfg = _write_config(tmp_path, {"geometry": {"kind": "ellipse",
+                                                "semi_axes": [1.5, 1.0]}})
+    out = str(tmp_path / "out")
+    assert main(["solve-incompressible", "--config", cfg, "--out", out]) == 0
+    run, files = _run_files(out)
+    assert files == ["psi.txt", "summary.json", "surface.csv"]
+    pts, _, vals, meta = load_field(os.path.join(run, "psi.txt"))
+    assert meta["kind"] == "incompressible_perturbation"
+    # the surface profile lies on the ellipse (x1/1.5)^2 + xr^2 = 1
+    rows = np.loadtxt(os.path.join(run, "surface.csv"), delimiter=",",
+                      skiprows=2)
+    assert np.allclose((rows[:, 1] / 1.5) ** 2 + rows[:, 2] ** 2, 1.0)
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{name} in {os.path.basename(path)}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_failed_sweep_report_is_strict_json(tmp_path):
+    # a row without a solution has no cut-off margin, and a grid without
+    # converged rows has no ratios and no critical epsilon: each is null
+    cfg = _write_config(tmp_path, {"solver": {"max_newton": 1}})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    run, _ = _run_files(out)
+    report = _strict_json(os.path.join(run, "report.json"))
+    assert all(row["cutoff_margin"] is None for row in report["rows"])
+    for key in ("uniform_u_ratio", "energy_uniform_ratio", "eps_c_estimate"):
+        assert report[key] is None, key
+
+
+def test_force_free_verdict_is_strict_json(tmp_path):
+    # no force has no tail to fit: its infinite decay exponents are null;
+    # the declared (beta, q) pair is still the one checked and reported
+    cfg = _write_config(tmp_path, {"force": {"beta": 2.0, "q": 5.0}})
+    out = str(tmp_path / "out")
+    assert main(["validate-force", "--config", cfg, "--out", out]) == 0
+    run, _ = _run_files(out)
+    verdict = _strict_json(os.path.join(run, "verdict.json"))
+    assert verdict["admissible"] is True and verdict["force_kind"] == "none"
+    assert (verdict["beta"], verdict["q"]) == (2.0, 5.0)
+    assert verdict["grad_tail_exponent"] is None
+    assert verdict["phi_tail_exponent"] is None
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -264,13 +353,7 @@ def test_solver_tol_of_one_or_more_exits_2(tmp_path, command, tol, capsys):
 
 @pytest.mark.parametrize("eps", ["1e308", "1e200", "inf", "nan", "-0.1"])
 def test_solve_compressible_bad_epsilon_exits_2_before_solving(
-        tmp_path, eps, capsys, monkeypatch):
-    import lowmach.cli
-
-    def no_mesh(self):
-        raise AssertionError("mesh built for a bad epsilon")
-
-    monkeypatch.setattr(lowmach.cli.RunConfig, "build_mesh", no_mesh)
+        tmp_path, eps, capsys, no_mesh):
     out = tmp_path / "o"
     assert main(["solve-compressible", "--config", _write_config(tmp_path),
                  "--out", str(out), "--epsilon", eps]) == 2

@@ -251,6 +251,38 @@ def test_regularization_shifts_the_hessian_centre(psi, monkeypatch):
     assert abs(shifted - want).max() == 0.0
 
 
+def _failing_pcg(monkeypatch):
+    from lowmach import fem
+
+    calls = []
+
+    def fail(a, b, cycle, tol=1e-10):
+        calls.append(a)
+        raise SolverError("non-positive curvature in CG", [1.0])
+
+    monkeypatch.setattr(fem, "pcg", fail)
+    return calls
+
+
+def test_indefinite_hessian_below_reference_raises(psi, cut, monkeypatch):
+    # at or below the cut-off reference every Hessian is SPD: a failed CG
+    # solve is an error, never a regularized retry
+    calls = _failing_pcg(monkeypatch)
+    with pytest.raises(SolverError, match="Hessian lost positive definiteness "
+                       "below the cut-off reference epsilon"):
+        minimize(psi, None, _gas(0.2), cut)
+    assert len(calls) == 1
+
+
+def test_regularization_gives_up_past_tau_1e6(psi, monkeypatch):
+    # beyond the reference the shift tau runs 0, 1e-6, 1e-5, ..., 1e6:
+    # 14 attempts, then the step fails
+    calls = _failing_pcg(monkeypatch)
+    with pytest.raises(SolverError, match="Hessian regularization failed"):
+        minimize(psi, None, _gas(0.25), make_cutoff(_gas(0.1), 0.65, 0.2))
+    assert len(calls) == 14
+
+
 def test_newton_quadratic_tail(mesh, psi, cut):
     rng = np.random.default_rng(31)
     x0 = 0.3 * rng.standard_normal(mesh.n_nodes)

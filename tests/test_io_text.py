@@ -1,11 +1,15 @@
 """Plain-text artifacts: the field dump against its one-row-at-a-time form."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from lowmach import ObstacleShape, PotentialField, build_mesh
-from lowmach.io_text import field_dump_string, load_field, node_weights
+from lowmach.io_text import (canonical_json, field_dump_string, load_field,
+                             node_weights)
 
 
 MESHES = {
@@ -45,3 +49,18 @@ def test_field_dump_matches_per_node_rows(name, tmp_path):
     assert np.array_equal(pts, mesh.nodes)
     assert np.array_equal(vals, values)
     assert np.array_equal(np.signbit(vals), np.signbit(values))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_canonical_json_writes_non_finite_as_null(compact):
+    # RFC 8259 has no NaN or Infinity; finite values keep json.dumps' text
+    obj = {"nan": math.nan, "inf": [math.inf, -math.inf, (np.float64("nan"),)],
+           "finite": [0.1 + 0.2, -0.0, np.float64(1e-300), 3, True, None, "x"]}
+    text = canonical_json(obj, compact=compact)
+    back = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    assert back == {"nan": None, "inf": [None, None, [None]],
+                    "finite": [0.1 + 0.2, -0.0, 1e-300, 3, True, None, "x"]}
+    finite = {"finite": obj["finite"]}
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    want = json.dumps(finite, sort_keys=True, **layout) + "\n"
+    assert canonical_json(finite, compact) == want
