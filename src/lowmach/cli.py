@@ -6,6 +6,12 @@ writes its artifacts into a directory addressed by the configuration hash,
 and is byte-deterministic: the solver uses no randomness and one thread, so
 a rerun of the same configuration writes the same bytes.
 
+``COMMANDS`` maps each subcommand to a function that takes the validated
+configuration and the parsed arguments and returns its exit code and its
+artifacts as {file name: text}; ``main`` alone makes the run directory and
+writes them.  Exits 0, 4, 5, and 3 from a sweep with unconverged rows leave
+artifacts; exit 2, and 3 from a raised solver error, leave none.
+
 Every configuration key has its default and its rule in one table, ``_KEYS``,
 and is checked before any work; a rejection names the dotted key.
 
@@ -91,10 +97,10 @@ _KEYS = {
         "far_field": ("dirichlet", _one_of("dirichlet", "neumann")),
     },
     "sweep": {"eps": ([0.4, 0.2, 0.1, 0.05], (
-        lambda v: isinstance(v, list) and len(v) > 0
+        lambda v: isinstance(v, list) and len(v) >= 4
         and all(_is_real(e) and e > 0.0 for e in v)
         and all(b < a for a, b in zip(v, v[1:])),
-        "a non-empty, strictly decreasing list of positive numbers"))},
+        "a strictly decreasing list of at least 4 positive numbers"))},
     "output": {"directory": ("out", (lambda v: isinstance(v, str), "a string"))},
 }
 
@@ -162,30 +168,18 @@ class RunConfig:
         )
 
 
-def _run_dir(cfg, out_override):
-    base = out_override or cfg.raw["output"]["directory"]
-    path = os.path.join(base, cfg.hash)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def cmd_solve_incompressible(cfg, out_dir):
+def cmd_solve_incompressible(cfg, args):
     mesh = cfg.build_mesh()
     q_inf = cfg.raw["gas"]["q_inf"]
     psi = incompressible.solve_incompressible(
         mesh, q_inf, tol=cfg.raw["solver"]["tol"],
         far_field=cfg.raw["solver"]["far_field"],
     )
-    run = _run_dir(cfg, out_dir)
-    _write(os.path.join(run, "psi.txt"),
-           io_text.field_dump_string(psi, cfg.hash))
-    _write(os.path.join(run, "surface.csv"),
-           io_text.surface_csv(psi, q_inf, cfg.hash))
     summary = {
         "config": cfg.hash,
         "command": "solve-incompressible",
@@ -193,26 +187,29 @@ def cmd_solve_incompressible(cfg, out_dir):
         "iterations": psi.meta["iterations"],
         "far_field": psi.meta["far_field"],
     }
-    _write(os.path.join(run, "summary.json"), io_text.canonical_json(summary))
-    if not psi.meta["residual"] <= cfg.raw["solver"]["tol"]:
-        return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_OK, {
+        "psi.txt": io_text.field_dump_string(psi, cfg.hash),
+        "surface.csv": io_text.surface_csv(psi, q_inf, cfg.hash),
+        "summary.json": io_text.canonical_json(summary),
+    }
 
 
-def cmd_solve_compressible(cfg, epsilon, out_dir):
+def cmd_solve_compressible(cfg, args):
+    epsilon = args.epsilon
+    if epsilon is None:
+        raise ConfigError("solve-compressible requires --epsilon")
     # a bad epsilon is a configuration error before any mesh or base flow
     GasModel(cfg.raw["gas"]["gamma"], epsilon, cfg.raw["gas"]["q_inf"])
     setup = cfg.sweep_setup(cfg.build_mesh())
     state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
 
-    run = _run_dir(cfg, out_dir)
-    _write(os.path.join(run, f"correction_eps{epsilon:g}.txt"),
-           io_text.field_dump_string(state.phi_corr, cfg.hash,
-                                     extra={"epsilon": repr(float(epsilon))}))
-    summary = dict(state.summary())
+    correction = io_text.field_dump_string(
+        state.phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
+    summary = state.summary()
     summary.update({
         "config": cfg.hash,
         "command": "solve-compressible",
+        "truncated_regime": state.truncated_regime,
         "newton_iterations": info.iterations,
         "newton_trace": {
             "cg_iterations": info.cg_iterations,
@@ -224,48 +221,49 @@ def cmd_solve_compressible(cfg, epsilon, out_dir):
         "relative_gradient_target": info.relative_target,
         "incompressible_solved_implicitly": True,
     })
-    _write(os.path.join(run, f"state_eps{epsilon:g}.json"),
-           io_text.canonical_json(summary, compact=True))
-    return EXIT_OK if state.cutoff_margin > 0.0 else EXIT_CUTOFF
+    code = EXIT_OK if state.cutoff_margin > 0.0 else EXIT_CUTOFF
+    return code, {
+        f"correction_eps{epsilon:g}.txt": correction,
+        f"state_eps{epsilon:g}.json": io_text.canonical_json(summary, compact=True),
+    }
 
 
-def cmd_sweep(cfg, out_dir, assert_rates=False, rate_tol=None):
+def cmd_sweep(cfg, args):
     setup = cfg.sweep_setup(cfg.build_mesh())
     report = limits.sweep(setup, [float(e) for e in cfg.raw["sweep"]["eps"]])
-    run = _run_dir(cfg, out_dir)
-    _write(os.path.join(run, "report.csv"), io_text.report_csv(report, cfg.hash))
-    _write(os.path.join(run, "report.json"), io_text.report_json(report, cfg.hash))
+    files = {"report.csv": io_text.report_csv(report, cfg.hash),
+             "report.json": io_text.report_json(report, cfg.hash)}
     if not report.all_converged():
-        return EXIT_SOLVER
-    if assert_rates:
-        for name, (target, width) in RATE_WINDOWS.items():
-            if name not in report.slopes:
-                return EXIT_RATES
-            wid = rate_tol if rate_tol is not None else width
-            if abs(report.slopes[name].slope - target) > wid:
-                return EXIT_RATES
-    return EXIT_OK
+        return EXIT_SOLVER, files
+    if args.assert_rates and any(
+            name not in report.slopes
+            or abs(report.slopes[name].slope - target) > (args.rate_tol or width)
+            for name, (target, width) in RATE_WINDOWS.items()):
+        return EXIT_RATES, files
+    return EXIT_OK, files
 
 
-def cmd_validate_force(cfg, out_dir):
+def cmd_validate_force(cfg, args):
     mesh = cfg.build_mesh()
     spec = cfg.force_spec()
     force = limits.build_force(spec, mesh)
-    verdict = limits.validate_force(force, spec.beta, spec.q, mesh)
-    run = _run_dir(cfg, out_dir)
-    out = verdict.as_dict()
+    out = limits.validate_force(force, spec.beta, spec.q, mesh).as_dict()
     out.update({"config": cfg.hash, "command": "validate-force",
                 "force_kind": spec.kind})
-    _write(os.path.join(run, "verdict.json"), io_text.canonical_json(out))
-    return EXIT_OK
+    return EXIT_OK, {"verdict.json": io_text.canonical_json(out)}
 
 
-def cmd_dump_mesh(cfg, out_dir):
-    mesh = cfg.build_mesh()
-    run = _run_dir(cfg, out_dir)
-    _write(os.path.join(run, "mesh.txt"),
-           geometry.mesh_dump_string(mesh, cfg.hash))
-    return EXIT_OK
+def cmd_dump_mesh(cfg, args):
+    return EXIT_OK, {"mesh.txt": geometry.mesh_dump_string(cfg.build_mesh(), cfg.hash)}
+
+
+COMMANDS = {
+    "solve-incompressible": cmd_solve_incompressible,
+    "solve-compressible": cmd_solve_compressible,
+    "sweep": cmd_sweep,
+    "validate-force": cmd_validate_force,
+    "dump-mesh": cmd_dump_mesh,
+}
 
 
 def _parser():
@@ -274,10 +272,7 @@ def _parser():
         description="Subsonic potential flow past an obstacle and its "
                     "low Mach number limit.",
     )
-    p.add_argument("command", choices=[
-        "solve-incompressible", "solve-compressible", "sweep",
-        "validate-force", "dump-mesh",
-    ])
+    p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", required=True, help="path to the JSON run configuration")
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--epsilon", type=float, default=None,
@@ -307,20 +302,7 @@ def main(argv=None):
         if args.rate_tol is not None and not (math.isfinite(args.rate_tol)
                                               and args.rate_tol > 0.0):
             raise ConfigError("--rate-tol: must be a finite positive number")
-        if args.command == "solve-incompressible":
-            return cmd_solve_incompressible(cfg, args.out)
-        if args.command == "solve-compressible":
-            if args.epsilon is None:
-                raise ConfigError("solve-compressible requires --epsilon")
-            return cmd_solve_compressible(cfg, args.epsilon, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, assert_rates=args.assert_rates,
-                             rate_tol=args.rate_tol)
-        if args.command == "validate-force":
-            return cmd_validate_force(cfg, args.out)
-        if args.command == "dump-mesh":
-            return cmd_dump_mesh(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code, files = COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -333,6 +315,11 @@ def main(argv=None):
     except LowmachError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    run = os.path.join(args.out or cfg.raw["output"]["directory"], cfg.hash)
+    os.makedirs(run, exist_ok=True)
+    for name, text in files.items():
+        _write(os.path.join(run, name), text)
+    return code
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .gas import (
     closure,
     coefficients,
@@ -78,6 +78,16 @@ _ENERGY_RESOLUTION = 4.0 * np.finfo(float).eps
 def _dot(a, b):
     # scalar product over a last axis of length 2; a sum over it is slower
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _check_cutoff_gas(gas, cut):
+    """Reject a cut-off whose thresholds were built for another gas: they
+    depend on gamma and q_inf (not on epsilon)."""
+    for name in ("gamma", "q_inf"):
+        if getattr(cut, name) != getattr(gas, name):
+            raise ConfigError(
+                f"cut-off built for {name} = {getattr(cut, name)!r}, "
+                f"but the gas has {name} = {getattr(gas, name)!r}")
 
 
 class DifferenceProblem:
@@ -194,6 +204,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     and the backtracking search ends; a search that still fails raises
     SolverError.
     """
+    _check_cutoff_gas(gas, cut)
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
     x = (np.zeros(mesh.n_nodes) if initial is None
@@ -294,11 +305,12 @@ class FlowState:
     dp_gap: dict
 
     def summary(self):
+        """The per-epsilon record: a sweep row and ``state_eps*.json`` are
+        this plus their own keys."""
         out = {
             "epsilon": self.gas.epsilon,
             "cutoff_removed": bool(self.cutoff_margin > 0.0),
             "cutoff_margin": self.cutoff_margin,
-            "truncated_regime": self.truncated_regime,
         }
         out.update({k: float(v) for k, v in self.norms.items()})
         out.update({f"dp_gap_{k}": float(v) for k, v in self.dp_gap.items()})
@@ -315,6 +327,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     blending region is flagged ``truncated_regime`` and keeps the truncated
     density, which is defined for every speed.
     """
+    _check_cutoff_gas(gas, cut)
     mesh = psi_base.mesh
     phi = 0.0 if force is None else force.phi_qpts
     eps2 = gas.epsilon**2
@@ -328,6 +341,7 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     energy = np.sum(mesh.qweights * grad_sq)
     grad_inf = np.sqrt(np.max(grad_sq))      # sqrt is monotone: max of the norms
     del grad_sq                              # gone before the pressure gaps
+    dp_gap = _weak_dp_gaps(mesh, eps2, base, corr_grad, u, dep, force)
     norms = {
         "u_diff_l2": float(eps2 * np.sqrt(energy)),
         "u_diff_inf": float(eps2 * grad_inf),
@@ -335,19 +349,16 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
         "mach_max": float(np.max(m)),
         "corr_energy": float(energy),
         "corr_grad_inf": float(grad_inf),
+        "dp_gap_max": max(abs(v) for v in dp_gap.values()),
     }
-
-    state = FlowState(
+    return FlowState(
         gas=gas, psi_base=psi_base, phi_corr=phi_corr,
         u=VelocityField(mesh, u),
         rho=rho, departure=np.asarray(dep), mach=np.asarray(m),
         corr_grad=corr_grad,
         cutoff_margin=margin, truncated_regime=truncated,
-        norms=norms, dp_gap={},
+        norms=norms, dp_gap=dp_gap,
     )
-    state.dp_gap = _weak_dp_gaps(state, base, force)
-    state.norms["dp_gap_max"] = max(abs(v) for v in state.dp_gap.values())
-    return state
 
 
 def _pointwise_state(u, phi, gas, cut):
@@ -425,7 +436,7 @@ def build_test_panel(mesh):
     }
 
 
-def _weak_dp_gaps(state, base, force):
+def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
     """<grad p - grad p_bar, w> for each panel field, evaluated stably.
 
     The momentum-flux difference is exactly eps^2 times the symmetric
@@ -441,13 +452,10 @@ def _weak_dp_gaps(state, base, force):
         T v = (base.v + eps^2 corr.v) corr + (corr.v) base + departure (u.v) u,
 
     with T : grad e1 = 0 and T : grad rhat = (tr T - rhat . T rhat) / r.
-    Without a force (``force`` None) the force term is dropped.
+    Here ``c`` is the correction gradient, ``u`` the velocity and ``dep``
+    the departure at the quadrature points.  Without a force (``force``
+    None) the force term is dropped.
     """
-    mesh = state.psi_base.mesh
-    eps2 = state.gas.epsilon**2
-    c = state.corr_grad
-    u = state.u.at_qpts
-    dep = state.departure
     panel = build_test_panel(mesh)   # first: its temporaries go before T v exists
     r = np.hypot(mesh.qpts[..., 0], mesh.qpts[..., 1])
     rhat = mesh.qpts / r[..., None]

@@ -364,21 +364,15 @@ def _sweep_rows(setup, eps_grid):
     psi, force, cut = prepare(setup)
     rows, last = [], None
     for eps in eps_grid:
-        row = {"epsilon": float(eps)}
         try:
             state, info = solve_epsilon(setup, eps, psi, force, cut)
         except (SolverError, ConfigError) as exc:
-            row.update({"converged": False, "cutoff_removed": False,
-                        "cutoff_margin": float("nan"), "error": str(exc)})
+            row = {"epsilon": float(eps), "converged": False,
+                   "cutoff_removed": False, "cutoff_margin": float("nan"),
+                   "error": str(exc)}
         else:
-            row.update(state.norms)
-            row.update({f"dp_gap_{k}": v for k, v in state.dp_gap.items()})
-            row.update({
-                "converged": True,
-                "cutoff_removed": bool(state.cutoff_margin > 0.0),
-                "cutoff_margin": float(state.cutoff_margin),
-                "newton_iterations": int(info.iterations),
-            })
+            row = {**state.summary(), "converged": True,
+                   "newton_iterations": int(info.iterations)}
             last = state.phi_corr
             del state       # one FlowState alive at a time
         rows.append(row)
@@ -388,16 +382,11 @@ def _sweep_rows(setup, eps_grid):
 def _fit_slopes(rows):
     # every reported slope is fitted from at least 4 epsilon points; with
     # fewer converged rows the slope is simply absent (partial report)
-    names = ("rho_diff_inf", "u_diff_l2", "mach_max")
-    slopes = {}
     ok = [r for r in rows if r.get("converged")]
-    for key in names:
-        pairs = [(r["epsilon"], r[key]) for r in ok if r.get(key, 0.0) > 0.0]
-        if len(pairs) >= 4:
-            slopes[key] = fit_rate(pairs)
     gap_keys = sorted(k for k in ok[0] if k.startswith("dp_gap_")) if ok else []
-    for key in gap_keys:
-        pairs = [(r["epsilon"], abs(r[key])) for r in ok if abs(r.get(key, 0.0)) > 0.0]
+    slopes = {}
+    for key in ("rho_diff_inf", "u_diff_l2", "mach_max", *gap_keys):
+        pairs = [(r["epsilon"], abs(r[key])) for r in ok if abs(r[key]) > 0.0]
         if len(pairs) >= 4:
             slopes[key] = fit_rate(pairs)
     return slopes

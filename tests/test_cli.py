@@ -102,6 +102,7 @@ CONFIG_ERRORS = {
     "quad_order-one": (_with("solver", quad_order=1), "solver.quad_order"),
     "eps-negative": (_with("sweep", eps=[0.2, -0.1]), "sweep.eps"),
     "eps-increasing": (_with("sweep", eps=[0.1, 0.2]), "sweep.eps"),
+    "eps-three": (_with("sweep", eps=[0.4, 0.2, 0.1]), "sweep.eps"),
     "force-unknown": (_with("force", kind="magnetic"), "force.kind"),
     "output-directory-int": ({**BASE, "output": {"directory": 3}},
                              "output.directory"),
@@ -281,8 +282,10 @@ def test_sweep_artifacts_and_rates(tmp_path):
 
 def test_sweep_sabotaged_tolerance_exits_5(tmp_path):
     cfg = _write_config(tmp_path)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+    out = str(tmp_path / "o")
+    assert main(["sweep", "--config", cfg, "--out", out,
                  "--assert-rates", "--rate-tol", "0.0001"]) == 5
+    assert _run_files(out)[1] == ["report.csv", "report.json"]
 
 
 def test_sweep_unconverged_rows_exit_3(tmp_path):
@@ -358,6 +361,14 @@ def test_solve_compressible_bad_epsilon_exits_2_before_solving(
     assert main(["solve-compressible", "--config", _write_config(tmp_path),
                  "--out", str(out), "--epsilon", eps]) == 2
     assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_compressible_without_epsilon_exits_2(tmp_path, capsys, no_mesh):
+    out = tmp_path / "o"
+    assert main(["solve-compressible", "--config", _write_config(tmp_path),
+                 "--out", str(out)]) == 2
+    assert "--epsilon" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from lowmach import (
     solve_incompressible,
 )
 from lowmach.compressible import DifferenceProblem, station_mass_flux
-from lowmach.errors import SolverError
+from lowmach.errors import ConfigError, SolverError
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +454,19 @@ def test_forced_saturation_not_removed(mesh, psi):
     assert info.regularized
     assert info.gradient_norms[-1] <= info.relative_target * info.gradient_norms[0]
     assert min(info.step_sizes) < 1.0
+
+
+@pytest.mark.parametrize("gas, named", [
+    (GasModel(3.0, 0.3, 1.0), "gamma = 1.4, but the gas has gamma = 3.0"),
+    (GasModel(1.4, 0.3, 1.5), "q_inf = 1.0, but the gas has q_inf = 1.5"),
+], ids=["gamma", "q_inf"])
+def test_cutoff_built_for_another_gas_rejected(psi, cut, gas, named):
+    # the thresholds read gamma and q_inf from the cut-off; epsilon may differ
+    with pytest.raises(ConfigError, match=named):
+        minimize(psi, None, gas, cut)
+    corr, _ = minimize(psi, None, _gas(0.3), cut)
+    with pytest.raises(ConfigError, match=named):
+        flow_state(corr, psi, gas, None, cut)
 
 
 def test_mass_flux_station_independent(mesh, psi, cut):
