@@ -3,7 +3,8 @@
 
 Minimizes the compressible-incompressible difference functional at a fixed
 compressibility, prints the Newton history (quadratic once the iterate is
-close), and reconstructs the full flow state.
+close, each step accepted by the convexity certificate or the Armijo line
+search), and reconstructs the full flow state.
 """
 
 import numpy as np
@@ -33,14 +34,13 @@ print(f"difference functional at zero correction: "
 
 corr, info = minimize(psi, None, gas, cut)
 print("\n=== Newton history ===")
-print(f"{'iter':>4} {'grad norm':>12} {'energy':>14} {'step':>6}")
+print(f"{'iter':>4} {'grad norm':>12} {'step':>6}  accepted by")
 for k, gn in enumerate(info.gradient_norms):
-    e = info.energies[k] if k < len(info.energies) else float("nan")
-    a = info.step_sizes[k - 1] if 0 < k <= len(info.step_sizes) else ""
-    print(f"{k:>4} {gn:12.3e} {e:14.6e} {a!s:>6}")
+    a, how = (info.step_sizes[k - 1], info.accepted_by[k - 1]) if k else ("", "")
+    print(f"{k:>4} {gn:12.3e} {a!s:>6}  {how}")
 rel = info.gradient_norms[-1] / info.gradient_norms[0]
 print(f"relative gradient norm {rel:.3e} <= {info.relative_target:g}, "
-      f"minimum value {info.energies[-1]:.6e} <= 0")
+      f"minimum value {info.energy:.6e} <= 0")
 
 state = flow_state(corr, psi, gas, None, cut)
 margin = state.cutoff_margin

@@ -212,8 +212,9 @@ def cmd_solve_compressible(cfg, args):
         "truncated_regime": state.truncated_regime,
         "newton_iterations": info.iterations,
         "newton_trace": {
+            "accepted_by": info.accepted_by,
             "cg_iterations": info.cg_iterations,
-            "energies": info.energies,
+            "energy": info.energy,
             "gradient_norms": info.gradient_norms,
             "regularized": info.regularized,
             "step_sizes": info.step_sizes,

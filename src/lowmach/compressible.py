@@ -20,20 +20,21 @@ coefficient matrix, whose (c, d) come from ``gas.coefficients``, and
 O(1) uniformly in epsilon; the t-integral uses an 8-point Gauss rule, which
 is essentially exact while the expansion path stays on the subsonic branch
 and degrades gracefully (to ~1e-3 relative) when a state is wild enough to
-cross the cut-off's C^1 kinks -- harmless, since only the line search
-consumes functional values and the gradient/Hessian come from the closure
-directly.
+cross the cut-off's C^1 kinks -- harmless, since the gradient/Hessian come
+from the closure directly and a functional value decides only an Armijo
+line search, the fallback of the step acceptance, and the reported energy.
 
 The minimizer is found by an inexact Newton method: the Hessian, the same
 coefficient matrix at the state, assembled in weak form in its rank-one
-form (``DifferenceProblem.hessian``), an Armijo backtracking line search,
-and a multigrid-preconditioned conjugate-gradient inner solve (``fem.pcg``)
-taken only to a forcing tolerance proportional to the gradient norm (see
-``minimize``).  For epsilon at or below the cut-off reference the Hessian
-is uniformly elliptic, with eigenvalues in a band around the Laplacian's
-fixed for all states and epsilons, so one V-cycle of the mesh's Laplacian
-preconditions every Newton solve and each takes about as many iterations on
-every mesh.  Beyond the reference (allowed, but outside the regime where the
+form (``DifferenceProblem.hessian``), full steps accepted by a convexity
+certificate up to the cut-off reference and by an Armijo backtracking line
+search otherwise, and a multigrid-preconditioned conjugate-gradient inner
+solve (``fem.pcg``) taken only to a forcing tolerance proportional to the
+gradient norm (see ``minimize``).  For epsilon at or below the cut-off
+reference the Hessian is uniformly elliptic, with eigenvalues in a band
+around the Laplacian's fixed for all states and epsilons, so one V-cycle of
+the mesh's Laplacian preconditions every Newton solve and each takes about
+as many iterations on every mesh.  Beyond the reference (allowed, but outside the regime where the
 truncated problem is convex) each step builds the cycle of its own Hessian,
 and negative curvature triggers a diagonal regularization so the iteration
 still reaches a stationary point.
@@ -139,20 +140,30 @@ class DifferenceProblem:
     def hessian(self, corr):
         """Weak-form Hessian: the truncated coefficient matrix c I - d v v^T
         at the state v (``gas.coefficients``), assembled in that rank-one
-        form."""
+        form.  Up to the cut-off reference, an eigenvalue below ``cut.lam1``
+        at any quadrature point raises SolverError."""
         v = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         v *= self.gas.epsilon**2
         v += self.base
-        return fem.assemble_matrix(
-            self.mesh, *coefficients(_dot(v, v), self.phi, self.gas, self.cut), v)
+        lam = _dot(v, v)
+        c, d = coefficients(lam, self.phi, self.gas, self.cut)
+        if self.gas.epsilon <= self.cut.eps_ref:
+            # the pointwise eigenvalues, on whose bound ``minimize`` relies
+            low = min(float(np.min(c)), float(np.min(c - d * lam)))
+            if low < self.cut.lam1:
+                raise SolverError(
+                    f"Hessian eigenvalue {low!r} below lam1 = {self.cut.lam1!r} "
+                    f"at epsilon {self.gas.epsilon!r}")
+        return fem.assemble_matrix(self.mesh, c, d, v)
 
 
 @dataclass
 class MinimizeInfo:
     iterations: int
     gradient_norms: list
-    energies: list
+    energy: float               # the functional at the returned correction
     step_sizes: list
+    accepted_by: list           # per step: "certificate" or "armijo"
     regularized: bool
     cg_iterations: list
     relative_target: float = float("nan")
@@ -182,9 +193,9 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
              max_backtracks=_MAX_BACKTRACKS, initial=None):
     """Minimize the difference functional; returns (correction, info).
 
-    Newton iteration with Armijo backtracking; convergence when the free-dof
-    gradient norm falls below ``tol`` relative to its initial value.  Step k
-    solves its Newton system by CG only to the inexact-Newton forcing
+    Newton iteration; convergence when the free-dof gradient norm falls
+    below ``tol`` relative to its initial value.  Step k solves its Newton
+    system by CG only to the inexact-Newton forcing
 
         eta_k = min(|g_k| / |g_0|, 0.01 sqrt(relative target)),
 
@@ -200,9 +211,20 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     of its own Hessian on the same hierarchy, whose pivots detect that,
     negative curvature triggers diagonal regularization, and the gradient
     target is relaxed (and recorded in the diagnostics).  Each CG solve
-    starts from zero on an SPD matrix, so every Newton direction descends
-    and the backtracking search ends; a search that still fails raises
-    SolverError.
+    starts from zero on an SPD matrix, so every Newton direction descends.
+
+    Up to the reference I is lam1-strongly convex in d^T K d = int |grad d|^2
+    w (K the Laplacian), so phi(a) = I(x + a d) has phi(1) <= phi(0) +
+    phi'(1) - (lam1/2) d^T K d: the full step meets the Armijo condition
+    without evaluating I when phi'(1) - (lam1/2) d^T K d <= c phi'(0), phi'(1)
+    read from the gradient at x + d that the next step needs anyway.  That
+    certificate rests on lam1 bounding the Hessian's eigenvalues (which
+    ``DifferenceProblem.hessian`` checks) and on the gradient being the
+    derivative of I, exact only up to the t-rule's quadrature error.  Where
+    it fails, and beyond the reference, an Armijo backtracking search takes
+    the step and raises SolverError if it fails.  I(0) = 0 is not evaluated;
+    the returned ``energy`` must lie below it and below I(x_0) + c sum_k
+    alpha_k phi_k'(0), the decrease the accepted steps certified.
     """
     _check_cutoff_gas(gas, cut)
     prob = DifferenceProblem(psi_base, force, gas, cut)
@@ -216,11 +238,15 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     rel_target = max(tol, _BEYOND_REFERENCE_TOL) if beyond_reference else tol
     max_forcing = 0.01 * math.sqrt(rel_target)
 
-    energy = prob.functional(x)
+    # the functional of the zero correction is exactly 0; None below means
+    # the functional at x is not known
+    energy = 0.0 if initial is None else prob.functional(x)
+    certified = energy              # I(x_0) + c sum_k alpha_k slope_k
+    allowance = 1e-12 * max(1.0, abs(energy))
     grad = free * prob.gradient(x)
     gn0 = float(np.linalg.norm(grad))
     gn = gn0
-    info = MinimizeInfo(0, [gn], [energy], [], False, [],
+    info = MinimizeInfo(0, [gn], None, [], [], False, [],
                         relative_target=rel_target)
     target = rel_target * gn0
 
@@ -257,22 +283,34 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         info.cg_iterations.append(len(cg_hist) - 1)
 
         slope = float(grad @ d)
-        alpha, trial = _line_search(prob, x, d, energy, slope, max_backtracks)
-        if alpha is None:
-            raise SolverError(f"line search failed at Newton iteration {it}",
-                              info.gradient_norms)
+        alpha, full_grad, accepted = 1.0, None, "armijo"
+        if not beyond_reference:
+            full_grad = free * prob.gradient(x + d)
+            curvature = float(d @ cycle.ops[0](d))
+            if float(full_grad @ d) - 0.5 * cut.lam1 * curvature <= _ARMIJO_C * slope:
+                energy, accepted = None, "certificate"
+        if accepted == "armijo":
+            if energy is None:
+                energy = prob.functional(x)
+            alpha, energy = _line_search(prob, x, d, energy, slope, max_backtracks)
+            if alpha is None:
+                raise SolverError(f"line search failed at Newton iteration {it}",
+                                  info.gradient_norms)
+        info.accepted_by.append(accepted)
         x = x + alpha * d
-        energy = trial
-        grad = free * prob.gradient(x)
+        certified += _ARMIJO_C * alpha * slope
+        grad = full_grad if alpha == 1.0 and full_grad is not None \
+            else free * prob.gradient(x)
         gn = float(np.linalg.norm(grad))
         info.iterations = it + 1
         info.gradient_norms.append(gn)
-        info.energies.append(energy)
         info.step_sizes.append(alpha)
 
-    # minimizer optimality: never above the zero-correction value
-    if energy > 1e-12 * max(1.0, abs(info.energies[0])):
-        raise SolverError("minimizer energy above I(0) = 0", info.energies)
+    info.energy = prob.functional(x) if energy is None else energy
+    # audit: never above what the accepted steps certified, nor above I(0) = 0
+    if info.energy > min(certified, 0.0) + allowance:
+        raise SolverError(f"minimizer energy {info.energy!r} above I(0) = 0 or "
+                          f"the certified bound {certified!r}", info.gradient_norms)
     return PotentialField(mesh, x, name="compressibility_correction"), info
 
 

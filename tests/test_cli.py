@@ -231,8 +231,10 @@ def test_solve_compressible_removed(tmp_path):
     trace = state["newton_trace"]
     n = state["newton_iterations"]
     assert n > 0
-    assert len(trace["gradient_norms"]) == len(trace["energies"]) == n + 1
+    assert len(trace["gradient_norms"]) == n + 1
     assert len(trace["step_sizes"]) == len(trace["cg_iterations"]) == n
+    assert len(trace["accepted_by"]) == n
+    assert trace["energy"] < 0.0
     assert all(k > 0 for k in trace["cg_iterations"])
     assert trace["regularized"] is False
     norms = trace["gradient_norms"]

@@ -1,5 +1,8 @@
 """Difference-functional minimization: variational properties and states."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -212,7 +215,7 @@ def test_newton_converges_on_coarse_planar_disk(n, cut):
     corr, info = minimize(solve_incompressible(disk, 1.0), None, _gas(0.2), cut)
     assert info.iterations <= 5
     assert info.gradient_norms[-1] <= 1e-10 * info.gradient_norms[0]
-    assert info.energies[-1] < 0.0
+    assert info.energy < 0.0
 
 
 @pytest.mark.parametrize("max_newton", [0, -1])
@@ -224,9 +227,60 @@ def test_newton_budget_exhausted_raises(psi, cut, max_newton):
 
 def test_failed_line_search_raises(psi, cut):
     # a Newton direction always descends, so no second descent method backs
-    # the search up: with no trial step allowed the first step fails at once
+    # the search up: beyond the cut-off reference, where every step is taken
+    # by the line search, no trial step allowed fails the first step at once
     with pytest.raises(SolverError, match="line search failed at Newton iteration 0"):
-        minimize(psi, None, _gas(0.2), cut, max_backtracks=0)
+        minimize(psi, None, _gas(0.5), cut, max_backtracks=0)
+
+
+def test_certified_steps_need_no_line_search(psi, cut):
+    # up to the reference the convexity certificate accepts every full step,
+    # so a search with no trial step allowed is never run
+    _, info = minimize(psi, None, _gas(0.2), cut, max_backtracks=0)
+    assert info.gradient_norms[-1] <= info.relative_target * info.gradient_norms[0]
+    assert info.accepted_by == ["certificate"] * info.iterations
+
+
+def test_armijo_fallback_takes_the_certified_steps(psi, cut):
+    # with the certificate off (lam1 = -inf) every step goes through the
+    # Armijo search, which accepts the same full steps
+    corr, info = minimize(psi, None, _gas(0.2), cut)
+    corr_a, info_a = minimize(psi, None, _gas(0.2), replace(cut, lam1=-math.inf))
+    assert "armijo" not in info.accepted_by
+    assert info_a.accepted_by == ["armijo"] * info.iterations
+    assert corr_a.values.tobytes() == corr.values.tobytes()
+    assert info_a.energy == info.energy
+
+
+def test_solve_from_zero_evaluates_the_functional_once(psi, cut, monkeypatch):
+    # I(0) = 0 is known and every step is certified: the functional is read
+    # once, for the returned energy
+    calls = []
+    real = DifferenceProblem.functional
+
+    def counted(self, corr):
+        calls.append(1)
+        return real(self, corr)
+
+    monkeypatch.setattr(DifferenceProblem, "functional", counted)
+    _, info = minimize(psi, None, _gas(0.2), cut)
+    assert info.iterations > 0
+    assert len(calls) == 1
+
+
+def test_energy_above_the_certified_bound_raises(psi, cut, monkeypatch):
+    # the one functional value is audited against what the steps certified
+    real = DifferenceProblem.functional
+    monkeypatch.setattr(DifferenceProblem, "functional",
+                        lambda self, corr: real(self, corr) + 1.0)
+    with pytest.raises(SolverError, match="above I\\(0\\) = 0 or the certified bound"):
+        minimize(psi, None, _gas(0.2), cut)
+
+
+def test_hessian_below_lam1_raises(psi, cut):
+    # the certificate's premise, checked at every Hessian up to the reference
+    with pytest.raises(SolverError, match=r"below lam1 = 10\.0 at epsilon 0\.2"):
+        minimize(psi, None, _gas(0.2), replace(cut, lam1=10.0))
 
 
 def test_regularization_shifts_the_hessian_centre(psi, monkeypatch):
