@@ -15,12 +15,15 @@ artifacts; exit 2, and 3 from a raised solver error, leave none.
 Every configuration key has its default and its rule in one table, ``_KEYS``,
 and is checked before any work; a rejection names the dotted key.
 
-Exit codes: 0 ok, 2 configuration error (including a mistyped configuration
-value or a non-finite or non-positive --rate-tol), 3 solver error, 4 cut-off
-not removed, 5 rate assertion failure.
+Each command parses only its own flags; ``main`` returns every exit code.
+Exit codes: 0 ok (and --help), 2 usage or configuration error (including a
+flag of another command, a mistyped configuration value, or a --rate-tol
+that is not finite and positive or comes without --assert-rates), 3 solver
+error, 4 cut-off not removed, 5 rate assertion failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -98,9 +101,10 @@ _KEYS = {
     },
     "sweep": {"eps": ([0.4, 0.2, 0.1, 0.05], (
         lambda v: isinstance(v, list) and len(v) >= 4
-        and all(_is_real(e) and e > 0.0 for e in v)
+        and all(_is_real(e) and e > 0.0 and math.isfinite(e * e) for e in v)
         and all(b < a for a, b in zip(v, v[1:])),
-        "a strictly decreasing list of at least 4 positive numbers"))},
+        "a strictly decreasing list of at least 4 positive epsilons, "
+        "each with a finite square"))},
     "output": {"directory": ("out", (lambda v: isinstance(v, str), "a string"))},
 }
 
@@ -196,8 +200,6 @@ def cmd_solve_incompressible(cfg, args):
 
 def cmd_solve_compressible(cfg, args):
     epsilon = args.epsilon
-    if epsilon is None:
-        raise ConfigError("solve-compressible requires --epsilon")
     # a bad epsilon is a configuration error before any mesh or base flow
     GasModel(cfg.raw["gas"]["gamma"], epsilon, cfg.raw["gas"]["q_inf"])
     setup = cfg.sweep_setup(cfg.build_mesh())
@@ -205,21 +207,15 @@ def cmd_solve_compressible(cfg, args):
 
     correction = io_text.field_dump_string(
         state.phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
+    trace = dataclasses.asdict(info)
     summary = state.summary()
     summary.update({
         "config": cfg.hash,
         "command": "solve-compressible",
         "truncated_regime": state.truncated_regime,
-        "newton_iterations": info.iterations,
-        "newton_trace": {
-            "accepted_by": info.accepted_by,
-            "cg_iterations": info.cg_iterations,
-            "energy": info.energy,
-            "gradient_norms": info.gradient_norms,
-            "regularized": info.regularized,
-            "step_sizes": info.step_sizes,
-        },
-        "relative_gradient_target": info.relative_target,
+        "newton_iterations": trace.pop("iterations"),
+        "relative_gradient_target": trace.pop("relative_target"),
+        "newton_trace": trace,
         "incompressible_solved_implicitly": True,
     })
     code = EXIT_OK if state.cutoff_margin > 0.0 else EXIT_CUTOFF
@@ -230,6 +226,10 @@ def cmd_solve_compressible(cfg, args):
 
 
 def cmd_sweep(cfg, args):
+    if args.rate_tol is not None and not (
+            args.assert_rates and math.isfinite(args.rate_tol) and args.rate_tol > 0.0):
+        raise ConfigError("--rate-tol: must be a finite positive number, "
+                          "given with --assert-rates")
     setup = cfg.sweep_setup(cfg.build_mesh())
     report = limits.sweep(setup, [float(e) for e in cfg.raw["sweep"]["eps"]])
     files = {"report.csv": io_text.report_csv(report, cfg.hash),
@@ -248,7 +248,7 @@ def cmd_validate_force(cfg, args):
     mesh = cfg.build_mesh()
     spec = cfg.force_spec()
     force = limits.build_force(spec, mesh)
-    out = limits.validate_force(force, spec.beta, spec.q, mesh).as_dict()
+    out = dataclasses.asdict(limits.validate_force(force, spec.beta, spec.q, mesh))
     out.update({"config": cfg.hash, "command": "validate-force",
                 "force_kind": spec.kind})
     return EXIT_OK, {"verdict.json": io_text.canonical_json(out)}
@@ -273,21 +273,28 @@ def _parser():
         description="Subsonic potential flow past an obstacle and its "
                     "low Mach number limit.",
     )
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", required=True, help="path to the JSON run configuration")
-    p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="compressibility parameter (solve-compressible)")
-    p.add_argument("--assert-rates", action="store_true",
-                   help="sweep: fail with exit 5 unless the fitted slopes "
-                        "lie inside the declared windows")
-    p.add_argument("--rate-tol", type=float, default=None,
-                   help="override every rate-window half-width")
+    commands = p.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        c = commands.add_parser(name)
+        c.add_argument("--config", required=True, help="JSON run configuration file")
+        c.add_argument("--out", help="output directory override")
+        if name == "solve-compressible":
+            c.add_argument("--epsilon", type=float, required=True,
+                           help="compressibility parameter")
+        if name == "sweep":
+            c.add_argument("--assert-rates", action="store_true",
+                           help="fail with exit 5 unless the fitted slopes "
+                                "lie inside the declared windows")
+            c.add_argument("--rate-tol", type=float, help="half-width of "
+                           "every rate window (with --assert-rates)")
     return p
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:       # a usage error (2) or --help (0)
+        return exc.code
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -300,9 +307,6 @@ def main(argv=None):
 
     try:
         cfg = RunConfig(raw)
-        if args.rate_tol is not None and not (math.isfinite(args.rate_tol)
-                                              and args.rate_tol > 0.0):
-            raise ConfigError("--rate-tol: must be a finite positive number")
         code, files = COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

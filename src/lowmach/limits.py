@@ -137,9 +137,6 @@ class AdmissibilityReport:
     phi_tail_exponent: float
     phi_tail_finite: bool
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def validate_force(force, beta, q, mesh):
     """Check the (beta, q) admissibility condition numerically.
@@ -185,18 +182,18 @@ def validate_force(force, beta, q, mesh):
     )
 
 
-def _field_decay_exponent(mesh, qpt_magnitudes, n_bins=10):
+def _field_decay_exponent(mesh, qpt_magnitudes):
     """Far-field power-law exponent of a quadrature-point field.
 
-    Fits shell averages against the pure radius over the outer part of the
-    shell, where the field has settled into its tail behavior; this is the
-    exponent the tail-integral extrapolation needs.
+    Fits the averages over 10 geometric shells against the pure radius over
+    the outer part of the shell, where the field has settled into its tail
+    behavior; this is the exponent the tail-integral extrapolation needs.
     """
     r = np.linalg.norm(mesh.qpts, axis=-1).ravel()
     v = np.asarray(qpt_magnitudes).ravel()
     w = mesh.qweights.ravel()
     lo, hi = 0.3 * mesh.r_far, 0.85 * mesh.r_far
-    edges = np.geomspace(lo, hi, n_bins + 1)
+    edges = np.geomspace(lo, hi, 11)
     rs, vs = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (r >= a) & (r < b)
@@ -222,8 +219,9 @@ class RateFit:
     r_squared: float
     slope_stderr: float = float("nan")
 
-    def confidence(self, k=2.0):
-        return (self.slope - k * self.slope_stderr, self.slope + k * self.slope_stderr)
+    def confidence(self):
+        """The slope plus and minus two standard errors."""
+        return self.slope - 2.0 * self.slope_stderr, self.slope + 2.0 * self.slope_stderr
 
 
 def fit_rate(pairs):
@@ -261,23 +259,20 @@ class DecayFit:
     resolved: bool = True
 
 
-def decay_fit(field, ray_direction, r_window=None, n_samples=24):
+def decay_fit(field, ray_direction):
     """Fitted radial decay exponent of |grad field| along a ray.
 
-    Samples the gradient magnitude at geometrically spaced radii along the
-    ray and fits log|grad| against log(1 + r); the reported exponent is the
-    negated slope.  The contract is one-sided: the theory provides an upper
-    bound on the field, hence a lower bound on the exponent.  A field that
-    vanishes identically in the window is reported unresolved.
+    Samples the gradient magnitude at 24 geometrically spaced radii along the
+    ray, from twice the obstacle's largest radius to 0.8 r_far, and fits
+    log|grad| against log(1 + r); the reported exponent is the negated
+    slope.  The contract is one-sided: the theory provides an upper bound on
+    the field, hence a lower bound on the exponent.  A field that vanishes
+    identically in the window is reported unresolved.
     """
     mesh = field.mesh
-    if r_window is None:
-        r_window = (2.0 * mesh.shape.max_radius, 0.8 * mesh.r_far)
-    lo, hi = r_window
-    if not (lo >= mesh.shape.max_radius and hi <= mesh.r_far):
-        raise ConfigError("decay window must lie inside the meshed shell")
+    lo, hi = 2.0 * mesh.shape.max_radius, 0.8 * mesh.r_far
     theta = float(ray_direction)
-    radii = np.geomspace(lo, hi, n_samples)
+    radii = np.geomspace(lo, hi, 24)
     pts = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
     g = mesh.evaluate_gradient(field.values, pts)
     mag = np.linalg.norm(g, axis=1)

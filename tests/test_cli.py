@@ -103,6 +103,7 @@ CONFIG_ERRORS = {
     "eps-negative": (_with("sweep", eps=[0.2, -0.1]), "sweep.eps"),
     "eps-increasing": (_with("sweep", eps=[0.1, 0.2]), "sweep.eps"),
     "eps-three": (_with("sweep", eps=[0.4, 0.2, 0.1]), "sweep.eps"),
+    "eps-overflow": (_with("sweep", eps=[1e200, 0.2, 0.1, 0.05]), "sweep.eps"),
     "force-unknown": (_with("force", kind="magnetic"), "force.kind"),
     "output-directory-int": ({**BASE, "output": {"directory": 3}},
                              "output.directory"),
@@ -381,6 +382,44 @@ def test_sweep_with_an_overflowing_epsilon_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert "epsilon" in capsys.readouterr().err
     assert not out.exists()
+
+
+# (command, argv tail led by a flag of another command)
+FOREIGN_FLAGS = [
+    ("dump-mesh", ["--epsilon", "0.1"]),
+    ("solve-incompressible", ["--assert-rates"]),
+    ("validate-force", ["--rate-tol", "0.5"]),
+    ("solve-compressible", ["--assert-rates", "--epsilon", "0.1"]),
+    ("sweep", ["--epsilon", "0.1"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", FOREIGN_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in FOREIGN_FLAGS])
+def test_foreign_flag_exits_2(tmp_path, capsys, no_mesh, command, flags):
+    # each command parses only its own flags: one it would ignore is refused
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_config(tmp_path),
+                 "--out", str(out), *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rate_tol_without_assert_rates_exits_2(tmp_path, capsys, no_mesh):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", _write_config(tmp_path),
+                 "--out", str(out), "--rate-tol", "0.5"]) == 2
+    assert "--rate-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_usage_exits_are_returned(tmp_path, capsys, monkeypatch):
+    # main returns argparse's exit codes instead of raising SystemExit
+    monkeypatch.chdir(tmp_path)
+    assert main([]) == 2
+    assert main(["dump-mesh", "--help"]) == 0
+    assert "--epsilon" not in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.1"])
