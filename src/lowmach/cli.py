@@ -52,7 +52,9 @@ RATE_WINDOWS = {
 
 
 def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # a JSON number with a finite float value: the comparison is exact for an
+    # int of any size, and false for NaN and the infinities
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _int_from(lo):

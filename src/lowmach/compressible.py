@@ -64,7 +64,6 @@ __all__ = [
     "DifferenceProblem",
     "minimize",
     "flow_state",
-    "build_test_panel",
     "station_mass_flux",
 ]
 
@@ -439,43 +438,18 @@ def _pointwise_state(u, phi, gas, cut):
 # ----------------------------------------------------------------------
 
 
-def build_test_panel(mesh):
-    """Fixed smooth test fields for the weak pressure-gradient pairing.
-
-    Compactly supported radial bump g(r) times three angular structures
-    chosen so that none of the pairings vanishes by reflection symmetry of
-    the force-free flow.  Each field is a scalar times a unit direction,
-    w = f v, returned as {name: (f, grad_f, v)} at quadrature points with v
-    naming the direction: "rhat" (radial) or "e1" (the stream direction).
-    """
-    pts = mesh.qpts
-    x1 = pts[..., 0]
-    r = np.hypot(x1, pts[..., 1])
-    r0 = 1.5 * mesh.shape.max_radius
-    r1 = 0.7 * mesh.r_far
-    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
-    g = np.sin(np.pi * s) ** 2
-    gp = np.where((s > 0.0) & (s < 1.0),
-                  np.pi / (r1 - r0) * np.sin(2.0 * np.pi * s), 0.0)
-
-    rhat = pts / r[..., None]
-    mu = x1 / r
-    grad_mu = -mu[..., None] * rhat
-    grad_mu[..., 0] += 1.0
-    grad_mu /= r[..., None]
-    grad_g = gp[..., None] * rhat
-
-    q2 = 1.5 * mu**2 - 0.5
-    return {
-        "radial": (g, grad_g, "rhat"),
-        "aligned": (g * mu, mu[..., None] * grad_g + g[..., None] * grad_mu, "e1"),
-        "quadrupole": (g * q2, q2[..., None] * grad_g
-                       + (3.0 * g * mu)[..., None] * grad_mu, "rhat"),
-    }
-
-
 def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
-    """<grad p - grad p_bar, w> for each panel field, evaluated stably.
+    """<grad p - grad p_bar, w> for three fixed smooth test fields w,
+    evaluated stably from scalar products alone.
+
+    Each field is w = f a, a compactly supported radial bump g(r) times an
+    angular factor Y(mu), mu = x1 / r, along a unit direction a, chosen so
+    that none of the pairings vanishes by reflection symmetry of the
+    force-free flow:
+
+        radial      f = g,                     a = rhat,
+        aligned     f = g mu,                  a = e1 (the stream direction),
+        quadrupole  f = g (3 mu^2 - 1) / 2,    a = rhat.
 
     The momentum-flux difference is exactly eps^2 times the symmetric
 
@@ -483,48 +457,72 @@ def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
 
     so the pairing integral(T : grad w + departure * grad(phi_f) . w) is the
     eps^-2 scaled gap; the reported gap carries the eps^2 factor.  The force
-    difference (rho - 1) grad(phi_f) is included.  For w = f v the pairing
-    needs only scalar products:
+    difference (rho - 1) grad(phi_f) is included.  For w = f a,
 
-        T : grad(f v) = (T v) . grad f + f T : grad v,
-        T v = (base.v + eps^2 corr.v) corr + (corr.v) base + departure (u.v) u,
+        T : grad(f a) = (T a) . grad f + f T : grad a,
 
-    with T : grad e1 = 0 and T : grad rhat = (tr T - rhat . T rhat) / r.
+    with T : grad e1 = 0 and T : grad rhat = (tr T - rhat . T rhat) / r, and
+    grad f = Y g' rhat + g Y' grad mu, grad mu = (e1 - mu rhat) / r.  So the
+    pairing of each field is
+
+        Y g' (T a . rhat) + g Y' (T a . e1 - mu T a . rhat) / r
+            + f (T : grad a + departure grad(phi_f) . a).
+
+    T is symmetric, so this needs only its three components T_rr, T_r1 and
+    T_11 in the directions rhat and e1, each a sum of scalar products:
+
+        (T x) . y = (base.x + eps^2 corr.x) corr.y + (corr.x) base.y
+                    + departure (u.x)(u.y).
+
+    No vector or tensor field is formed beyond those ``flow_state`` keeps.
     Here ``c`` is the correction gradient, ``u`` the velocity and ``dep``
     the departure at the quadrature points.  Without a force (``force``
     None) the force term is dropped.
     """
-    panel = build_test_panel(mesh)   # first: its temporaries go before T v exists
-    r = np.hypot(mesh.qpts[..., 0], mesh.qpts[..., 1])
-    rhat = mesh.qpts / r[..., None]
+    x1, x2 = mesh.qpts[..., 0], mesh.qpts[..., 1]
+    r = np.hypot(x1, x2)
+    mu = x1 / r
+    r0 = 1.5 * mesh.shape.max_radius
+    r1 = 0.7 * mesh.r_far
+    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    g = np.sin(np.pi * s) ** 2
+    gp = np.where((s > 0.0) & (s < 1.0),
+                  np.pi / (r1 - r0) * np.sin(2.0 * np.pi * s), 0.0)
+    del s
 
-    def t_times(bv, cv, uv):
-        # T v from the scalar products of base, corr and u with v
-        return ((bv + eps2 * cv)[..., None] * c + cv[..., None] * base
-                + (dep * uv)[..., None] * u)
+    def along_r(z):
+        return (z[..., 0] * x1 + z[..., 1] * x2) / r
 
-    b_r, c_r, u_r = (_dot(a, rhat) for a in (base, c, u))
+    # the components of base, corr and u along rhat and e1
+    radial = [along_r(z) for z in (base, c, u)]
+    stream = [z[..., 0] for z in (base, c, u)]
+
+    def t_dot(x, y):
+        # (T x) . y from those components along x and y
+        (b_x, c_x, u_x), (b_y, c_y, u_y) = x, y
+        return (b_x + eps2 * c_x) * c_y + c_x * b_y + dep * u_x * u_y
+
+    t_rr, t_r1, t_11 = t_dot(radial, radial), t_dot(radial, stream), t_dot(stream, stream)
+    del radial
     trace = 2.0 * _dot(base, c) + dep * _dot(u, u) + eps2 * _dot(c, c)
-    hoop = (trace - (2.0 * b_r * c_r + dep * u_r**2 + eps2 * c_r**2)) / r
-    # per direction: T v, and the factor of f, T : grad v + dep grad(phi_f) . v
-    # (None where it vanishes)
-    coef_r, coef_1 = hoop, None
+    # per direction a, the factor of f: T : grad a + dep grad(phi_f) . a (None if 0)
+    coef_r, coef_1 = (trace - t_rr) / r, None
+    del trace
     if force is not None:
-        coef_r = hoop + dep * _dot(force.grad_qpts, rhat)
+        coef_r += dep * along_r(force.grad_qpts)
         coef_1 = dep * force.grad_qpts[..., 0]
-    directions = {
-        "rhat": (t_times(b_r, c_r, u_r), coef_r),
-        "e1": (t_times(base[..., 0], c[..., 0], u[..., 0]), coef_1),
-    }
 
-    gaps = {}
-    for name, (f, grad_f, v) in panel.items():
-        tv, coef = directions[v]
-        pair = _dot(tv, grad_f)
+    def gap(y, dy, t_a, t_a1, coef):
+        # the pairing of f a, f = g Y, from T a . rhat, T a . e1 and coef
+        pair = y * gp * t_a + dy * g * (t_a1 - mu * t_a) / r
         if coef is not None:
-            pair += f * coef
-        gaps[name] = float(eps2 * np.sum(mesh.qweights * pair))
-    return gaps
+            pair += g * y * coef
+        return float(eps2 * np.sum(mesh.qweights * pair))
+
+    q2 = 1.5 * mu**2 - 0.5
+    return {"radial": gap(1.0, 0.0, t_rr, t_r1, coef_r),
+            "aligned": gap(mu, 1.0, t_r1, t_11, coef_1),
+            "quadrupole": gap(q2, 3.0 * mu, t_rr, t_r1, coef_r)}
 
 
 def station_mass_flux(state, station):

@@ -1,14 +1,19 @@
 """Bilinear finite-element plumbing on the structured shell mesh.
 
 The physical basis gradients are stored cell-major, ``mesh.bgrads`` of
-shape (M, 4, Q, 2), so the gradient, load and stiffness kernels are batched
-matrix products over all cells at once.  Every mesh is a structured
-(station i, angle j) node grid (``mesh.node_grid``), so an assembled
-operator is a 9-point stencil, a (3, 3, n_i, n_j) array ``s``: row (i, j)
-couples to node (i + a - 1, j + b - 1) with ``s[a, b, i, j]``, the angle
-wrapping around on planar meshes; couplings that would leave the grid are
-zero.  Element blocks are summed into it by one ``np.bincount``, which adds
-in input order, so repeated runs produce bitwise identical operators.
+shape (M, 4, Q, 2), so the gradient and load kernels are batched matrix
+products over all cells at once.  The stiffness kernel contracts three
+scalar forms of corners 0 and 1 per point with a reference table of the
+quadrature rule (``mesh.stiffness_table``; the reference-tensor form of
+Kirby & Logg, ACM TOMS 32, 2006): one matrix product for all cells.
+
+Every mesh is a structured (station i, angle j) node grid
+(``mesh.node_grid``), so an assembled operator is a 9-point stencil, a
+(3, 3, n_i, n_j) array ``s``: row (i, j) couples to node (i + a - 1,
+j + b - 1) with ``s[a, b, i, j]``, the angle wrapping around on planar
+meshes; couplings that would leave the grid are zero.  Element blocks are
+summed into it by one ``np.bincount``, which adds in input order, so
+repeated runs produce bitwise identical operators.
 
 The linear solver is a deterministic conjugate gradient with a full
 residual history, preconditioned by one geometric-multigrid V-cycle on the
@@ -70,21 +75,43 @@ def assemble_matrix(mesh, c, d=None, v=None):
         None.  Every symmetric 2x2 matrix has this form: with eigenvalues
         l_min <= l_max and a unit eigenvector e of l_min it is
         l_max I - (l_max - l_min) e e^T.
+
+    Corner 2's basis gradient is a fixed combination of those of corners 0
+    and 1 (``mesh.stiffness_table``), so the leading 3x3 part of the element
+    blocks is one product K T of the (M, 3Q) forms
+
+        K_ab = w grad(N_a)^T C grad(N_b),  (a, b) = (0, 0), (0, 1), (1, 1),
+
+    with that (3Q, 9) table.  The four basis gradients sum to zero, so
+    corner 3's row and column are minus the sums of the others: each block
+    keeps the constants in its kernel up to its own round-off, with no bias
+    that a table of rounded coefficients would share across all cells.
     """
     w = mesh.qweights
-    bg = mesh.bgrads
-    # flux_j = w c grad(N_j) - w d (v . grad(N_j)) v, (M, 4, Q, 2)
-    flux = bg * (w * np.asarray(c))[:, None, :, None]
+    m, q = w.shape
+    g = (mesh.bgrads[:, 0], mesh.bgrads[:, 1])                # (M, Q, 2) views
+    pairs = ((0, 0), (0, 1), (1, 1))
+    forms = np.empty((m, 3, q))
+    term = np.empty((m, q))
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(g[a][..., 0], g[b][..., 0], out=forms[:, k])
+        forms[:, k] += np.multiply(g[a][..., 1], g[b][..., 1], out=term)
+    forms *= (w * np.asarray(c))[:, None]
     if d is not None:
-        # w d (v . grad(N_j)), then one component of the flux at a time
-        v = np.asarray(v)[:, None]                            # (M, 1, Q, 2)
-        along, term = bg[..., 0] * v[..., 0], bg[..., 1] * v[..., 1]
-        along += term
-        along *= (w * d)[:, None]
-        for k in range(2):
-            flux[..., k] -= np.multiply(along, v[..., k], out=term)
-    flux = flux.reshape(bg.shape[0], 4, -1)
-    blocks = _cell_grads(mesh) @ flux.transpose(0, 2, 1)    # (M, 4, 4)
+        # w d (v . grad N_a)(v . grad N_b), from the two projections of v
+        v = np.asarray(v)
+        along = np.empty((2, m, q))
+        for a in range(2):
+            np.multiply(v[..., 0], g[a][..., 0], out=along[a])
+            along[a] += np.multiply(v[..., 1], g[a][..., 1], out=term)
+        np.multiply(w, d, out=term)
+        for k, (a, b) in enumerate(pairs):
+            forms[:, k] -= along[a] * along[b] * term
+    lead = (forms.reshape(m, 3 * q) @ mesh.stiffness_table).reshape(m, 3, 3)
+    blocks = np.empty((m, 4, 4))
+    blocks[:, :3, :3] = lead
+    blocks[:, :3, 3] = blocks[:, 3, :3] = -lead.sum(axis=2)
+    blocks[:, 3, 3] = -blocks[:, 3, :3].sum(axis=1)
     return _scatter(mesh, blocks)
 
 

@@ -118,8 +118,9 @@ class ExteriorMesh:
 
     Immutable after construction (arrays are not written to).  It caches
     the finite-element data that depend on it alone (``stencil_slots``,
-    ``laplacian_cycle``); the cycle applies its operators through work
-    buffers, so solves on one mesh run one after another.
+    ``stiffness_table``, ``laplacian_cycle``); the cycle applies its
+    operators through work buffers, so solves on one mesh run one after
+    another.
     """
 
     mode: str
@@ -197,6 +198,30 @@ class ExteriorMesh:
         di, dj = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
         slot = 3 * (di - di[:, None] + 1) + dj - dj[:, None] + 1     # [p, q]
         return (slot * self.n_nodes + self.cells[:, :, None]).ravel()
+
+    @cached_property
+    def stiffness_table(self):
+        """(3Q, 9) reference table T of the element blocks: row (k, q) holds
+        the weight of form k at point q in each entry (p, p') of the leading
+        3x3 block, corners 0 to 2 (see ``fem.assemble_matrix``).
+
+        At a point (xi, eta) the reference gradients g_0 and g_1 of corners 0
+        and 1 span the plane (their determinant is 1 - eta > 0), and corner
+        2's is g_2 = a_0 g_0 + a_1 g_1 with a = (-xi, eta - xi) / (1 - eta).
+        The physical gradients J^-T g_p combine alike, so the forms k = (0, 0),
+        (0, 1), (1, 1) of corners 0 and 1 give every entry.  T depends on the
+        quadrature rule alone.
+        """
+        gx, _ = _gauss01(self.quad_order)
+        xi, eta = (a.ravel() for a in np.meshgrid(gx, gx, indexing="ij"))
+        one, zero = np.ones_like(xi), np.zeros_like(xi)
+        # the coefficients of g_0 and of g_1 in g_p, p = 0, 1, 2: (Q, 3) each
+        a0 = np.stack([one, zero, -xi / (1.0 - eta)], axis=1)
+        a1 = np.stack([zero, one, (eta - xi) / (1.0 - eta)], axis=1)
+        table = np.stack([a0[:, :, None] * a0[:, None, :],
+                          a0[:, :, None] * a1[:, None, :] + a1[:, :, None] * a0[:, None, :],
+                          a1[:, :, None] * a1[:, None, :]])       # (3, Q, 3, 3)
+        return table.reshape(3 * xi.size, 9)
 
     @cached_property
     def laplacian_cycle(self):

@@ -6,6 +6,8 @@ test that compares against them exercises two genuinely different routes to
 the same number.
 """
 
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
@@ -446,3 +448,16 @@ def field_dump_rows(nodes, weights, values):
     """The rows of a field dump, one f-string per node."""
     return "".join(f"{x:.17g} {y:.17g} {w:.17g} {v:.17g}\n"
                    for (x, y), w, v in zip(nodes, weights, values))
+
+
+def traced_units(mesh, call):
+    """Peak memory that ``call()`` allocates, its result included, in units
+    of one (M, Q) float array of ``mesh`` (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * mesh.qweights.size)

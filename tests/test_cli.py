@@ -81,6 +81,7 @@ def _with(section, **vals):
 # one rejected configuration per check: (raw config, what stderr names)
 CONFIG_ERRORS = {
     "radius-negative": (_with("geometry", radius=-2.0), "geometry.radius"),
+    "radius-overflow": (_with("geometry", radius=10**400), "geometry.radius"),
     "kind-unknown": (_with("geometry", kind="cube"), "geometry.kind"),
     "semi_axes-one": (_with("geometry", kind="ellipse", semi_axes=[1.0]),
                       "geometry.semi_axes"),

@@ -576,6 +576,18 @@ def test_dp_gap_matches_tensor_oracle_planar_disk(cut, monkeypatch):
                                          cut, 0.05, monkeypatch)
 
 
+def test_flow_state_temporaries_are_bounded(cut):
+    # the pressure gaps pair scalar fields only: a flow state allocates
+    # about 23 (M, Q) arrays (34 with the vector test-field panel), the 7 it
+    # keeps included
+    mesh = build_mesh(ObstacleShape("sphere", 1.0), 20.0, 48, 48)
+    psi = solve_incompressible(mesh, 1.0)
+    gas = _gas(0.1)
+    corr, _ = minimize(psi, None, gas, cut)
+    units = oracles.traced_units(mesh, lambda: flow_state(corr, psi, gas, None, cut))
+    assert units <= 26.0
+
+
 def test_bernoulli_residual_pointwise(mesh, psi, cut):
     from lowmach.gas import enthalpy
 

@@ -90,8 +90,15 @@ def test_assemble_vector_load_matches_oracle(mesh):
     assert _rel_err(got, oracles.assemble_vector_load(mesh, vec)) <= RTOL
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "matrix", "rank_one"])
-def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind):
+@pytest.mark.parametrize("kind, quad_order", [
+    pytest.param(kind, order, id=kind if order == 3 else f"{kind}-q{order}")
+    for order in (3, 2, 4) for kind in ("isotropic", "matrix", "rank_one")])
+def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind, quad_order):
+    # the reference table of the element blocks depends on the quadrature
+    # rule; the fixture's is order 3
+    if quad_order != mesh.quad_order:
+        mesh = build_mesh(mesh.shape, mesh.r_far, mesh.n_r, mesh.n_t, grading=mesh.grading,
+                          mode=mesh.mode, quad_order=quad_order)
     args, coeff = _coefficients(mesh)[kind]
     got = oracles.stencil_to_csr(assemble_matrix(mesh, *args))
     want = oracles.assemble_matrix(mesh, coeff)
@@ -99,6 +106,16 @@ def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind):
     assert got.shape == want.shape == (mesh.n_nodes, mesh.n_nodes)
     assert abs(got - want).max() <= RTOL * scale
     assert abs(got - got.T).max() <= RTOL * scale
+
+
+def test_rank_one_assembly_temporaries_are_bounded():
+    # the element blocks come from three (M, Q) forms, not from an
+    # (M, 4, Q, 2) flux: a rank-one assembly allocates about 10 (M, Q)
+    # arrays (19 with the flux), its stencil included
+    mesh = build_mesh(ObstacleShape("sphere", 1.0), 20.0, 48, 48)
+    args, _ = _coefficients(mesh)["rank_one"]
+    assemble_matrix(mesh, *args)            # caches the mesh's scatter slots
+    assert oracles.traced_units(mesh, lambda: assemble_matrix(mesh, *args)) <= 12.0
 
 
 # ----------------------------------------------------------------------
