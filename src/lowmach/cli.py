@@ -13,7 +13,8 @@ writes them.  Exits 0, 4, 5, and 3 from a sweep with unconverged rows leave
 artifacts; exit 2, and 3 from a raised solver error, leave none.
 
 Every configuration key has its default and its rule in one table, ``_KEYS``,
-and is checked before any work; a rejection names the dotted key.
+and is checked before any work; a rejection names the dotted key, as do the
+library's rules that join keys (``geometry.check_mode``, ``limits.check_force``).
 
 Each command parses only its own flags; ``main`` returns every exit code.
 Exit codes: 0 ok (and --help), 2 usage or configuration error (including a
@@ -57,9 +58,10 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _int_from(lo):
-    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
-            f"an integer >= {lo}")
+def _int_from(lo, hi=None):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+            and (hi is None or v <= hi),
+            f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]")
 
 
 def _real(ok, rule):
@@ -85,8 +87,8 @@ _KEYS = {
                              and all(_is_real(x) and x > 0.0 for x in v),
                              "two positive lengths")),
         "r_far": (20.0, _POSITIVE),
-        "n_r": (48, _int_from(4)),
-        "n_t": (48, _int_from(4)),
+        "n_r": (48, _int_from(4, 1024)),
+        "n_t": (48, _int_from(4, 1024)),
         "grading": (1.15, _AT_LEAST_1),
         "mode": ("axisymmetric-3d", _one_of("axisymmetric-3d", "planar-2d")),
     },
@@ -140,6 +142,11 @@ class RunConfig:
         size = max(g["semi_axes"]) if g["kind"] == "ellipse" else g["radius"]
         if not g["r_far"] >= 5.0 * size:
             raise ConfigError("geometry.r_far: must be at least 5x the obstacle size")
+        geometry.check_mode(g["kind"], g["mode"])
+        self.shape = (geometry.ObstacleShape("ellipse", semi_axes=tuple(g["semi_axes"]))
+                      if g["kind"] == "ellipse"
+                      else geometry.ObstacleShape(g["kind"], radius=g["radius"]))
+        limits.check_force(self.force_spec(), self.shape, g["mode"])
 
     @property
     def hash(self):
@@ -147,12 +154,8 @@ class RunConfig:
 
     def build_mesh(self):
         g = self.raw["geometry"]
-        if g["kind"] == "ellipse":
-            shape = geometry.ObstacleShape("ellipse", semi_axes=tuple(g["semi_axes"]))
-        else:
-            shape = geometry.ObstacleShape(g["kind"], radius=g["radius"])
         return geometry.build_mesh(
-            shape, g["r_far"], g["n_r"], g["n_t"], grading=g["grading"],
+            self.shape, g["r_far"], g["n_r"], g["n_t"], grading=g["grading"],
             mode=g["mode"], quad_order=self.raw["solver"]["quad_order"],
         )
 
@@ -206,21 +209,23 @@ def cmd_solve_compressible(cfg, args):
     GasModel(cfg.raw["gas"]["gamma"], epsilon, cfg.raw["gas"]["q_inf"])
     setup = cfg.sweep_setup(cfg.build_mesh())
     state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
+    # keep what the artifacts need and drop the state's fields before formatting
+    summary, phi_corr, truncated = state.summary(), state.phi_corr, state.truncated_regime
+    del state
 
     correction = io_text.field_dump_string(
-        state.phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
+        phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
     trace = dataclasses.asdict(info)
-    summary = state.summary()
     summary.update({
         "config": cfg.hash,
         "command": "solve-compressible",
-        "truncated_regime": state.truncated_regime,
+        "truncated_regime": truncated,
         "newton_iterations": trace.pop("iterations"),
         "relative_gradient_target": trace.pop("relative_target"),
         "newton_trace": trace,
         "incompressible_solved_implicitly": True,
     })
-    code = EXIT_OK if state.cutoff_margin > 0.0 else EXIT_CUTOFF
+    code = EXIT_OK if summary["cutoff_removed"] else EXIT_CUTOFF
     return code, {
         f"correction_eps{epsilon:g}.txt": correction,
         f"state_eps{epsilon:g}.json": io_text.canonical_json(summary, compact=True),

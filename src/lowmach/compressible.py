@@ -57,7 +57,7 @@ from .gas import (
     enthalpy,
     level_departure,
 )
-from .incompressible import PotentialField, VelocityField, velocity
+from .incompressible import PotentialField, VelocityField, velocity_at_qpts
 
 __all__ = [
     "FlowState",
@@ -90,6 +90,11 @@ def _check_cutoff_gas(gas, cut):
                 f"but the gas has {name} = {getattr(gas, name)!r}")
 
 
+def _at(field, cells):
+    """A per-point field over a slice of cells; a scalar stays as it is."""
+    return field if np.ndim(field) == 0 else field[cells]
+
+
 class DifferenceProblem:
     """Discrete difference functional on a fixed mesh and base flow."""
 
@@ -101,10 +106,7 @@ class DifferenceProblem:
         # force potential at the quadrature points; a scalar 0 without a
         # force keeps the closure's cut-off thresholds scalar
         self.phi = 0.0 if force is None else force.phi_qpts
-        base = velocity(psi_base, gas.q_inf).at_qpts
-        self.base = base                               # grad of incompressible potential
-        self.base_sq = _dot(base, base)
-        self.base_departure = density_departure(self.base_sq, self.phi, gas, cut)
+        self.base = velocity_at_qpts(psi_base, gas.q_inf)   # grad of incompressible potential
         tn, tw = np.polynomial.legendre.leggauss(t_order)
         self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
 
@@ -114,46 +116,57 @@ class DifferenceProblem:
         Zero at zero correction; depends on the correction only through its
         gradient, so adding a constant changes nothing (gauge invariance).
         """
-        g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
         eps2 = self.gas.epsilon**2
-        g_sq = _dot(g, g)
-        base_dot_g = _dot(self.base, g)
-        quad = np.zeros_like(g_sq)
-        for t, w in zip(self.t_nodes, self.t_weights):
-            # v = base + t eps^2 g, through its scalar products
-            s = t * eps2
-            lam = self.base_sq + s * (2.0 * base_dot_g + s * g_sq)
-            v_dot_g = base_dot_g + s * g_sq
-            c, d = coefficients(lam, self.phi, self.gas, self.cut)
-            quad += (w * (1.0 - t)) * (c * g_sq - d * v_dot_g**2)
-        integrand = quad + self.base_departure * base_dot_g
-        return float(np.sum(self.mesh.qweights * integrand))
+        total = 0.0
+        for cells in fem.cell_blocks(*self.mesh.qweights.shape):
+            g = fem.grad_at_qpts(self.mesh, corr, cells)
+            base, phi = self.base[cells], _at(self.phi, cells)
+            base_sq = _dot(base, base)
+            g_sq = _dot(g, g)
+            base_dot_g = _dot(base, g)
+            quad = np.zeros_like(g_sq)
+            for t, w in zip(self.t_nodes, self.t_weights):
+                # v = base + t eps^2 g, through its scalar products
+                s = t * eps2
+                lam = base_sq + s * (2.0 * base_dot_g + s * g_sq)
+                v_dot_g = base_dot_g + s * g_sq
+                c, d = coefficients(lam, phi, self.gas, self.cut)
+                quad += (w * (1.0 - t)) * (c * g_sq - d * v_dot_g**2)
+            integrand = quad + density_departure(base_sq, phi, self.gas, self.cut) * base_dot_g
+            total += np.sum(self.mesh.qweights[cells] * integrand)
+        return float(total)
 
     def gradient(self, corr):
         """Nodal gradient: component k is int [D(|v|^2) v + g] . grad(N_k)."""
-        g = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
-        v = self.base + self.gas.epsilon**2 * g
-        dep = density_departure(_dot(v, v), self.phi, self.gas, self.cut)
-        return fem.assemble_vector_load(self.mesh, dep[..., None] * v + g)
+        def load(cells):
+            g = fem.grad_at_qpts(self.mesh, corr, cells)
+            v = self.base[cells] + self.gas.epsilon**2 * g
+            dep = density_departure(_dot(v, v), _at(self.phi, cells), self.gas, self.cut)
+            return dep[..., None] * v + g
+
+        return fem.assemble_vector_load(self.mesh, load)
 
     def hessian(self, corr):
         """Weak-form Hessian: the truncated coefficient matrix c I - d v v^T
         at the state v (``gas.coefficients``), assembled in that rank-one
         form.  Up to the cut-off reference, an eigenvalue below ``cut.lam1``
         at any quadrature point raises SolverError."""
-        v = fem.grad_at_qpts(self.mesh, np.asarray(corr, dtype=float))
-        v *= self.gas.epsilon**2
-        v += self.base
-        lam = _dot(v, v)
-        c, d = coefficients(lam, self.phi, self.gas, self.cut)
-        if self.gas.epsilon <= self.cut.eps_ref:
-            # the pointwise eigenvalues, on whose bound ``minimize`` relies
-            low = min(float(np.min(c)), float(np.min(c - d * lam)))
-            if low < self.cut.lam1:
-                raise SolverError(
-                    f"Hessian eigenvalue {low!r} below lam1 = {self.cut.lam1!r} "
-                    f"at epsilon {self.gas.epsilon!r}")
-        return fem.assemble_matrix(self.mesh, c, d, v)
+        def coef(cells):
+            v = fem.grad_at_qpts(self.mesh, corr, cells)
+            v *= self.gas.epsilon**2
+            v += self.base[cells]
+            lam = _dot(v, v)
+            c, d = coefficients(lam, _at(self.phi, cells), self.gas, self.cut)
+            if self.gas.epsilon <= self.cut.eps_ref:
+                # the pointwise eigenvalues, on whose bound ``minimize`` relies
+                low = min(float(np.min(c)), float(np.min(c - d * lam)))
+                if low < self.cut.lam1:
+                    raise SolverError(
+                        f"Hessian eigenvalue {low!r} below lam1 = {self.cut.lam1!r} "
+                        f"at epsilon {self.gas.epsilon!r}")
+            return c, d, v
+
+        return fem.assemble_matrix(self.mesh, coef)
 
 
 @dataclass
@@ -362,27 +375,40 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     truncated one whenever the cut-off margin is positive, in which case the
     state solves the untruncated problem).  A state whose speeds enter the
     blending region is flagged ``truncated_regime`` and keeps the truncated
-    density, which is defined for every speed.
+    density, which is defined for every speed.  Runs over blocks of cells
+    (``fem.cell_blocks``) and combines their checks, norms and gap integrals.
     """
     _check_cutoff_gas(gas, cut)
     mesh = psi_base.mesh
     phi = 0.0 if force is None else force.phi_qpts
     eps2 = gas.epsilon**2
-    corr_grad = fem.grad_at_qpts(mesh, phi_corr.values)
-    base = velocity(psi_base, gas.q_inf).at_qpts
-    u = base + eps2 * corr_grad
-    rho, dep, m, margin = _pointwise_state(u, phi, gas, cut)
+    # corr_grad, u, rho, departure, Mach number
+    fields = [np.empty(mesh.qweights.shape + s) for s in ((2,), (2,), (), (), ())]
+    margin, failed, energy, grad_sq_max, dep_max, gaps = math.inf, set(), 0.0, 0.0, 0.0, 0.0
+    for cells in fem.cell_blocks(*mesh.qweights.shape):
+        corr_grad = fem.grad_at_qpts(mesh, phi_corr.values, cells)
+        base = velocity_at_qpts(psi_base, gas.q_inf, cells)
+        u = base + eps2 * corr_grad
+        rho, dep, m, block_margin, block_failed = _pointwise_state(u, _at(phi, cells), gas, cut)
+        margin, failed = min(margin, block_margin), failed | block_failed
+        grad_sq = _dot(corr_grad, corr_grad)
+        energy += np.sum(mesh.qweights[cells] * grad_sq)
+        grad_sq_max, dep_max = max(grad_sq_max, np.max(grad_sq)), max(dep_max, np.max(np.abs(dep)))
+        gaps += _weak_dp_gaps(mesh, cells, eps2, base, corr_grad, u, dep, force)
+        for f, a in zip(fields, (corr_grad, u, rho, dep, m)):
+            f[cells] = a
     truncated = margin <= 0.0
+    failed -= {0, 1, 3} if truncated else set()
+    if failed:
+        raise SolverError(_CHECKS[min(failed)])
 
-    grad_sq = _dot(corr_grad, corr_grad)
-    energy = np.sum(mesh.qweights * grad_sq)
-    grad_inf = np.sqrt(np.max(grad_sq))      # sqrt is monotone: max of the norms
-    del grad_sq                              # gone before the pressure gaps
-    dp_gap = _weak_dp_gaps(mesh, eps2, base, corr_grad, u, dep, force)
+    corr_grad, u, rho, dep, m = fields
+    grad_inf = np.sqrt(grad_sq_max)      # sqrt is monotone: max of the norms
+    dp_gap = {k: float(eps2 * v) for k, v in zip(("radial", "aligned", "quadrupole"), gaps)}
     norms = {
         "u_diff_l2": float(eps2 * np.sqrt(energy)),
         "u_diff_inf": float(eps2 * grad_inf),
-        "rho_diff_inf": float(eps2 * np.max(np.abs(dep))),
+        "rho_diff_inf": float(eps2 * dep_max),
         "mach_max": float(np.max(m)),
         "corr_energy": float(energy),
         "corr_grad_inf": float(grad_inf),
@@ -398,39 +424,39 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     )
 
 
+# The checks of ``_pointwise_state``, in the order they are reported; 0, 1
+# and 3 hold in the removal region, so they count only if the margin is positive.
+_CHECKS = ("truncated and Bernoulli densities disagree inside the removal region",
+           "Bernoulli residual above tolerance",
+           "density left its two-sided closure bound",
+           "supersonic point inside the removal region")
+
+
 def _pointwise_state(u, phi, gas, cut):
-    """(rho, departure, Mach number, cut-off margin) at the velocities ``u``,
-    checked as ``flow_state`` describes; its temporaries are gone before the
-    pressure gaps are evaluated."""
+    """(rho, departure, Mach number, cut-off margin, failed checks: indices
+    into ``_CHECKS``) at the velocities ``u`` of a block of cells; the
+    checks of the removal region run where the block's margin is positive."""
     eps2 = gas.epsilon**2
     speed = np.sqrt(_dot(u, u))
     lam = speed**2
-
-    q_low = np.asarray(cut.q_lower(phi))
-    margin = float(np.min(q_low - speed))
-    truncated = margin <= 0.0
+    margin = float(np.min(np.asarray(cut.q_lower(phi)) - speed))
 
     qhat, _, rho, slope = closure(lam, phi, gas, cut)
     dep = level_departure(qhat, gas)
-    if not truncated:
+    m = np.divide(gas.epsilon * speed, np.sqrt(slope, out=slope), out=slope)
+    bad = {}
+    if margin > 0.0:
         rho_b = np.asarray(density_from_speed(lam, phi, gas))
-        if not np.allclose(rho, rho_b, rtol=1e-12, atol=1e-14):
-            raise SolverError("truncated and Bernoulli densities disagree "
-                              "inside the removal region")
+        bad[0] = not np.allclose(rho, rho_b, rtol=1e-12, atol=1e-14)
         # Bernoulli residual, pointwise
         res = eps2 * (lam - gas.q_inf**2) / 2.0 + enthalpy(rho, gas) - eps2 * phi
-        if float(np.max(np.abs(res))) > 1e-10:
-            raise SolverError("Bernoulli residual above tolerance")
+        bad[1] = float(np.max(np.abs(res))) > 1e-10
+        bad[3] = float(np.max(m)) >= 1.0
     if gas.epsilon <= cut.eps_ref:
         # two-sided density bound, uniform over epsilon up to the reference
         low, high = density_bounds(gas, cut)
-        if not (np.all(rho > low) and np.all(rho <= high * (1.0 + 1e-12))):
-            raise SolverError("density left its two-sided closure bound")
-
-    m = np.divide(gas.epsilon * speed, np.sqrt(slope, out=slope), out=slope)
-    if not truncated and float(np.max(m)) >= 1.0:
-        raise SolverError("supersonic point inside the removal region")
-    return rho, dep, m, margin
+        bad[2] = not (np.all(rho > low) and np.all(rho <= high * (1.0 + 1e-12)))
+    return rho, dep, m, margin, {k for k, b in bad.items() if b}
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +464,9 @@ def _pointwise_state(u, phi, gas, cut):
 # ----------------------------------------------------------------------
 
 
-def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
-    """<grad p - grad p_bar, w> for three fixed smooth test fields w,
+def _weak_dp_gaps(mesh, cells, eps2, base, c, u, dep, force):
+    """The integrals over the slice ``cells`` of eps^-2 <grad p - grad p_bar, w>
+    for three fixed smooth test fields w (radial, aligned, quadrupole),
     evaluated stably from scalar products alone.
 
     Each field is w = f a, a compactly supported radial bump g(r) times an
@@ -476,10 +503,10 @@ def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
 
     No vector or tensor field is formed beyond those ``flow_state`` keeps.
     Here ``c`` is the correction gradient, ``u`` the velocity and ``dep``
-    the departure at the quadrature points.  Without a force (``force``
-    None) the force term is dropped.
+    the departure at the quadrature points of ``cells``.  Without a force
+    (``force`` None) the force term is dropped.
     """
-    x1, x2 = mesh.qpts[..., 0], mesh.qpts[..., 1]
+    x1, x2 = mesh.qpts[cells, :, 0], mesh.qpts[cells, :, 1]
     r = np.hypot(x1, x2)
     mu = x1 / r
     r0 = 1.5 * mesh.shape.max_radius
@@ -509,20 +536,21 @@ def _weak_dp_gaps(mesh, eps2, base, c, u, dep, force):
     coef_r, coef_1 = (trace - t_rr) / r, None
     del trace
     if force is not None:
-        coef_r += dep * along_r(force.grad_qpts)
-        coef_1 = dep * force.grad_qpts[..., 0]
+        grad_f = force.grad_qpts[cells]
+        coef_r += dep * along_r(grad_f)
+        coef_1 = dep * grad_f[..., 0]
 
     def gap(y, dy, t_a, t_a1, coef):
         # the pairing of f a, f = g Y, from T a . rhat, T a . e1 and coef
         pair = y * gp * t_a + dy * g * (t_a1 - mu * t_a) / r
         if coef is not None:
             pair += g * y * coef
-        return float(eps2 * np.sum(mesh.qweights * pair))
+        return np.sum(mesh.qweights[cells] * pair)
 
     q2 = 1.5 * mu**2 - 0.5
-    return {"radial": gap(1.0, 0.0, t_rr, t_r1, coef_r),
-            "aligned": gap(mu, 1.0, t_r1, t_11, coef_1),
-            "quadrupole": gap(q2, 3.0 * mu, t_rr, t_r1, coef_r)}
+    return np.array([gap(1.0, 0.0, t_rr, t_r1, coef_r),
+                     gap(mu, 1.0, t_r1, t_11, coef_1),
+                     gap(q2, 3.0 * mu, t_rr, t_r1, coef_r)])
 
 
 def station_mass_flux(state, station):

@@ -2,10 +2,19 @@
 
 The physical basis gradients are stored cell-major, ``mesh.bgrads`` of
 shape (M, 4, Q, 2), so the gradient and load kernels are batched matrix
-products over all cells at once.  The stiffness kernel contracts three
-scalar forms of corners 0 and 1 per point with a reference table of the
-quadrature rule (``mesh.stiffness_table``; the reference-tensor form of
-Kirby & Logg, ACM TOMS 32, 2006): one matrix product for all cells.
+products over cells.  The stiffness kernel contracts three scalar forms of
+corners 0 and 1 per point with a reference table of the quadrature rule
+(``mesh.stiffness_table``; the reference-tensor form of Kirby & Logg, ACM
+TOMS 32, 2006): one matrix product per block of cells.
+
+Every per-point pipeline (mesh build, assembly, Newton kernels, flow state)
+runs over blocks of cells (``cell_blocks``; loop tiling, Wolf & Lam, PLDI
+1991) and writes each block's results into the arrays it returns, so its
+temporaries are bounded by the block.  A block holds ``_BLOCK_POINTS`` =
+15360 points; its temporaries (120-360 KiB) are reused from the heap by the
+next block, since glibc raises its mmap and trim thresholds when a mapped
+chunk is freed (0 faults per Newton kernel call at 192^2; 3-6k with the mmap
+threshold pinned at 128 KiB).  Of 4096-65536 points, 15360 was about fastest.
 
 Every mesh is a structured (station i, angle j) node grid
 (``mesh.node_grid``), so an assembled operator is a 9-point stencil, a
@@ -35,6 +44,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import SolverError
 
 __all__ = [
+    "cell_blocks",
     "grad_at_qpts",
     "assemble_matrix",
     "assemble_vector_load",
@@ -47,16 +57,27 @@ __all__ = [
 ]
 
 
+# Quadrature points per block of cells (see the module docstring).
+_BLOCK_POINTS = 15360
+
+
+def cell_blocks(n_cells, q):
+    """Slices of consecutive cells, of at most ``_BLOCK_POINTS`` points at ``q`` per cell."""
+    step = max(1, _BLOCK_POINTS // q)
+    return [slice(a, min(a + step, n_cells)) for a in range(0, n_cells, step)]
+
+
 def _cell_grads(mesh):
     """Basis gradients as one (4, 2Q) matrix per cell: a view, (M, 4, 2Q)."""
     m, _, q, _ = mesh.bgrads.shape
     return mesh.bgrads.reshape(m, 4, 2 * q)
 
 
-def grad_at_qpts(mesh, nodal):
-    """Cell-wise gradient of a nodal field at quadrature points, (M, Q, 2)."""
-    vals = np.asarray(nodal)[mesh.cells]                  # (M, 4)
-    return (vals[:, None, :] @ _cell_grads(mesh)).reshape(mesh.qweights.shape + (2,))
+def grad_at_qpts(mesh, nodal, cells=slice(None)):
+    """Cell-wise gradient of a nodal field at quadrature points, (M, Q, 2),
+    or at those of the slice ``cells`` alone."""
+    vals = np.asarray(nodal)[mesh.cells[cells]]           # (B, 4)
+    return (vals[:, None, :] @ _cell_grads(mesh)[cells]).reshape(vals.shape[0], -1, 2)
 
 
 def _scatter(mesh, blocks):
@@ -70,7 +91,8 @@ def assemble_matrix(mesh, c, d=None, v=None):
     """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a stencil, for the
     coefficient C = c I - d v v^T.
 
-    c : (M, Q) scalars; alone, an isotropic coefficient.
+    c : (M, Q) scalars; alone, an isotropic coefficient.  Or a function of
+        a block of cells (a slice) returning its (c, d, v), called per block.
     d, v : (M, Q) scalars and (M, Q, 2) vectors of the rank-one part, or
         None.  Every symmetric 2x2 matrix has this form: with eigenvalues
         l_min <= l_max and a unit eigenvector e of l_min it is
@@ -78,7 +100,7 @@ def assemble_matrix(mesh, c, d=None, v=None):
 
     Corner 2's basis gradient is a fixed combination of those of corners 0
     and 1 (``mesh.stiffness_table``), so the leading 3x3 part of the element
-    blocks is one product K T of the (M, 3Q) forms
+    blocks is one product K T of the (B, 3Q) forms of a block of cells
 
         K_ab = w grad(N_a)^T C grad(N_b),  (a, b) = (0, 0), (0, 1), (1, 1),
 
@@ -87,38 +109,48 @@ def assemble_matrix(mesh, c, d=None, v=None):
     keeps the constants in its kernel up to its own round-off, with no bias
     that a table of rounded coefficients would share across all cells.
     """
-    w = mesh.qweights
-    m, q = w.shape
-    g = (mesh.bgrads[:, 0], mesh.bgrads[:, 1])                # (M, Q, 2) views
+    coef = c if callable(c) else lambda cells: tuple(
+        None if f is None else f[cells] for f in (c, d, v))
+    m, q = mesh.qweights.shape
     pairs = ((0, 0), (0, 1), (1, 1))
-    forms = np.empty((m, 3, q))
-    term = np.empty((m, q))
-    for k, (a, b) in enumerate(pairs):
-        np.multiply(g[a][..., 0], g[b][..., 0], out=forms[:, k])
-        forms[:, k] += np.multiply(g[a][..., 1], g[b][..., 1], out=term)
-    forms *= (w * np.asarray(c))[:, None]
-    if d is not None:
-        # w d (v . grad N_a)(v . grad N_b), from the two projections of v
-        v = np.asarray(v)
-        along = np.empty((2, m, q))
-        for a in range(2):
-            np.multiply(v[..., 0], g[a][..., 0], out=along[a])
-            along[a] += np.multiply(v[..., 1], g[a][..., 1], out=term)
-        np.multiply(w, d, out=term)
-        for k, (a, b) in enumerate(pairs):
-            forms[:, k] -= along[a] * along[b] * term
-    lead = (forms.reshape(m, 3 * q) @ mesh.stiffness_table).reshape(m, 3, 3)
     blocks = np.empty((m, 4, 4))
-    blocks[:, :3, :3] = lead
-    blocks[:, :3, 3] = blocks[:, 3, :3] = -lead.sum(axis=2)
-    blocks[:, 3, 3] = -blocks[:, 3, :3].sum(axis=1)
+    for cells in cell_blocks(m, q):
+        c_b, d_b, v_b = coef(cells)
+        w = mesh.qweights[cells]
+        g = (mesh.bgrads[cells, 0], mesh.bgrads[cells, 1])   # (B, Q, 2) views
+        forms = np.empty((len(w), 3, q))
+        term = np.empty(w.shape)
+        for k, (a, b) in enumerate(pairs):
+            np.multiply(g[a][..., 0], g[b][..., 0], out=forms[:, k])
+            forms[:, k] += np.multiply(g[a][..., 1], g[b][..., 1], out=term)
+        forms *= (w * c_b)[:, None]
+        if d_b is not None:
+            # w d (v . grad N_a)(v . grad N_b), from the two projections of v
+            along = np.empty((2,) + w.shape)
+            for a in range(2):
+                np.multiply(v_b[..., 0], g[a][..., 0], out=along[a])
+                along[a] += np.multiply(v_b[..., 1], g[a][..., 1], out=term)
+            np.multiply(w, d_b, out=term)
+            for k, (a, b) in enumerate(pairs):
+                forms[:, k] -= along[a] * along[b] * term
+        lead = (forms.reshape(-1, 3 * q) @ mesh.stiffness_table).reshape(-1, 3, 3)
+        out = blocks[cells]
+        out[:, :3, :3] = lead
+        out[:, :3, 3] = out[:, 3, :3] = -lead.sum(axis=2)
+        out[:, 3, 3] = -out[:, 3, :3].sum(axis=1)
     return _scatter(mesh, blocks)
 
 
 def assemble_vector_load(mesh, vec_at_qpts):
-    """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k)."""
-    wv = np.asarray(vec_at_qpts) * mesh.qweights[..., None]      # (M, Q, 2)
-    contrib = _cell_grads(mesh) @ wv.reshape(wv.shape[0], -1, 1)   # (M, 4, 1)
+    """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k), for the (M, Q, 2)
+    field v or a function of a block of cells (a slice) returning v there."""
+    vec = vec_at_qpts if callable(vec_at_qpts) else lambda cells: vec_at_qpts[cells]
+    m, q = mesh.qweights.shape
+    contrib = np.empty((m, 4))
+    for cells in cell_blocks(m, q):
+        wv = vec(cells) * mesh.qweights[cells][..., None]         # (B, Q, 2)
+        np.matmul(_cell_grads(mesh)[cells], wv.reshape(-1, 2 * q, 1),
+                  out=contrib[cells, :, None])
     return np.bincount(mesh.cells.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import fem
 from .errors import ConfigError, DomainError
 
-__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "refined",
+__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "check_mode", "refined",
            "mesh_dump_string", "load_mesh"]
 
 AXISYM = "axisymmetric-3d"
@@ -121,6 +121,8 @@ class ExteriorMesh:
     ``stiffness_table``, ``laplacian_cycle``); the cycle applies its
     operators through work buffers, so solves on one mesh run one after
     another.
+    The per-point arrays are filled one block of ``fem._BLOCK_POINTS``
+    points at a time (``fem.cell_blocks``), so the build adds little to them.
     """
 
     mode: str
@@ -361,6 +363,14 @@ def _basis_grads(xi, eta):
     return dxi, deta
 
 
+def check_mode(kind, mode):
+    """Reject (naming ``geometry.mode``) a sphere off the axisymmetric-3d
+    mode or a disk off the planar-2d one."""
+    need = {"sphere": AXISYM, "disk": PLANAR}.get(kind, mode)
+    if mode != need:
+        raise ConfigError(f"geometry.mode: a {kind} obstacle requires the {need} mode")
+
+
 def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     """Build a structured exterior shell mesh around the obstacle.
 
@@ -381,10 +391,7 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     """
     if mode not in (AXISYM, PLANAR):
         raise ConfigError(f"unknown mesh mode {mode!r}")
-    if shape.kind == "sphere" and mode == PLANAR:
-        raise ConfigError("sphere obstacle requires axisymmetric mode")
-    if shape.kind == "disk" and mode == AXISYM:
-        raise ConfigError("disk obstacle requires planar mode")
+    check_mode(shape.kind, mode)
     if not r_far >= 5.0 * shape.max_radius:
         raise ConfigError(f"r_far must be >= 5x obstacle size, got {r_far}")
     if n_r < 4 or n_t < 4:
@@ -443,36 +450,30 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
 
 def _attach_quadrature(mesh):
     gx, gw = _gauss01(mesh.quad_order)
-    XI, ETA = np.meshgrid(gx, gx, indexing="ij")
-    xi = XI.ravel()
-    eta = ETA.ravel()
+    xi, eta = (a.ravel() for a in np.meshgrid(gx, gx, indexing="ij"))
     W2 = np.outer(gw, gw).ravel()
     Q = xi.size
     M = mesh.n_cells
 
-    cid = np.repeat(np.arange(M), Q)
-    x1, xr, (j11, j12, j21, j22), det = mesh._cell_geometry(
-        cid, np.tile(xi, M), np.tile(eta, M)
-    )
-    x1 = x1.reshape(M, Q)
-    xr = xr.reshape(M, Q)
-    det = det.reshape(M, Q)
-    if np.any(det <= 0.0):
-        raise ConfigError("mesh construction produced non-positive Jacobians")
-
-    axw = 2.0 * np.pi * xr if mesh.mode == AXISYM else np.ones_like(xr)
-    mesh.qpts = np.stack([x1, xr], axis=-1)
-    mesh.qweights = W2[None, :] * det * axw
-
     mesh.basis = _basis_values(xi, eta)
     # grad N = J^{-T} grad_ref N, cell-major: (M, 4, Q) per component.  The
-    # reference gradients are made C-ordered (4, Q) so that the products,
-    # and with them bgrads, are C-contiguous.
+    # reference gradients are made C-ordered (4, Q), so each product is too.
     dxi, deta = (np.ascontiguousarray(a.T) for a in _basis_grads(xi, eta))
-    j11, j12, j21, j22, d = (a.reshape(M, 1, Q) for a in (j11, j12, j21, j22, det))
-    gx1 = (j22 * dxi - j21 * deta) / d
-    gx2 = (-j12 * dxi + j11 * deta) / d
-    mesh.bgrads = np.stack([gx1, gx2], axis=-1)  # (M, 4, Q, 2)
+    mesh.qpts, mesh.qweights = np.empty((M, Q, 2)), np.empty((M, Q))
+    mesh.bgrads = np.empty((M, 4, Q, 2))
+    for cells in fem.cell_blocks(M, Q):
+        cid = np.arange(cells.start, cells.stop)[:, None]
+        x1, xr, (j11, j12, j21, j22), det = mesh._cell_geometry(cid, xi, eta)
+        if np.any(det <= 0.0):
+            raise ConfigError("mesh construction produced non-positive Jacobians")
+        mesh.qpts[cells, :, 0], mesh.qpts[cells, :, 1] = x1, xr
+        w = np.multiply(W2, det, out=mesh.qweights[cells])
+        if mesh.mode == AXISYM:
+            w *= 2.0 * np.pi * xr
+        j11, j12, j21, j22, d = (a[:, None, :] for a in (j11, j12, j21, j22, det))
+        g = mesh.bgrads[cells]
+        g[..., 0] = (j22 * dxi - j21 * deta) / d
+        g[..., 1] = (-j12 * dxi + j11 * deta) / d
 
 
 def _attach_facets(mesh):

@@ -26,6 +26,7 @@ __all__ = [
     "VelocityField",
     "solve_incompressible",
     "velocity",
+    "velocity_at_qpts",
     "velocity_at_points",
     "surface_speeds",
     "weak_slip_residual",
@@ -101,9 +102,14 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
 
 def velocity(psi, q_inf):
     """Velocity field of the incompressible flow: grad(psi) + stream."""
-    u = psi.grad_at_qpts()
+    return VelocityField(psi.mesh, velocity_at_qpts(psi, q_inf))
+
+
+def velocity_at_qpts(psi, q_inf, cells=slice(None)):
+    """grad(psi) + stream, (B, Q, 2), at the quadrature points of the slice ``cells``."""
+    u = fem.grad_at_qpts(psi.mesh, psi.values, cells)
     u[..., 0] += q_inf
-    return VelocityField(psi.mesh, u)
+    return u
 
 
 def velocity_at_points(psi, q_inf, points):

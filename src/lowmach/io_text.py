@@ -49,9 +49,10 @@ def canonical_json(obj, compact=False):
 
 def node_weights(mesh):
     """Lumped nodal measure weights (include the axisymmetric factor)."""
-    w = mesh.qweights[..., None] * mesh.basis[None, ...]
-    return np.bincount(mesh.cells.ravel(), w.sum(axis=1).ravel(),
-                       minlength=mesh.n_nodes)
+    w = np.zeros((mesh.n_cells, 4))
+    for wq, nq in zip(mesh.qweights.T, mesh.basis):      # over the points, in order
+        w += wq[:, None] * nq
+    return np.bincount(mesh.cells.ravel(), w.ravel(), minlength=mesh.n_nodes)
 
 
 def load_field(path):

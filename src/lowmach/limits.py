@@ -33,6 +33,7 @@ __all__ = [
     "ConvergenceReport",
     "SweepSetup",
     "build_force",
+    "check_force",
     "prepare",
     "solve_epsilon",
     "newtonian_potential",
@@ -94,21 +95,27 @@ def newtonian_potential(spec, mesh):
     field mass/|x|, with gradient -mass x/|x|^3.  That closed form is
     evaluated at every quadrature point and node of the mesh.  Requires the
     three-dimensional (axisymmetric) mode and, for ``newtonian``, a source
-    ball strictly inside the obstacle.
+    ball strictly inside the obstacle (``check_force``).
     """
-    if mesh.mode != geometry.AXISYM:
-        raise ConfigError("newtonian force requires the axisymmetric-3d mode")
-    if spec.kind == "newtonian":
-        inner = 0.95 * mesh.shape.boundary_radius(np.pi / 2.0).min()
-        if not spec.source_radius < inner:
-            raise ConfigError("source ball must lie strictly inside the obstacle")
-
+    check_force(spec, mesh.shape, mesh.mode)
     r_q = np.linalg.norm(mesh.qpts, axis=-1)
     return ForceField(
         phi_qpts=spec.mass / r_q,
         grad_qpts=-spec.mass * mesh.qpts / r_q[..., None] ** 3,
         phi_nodes=spec.mass / np.linalg.norm(mesh.nodes, axis=-1),
     )
+
+
+def check_force(spec, shape, mode):
+    """Reject a force off the axisymmetric-3d mode (naming ``force.kind``) or
+    a newtonian source ball beyond 0.95 of the obstacle's smallest polar
+    radius (naming ``force.source_radius``)."""
+    if spec.kind != "none" and mode != geometry.AXISYM:
+        raise ConfigError(f"force.kind: a {spec.kind} force requires the {geometry.AXISYM} mode")
+    inner = 0.95 * (min(shape.semi_axes) if shape.kind == "ellipse" else shape.radius)
+    if spec.kind == "newtonian" and not spec.source_radius < inner:
+        raise ConfigError("force.source_radius: the source ball must lie "
+                          "strictly inside the obstacle")
 
 
 def build_force(spec, mesh):
@@ -150,9 +157,9 @@ def validate_force(force, beta, q, mesh):
     """
     ndim = mesh.ndim
     if not q > ndim:
-        raise ConfigError(f"admissibility requires q > n = {ndim}")
+        raise ConfigError(f"force.q: admissibility requires q > n = {ndim}")
     if not beta > 1.0 - ndim / q:
-        raise ConfigError("admissibility requires beta > 1 - n/q")
+        raise ConfigError("force.beta: admissibility requires beta > 1 - n/q")
     bp = beta_prime(beta, q, ndim)
     if force is None:
         return AdmissibilityReport(

@@ -87,6 +87,8 @@ CONFIG_ERRORS = {
                       "geometry.semi_axes"),
     "r_far-small": (_with("geometry", r_far=3), "geometry.r_far"),
     "n_r-small": (_with("geometry", n_r=3), "geometry.n_r"),
+    "n_r-overflow": (_with("geometry", n_r=10**400), "geometry.n_r"),
+    "n_t-large": (_with("geometry", n_t=1025), "geometry.n_t"),
     "grading-below-1": (_with("geometry", grading=0.9), "geometry.grading"),
     "mode-unknown": (_with("geometry", kind="disk", mode="planar"),
                      "geometry.mode"),
@@ -106,6 +108,17 @@ CONFIG_ERRORS = {
     "eps-three": (_with("sweep", eps=[0.4, 0.2, 0.1]), "sweep.eps"),
     "eps-overflow": (_with("sweep", eps=[1e200, 0.2, 0.1, 0.05]), "sweep.eps"),
     "force-unknown": (_with("force", kind="magnetic"), "force.kind"),
+    # rules that join keys
+    "sphere-planar": (_with("geometry", mode="planar-2d"), "geometry.mode"),
+    "disk-axisymmetric": (_with("geometry", kind="disk"), "geometry.mode"),
+    "force-planar": ({**_with("geometry", kind="disk", mode="planar-2d"),
+                      "force": {"kind": "point_mass"}}, "force.kind"),
+    "source-outside": (_with("force", kind="newtonian", source_radius=1.0),
+                       "force.source_radius"),
+    # the ball must fit the smaller semi-axis, whichever axis it lies along
+    "source-outside-ellipse": ({**_with("geometry", kind="ellipse", semi_axes=[1.0, 2.0]),
+                                "force": {"kind": "newtonian", "source_radius": 1.2}},
+                               "force.source_radius"),
     "output-directory-int": ({**BASE, "output": {"directory": 3}},
                              "output.directory"),
     "top-level-list": ([BASE], "configuration"),
@@ -133,6 +146,18 @@ def test_config_error_names_field(tmp_path, capsys, no_mesh, raw, field):
     out = tmp_path / "o"
     assert main(["solve-incompressible", "--config", str(path),
                  "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("force, field", [({"q": 2.0}, "force.q"),
+                                          ({"beta": -5.0}, "force.beta")],
+                         ids=["q", "beta"])
+def test_validate_force_admissibility_names_key(tmp_path, capsys, force, field):
+    cfg = _write_config(tmp_path, {"geometry": {"n_r": 8, "n_t": 8},
+                                   "force": {"kind": "newtonian", "mass": 0.3, **force}})
+    out = tmp_path / "o"
+    assert main(["validate-force", "--config", cfg, "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 

@@ -20,6 +20,7 @@ from lowmach import (
     solve_incompressible,
 )
 from lowmach.compressible import DifferenceProblem, station_mass_flux
+from lowmach.gas import density_departure
 from lowmach.errors import ConfigError, SolverError
 
 
@@ -458,7 +459,8 @@ def test_coercivity_inequality(mesh, psi, cut):
     gas = _gas(0.3)
     prob = DifferenceProblem(psi, None, gas, cut)
     w = mesh.qweights
-    base_term = prob.base_departure[..., None] * prob.base
+    base_sq = np.sum(prob.base**2, axis=-1)
+    base_term = density_departure(base_sq, 0.0, gas, cut)[..., None] * prob.base
     c_data = float(np.sum(w * np.sum(base_term**2, axis=-1))) / cut.lam1
     rng = np.random.default_rng(55)
     for _ in range(100):
