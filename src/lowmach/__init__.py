@@ -32,7 +32,6 @@ from .incompressible import (
     analytic_disk_reference,
     analytic_sphere_reference,
     solve_incompressible,
-    velocity,
 )
 from .compressible import (
     FlowState,
@@ -46,7 +45,6 @@ from .limits import (
     build_force,
     decay_fit,
     fit_rate,
-    newtonian_potential,
     sweep,
     validate_force,
 )

@@ -14,7 +14,8 @@ artifacts; exit 2, and 3 from a raised solver error, leave none.
 
 Every configuration key has its default and its rule in one table, ``_KEYS``,
 and is checked before any work; a rejection names the dotted key, as do the
-library's rules that join keys (``geometry.check_mode``, ``limits.check_force``).
+library's rules that join keys (``geometry.check_mode``, ``geometry.check_shell``,
+``limits.check_force``).
 
 Each command parses only its own flags; ``main`` returns every exit code.
 Exit codes: 0 ok (and --help), 2 usage or configuration error (including a
@@ -100,7 +101,7 @@ _KEYS = {
         "tol": (1e-10, _UNIT),
         "max_newton": (40, _int_from(1)),
         "max_backtracks": (40, _int_from(1)),
-        "quad_order": (3, _int_from(2)),
+        "quad_order": (3, _int_from(2, 8)),
         "far_field": ("dirichlet", _one_of("dirichlet", "neumann")),
     },
     "sweep": {"eps": ([0.4, 0.2, 0.1, 0.05], (
@@ -137,15 +138,12 @@ class RunConfig:
                     raise ConfigError(f"{section}.{key}: {rule}")
             self.raw[section] = merged
         g = self.raw["geometry"]
-        if g["kind"] == "ellipse" and "semi_axes" not in g:
-            raise ConfigError("geometry.semi_axes: required for an ellipse")
-        size = max(g["semi_axes"]) if g["kind"] == "ellipse" else g["radius"]
-        if not g["r_far"] >= 5.0 * size:
-            raise ConfigError("geometry.r_far: must be at least 5x the obstacle size")
+        if (g["kind"] == "ellipse") != ("semi_axes" in g):
+            raise ConfigError("geometry.semi_axes: required for an ellipse, and for no other kind")
+        axes = g.get("semi_axes")
+        self.shape = geometry.ObstacleShape(g["kind"], g["radius"], axes and tuple(axes))
+        geometry.check_shell(self.shape, g["r_far"], g["n_r"], g["grading"])
         geometry.check_mode(g["kind"], g["mode"])
-        self.shape = (geometry.ObstacleShape("ellipse", semi_axes=tuple(g["semi_axes"]))
-                      if g["kind"] == "ellipse"
-                      else geometry.ObstacleShape(g["kind"], radius=g["radius"]))
         limits.check_force(self.force_spec(), self.shape, g["mode"])
 
     @property

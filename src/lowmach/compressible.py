@@ -563,7 +563,8 @@ def station_mass_flux(state, station):
     mesh = state.psi_base.mesh
     if not 0 < station <= mesh.n_r:
         raise DomainError("station must lie in (0, n_r]")
-    res = fem.assemble_vector_load(mesh, state.rho[..., None] * state.u.at_qpts)
+    res = fem.assemble_vector_load(
+        mesh, lambda cells: state.rho[cells, :, None] * state.u.at_qpts[cells])
     n_th = mesh.node_grid[1]
     inner = np.arange(0, station * n_th)
     return float(res[inner].sum())

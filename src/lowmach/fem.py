@@ -87,16 +87,16 @@ def _scatter(mesh, blocks):
     return s.reshape(3, 3, n_i, n_j)
 
 
-def assemble_matrix(mesh, c, d=None, v=None):
+def assemble_matrix(mesh, coef):
     """Assemble sum_q w_q  grad(N_i)^T C grad(N_j) as a stencil, for the
     coefficient C = c I - d v v^T.
 
-    c : (M, Q) scalars; alone, an isotropic coefficient.  Or a function of
-        a block of cells (a slice) returning its (c, d, v), called per block.
-    d, v : (M, Q) scalars and (M, Q, 2) vectors of the rank-one part, or
-        None.  Every symmetric 2x2 matrix has this form: with eigenvalues
-        l_min <= l_max and a unit eigenvector e of l_min it is
-        l_max I - (l_max - l_min) e e^T.
+    coef : a function of a block of cells (a slice), called once per block,
+        returning its (c, d, v): c a scalar or (B, Q) scalars, and d, v the
+        (B, Q) scalars and (B, Q, 2) vectors of the rank-one part, or both
+        None for an isotropic coefficient.  Every symmetric 2x2 matrix has
+        this form: with eigenvalues l_min <= l_max and a unit eigenvector e
+        of l_min it is l_max I - (l_max - l_min) e e^T.
 
     Corner 2's basis gradient is a fixed combination of those of corners 0
     and 1 (``mesh.stiffness_table``), so the leading 3x3 part of the element
@@ -109,8 +109,6 @@ def assemble_matrix(mesh, c, d=None, v=None):
     keeps the constants in its kernel up to its own round-off, with no bias
     that a table of rounded coefficients would share across all cells.
     """
-    coef = c if callable(c) else lambda cells: tuple(
-        None if f is None else f[cells] for f in (c, d, v))
     m, q = mesh.qweights.shape
     pairs = ((0, 0), (0, 1), (1, 1))
     blocks = np.empty((m, 4, 4))
@@ -141,10 +139,9 @@ def assemble_matrix(mesh, c, d=None, v=None):
     return _scatter(mesh, blocks)
 
 
-def assemble_vector_load(mesh, vec_at_qpts):
-    """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k), for the (M, Q, 2)
-    field v or a function of a block of cells (a slice) returning v there."""
-    vec = vec_at_qpts if callable(vec_at_qpts) else lambda cells: vec_at_qpts[cells]
+def assemble_vector_load(mesh, vec):
+    """Nodal vector b_k = sum_q w_q  v(q) . grad(N_k), for the function
+    ``vec`` of a block of cells (a slice) returning the (B, Q, 2) field v there."""
     m, q = mesh.qweights.shape
     contrib = np.empty((m, 4))
     for cells in cell_blocks(m, q):
@@ -154,10 +151,10 @@ def assemble_vector_load(mesh, vec_at_qpts):
     return np.bincount(mesh.cells.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def boundary_component_load(mesh, tag, component=0):
-    """Nodal vector of the facet integral of n_component * N_k over a tag."""
+def boundary_component_load(mesh, tag):
+    """Nodal vector of the facet integral of n_1 N_k over a tag."""
     fs = mesh.facets[tag]
-    contrib = np.einsum("fq,fqc,fq->fc", fs.normals[..., component], fs.basis, fs.weights)
+    contrib = np.einsum("fq,fqc,fq->fc", fs.normals[..., 0], fs.basis, fs.weights)
     return np.bincount(mesh.cells[fs.cells].ravel(), contrib.ravel(),
                        minlength=mesh.n_nodes)
 

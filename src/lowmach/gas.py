@@ -92,14 +92,6 @@ class GasModel:
         # q_inf = 0 is admitted for the trivial-data cases (zero flow)
         if not self.q_inf >= 0.0:
             raise ConfigError(f"q_inf must be >= 0, got {self.q_inf}")
-        # Admissibility of the pressure law: p' > 0 and 2p' + rho p'' > 0.
-        # True for any gamma-law gas; checked numerically on a grid so a
-        # broken edit cannot slip through silently.
-        rho = np.geomspace(1e-3, 1e3, 61)
-        ps = pressure_slope(rho, self)
-        curv = 2.0 * ps + rho * self.gamma * (self.gamma - 1.0) * rho ** (self.gamma - 2.0)
-        if not (np.all(ps > 0.0) and np.all(curv > 0.0)):
-            raise ConfigError("pressure law violates the admissibility conditions")
 
 
 def _phi_of(f):
@@ -240,12 +232,17 @@ def speed_at_mach(mach_bound, f, gas):
     m = np.asarray(mach_bound, dtype=float)
     if np.any(m <= 0.0) or np.any(m > 1.0):
         raise DomainError("mach bound must lie in (0, 1]")
-    g = gas.gamma
-    phi = _phi_of(f)
-    num = g / gas.epsilon**2 + (g - 1.0) * (gas.q_inf**2 / 2.0 + phi)
-    if np.any(num <= 0.0):
+    q2 = _speed_sq_at_mach(m, _phi_of(f), gas.gamma, gas.epsilon, gas.q_inf)
+    if np.any(q2 <= 0.0):
         raise ConfigError("no subsonic root: phi too negative for this epsilon")
-    return _as_result(np.sqrt(m**2 * num / (1.0 + m**2 * (g - 1.0) / 2.0)))
+    return _as_result(np.sqrt(q2))
+
+
+def _speed_sq_at_mach(m, phi, gamma, epsilon, q_inf):
+    """speed_at_mach(m, phi)^2, as lam0 + slope * phi (affine in phi)."""
+    den = 1.0 + m**2 * (gamma - 1.0) / 2.0
+    lam0 = m**2 * (gamma / epsilon**2 + (gamma - 1.0) * q_inf**2 / 2.0) / den
+    return lam0 + m**2 * (gamma - 1.0) / den * np.asarray(phi, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -290,21 +287,11 @@ class CutoffSpec:
         return _as_result(np.sqrt(self._lambda_hi(phi)))
 
     def _lambda_lo(self, phi):
-        return self._threshold_sq(self.mach_threshold, phi)
+        return _speed_sq_at_mach(self.mach_threshold, phi, self.gamma, self.eps_ref, self.q_inf)
 
     def _lambda_hi(self, phi):
-        return self._threshold_sq((self.mach_threshold + 1.0) / 2.0, phi)
-
-    def _threshold_sq(self, bound, phi):
-        # speed_at_mach(bound, phi)^2 at eps_ref, as lam0 + slope * phi
-        g = self.gamma
-        lam0 = bound**2 * (g / self.eps_ref**2 + (g - 1.0) * self.q_inf**2 / 2.0) \
-            / (1.0 + bound**2 * (g - 1.0) / 2.0)
-        return lam0 + self._dlambda_dphi(bound) * np.asarray(phi, dtype=float)
-
-    def _dlambda_dphi(self, bound):
-        g = self.gamma
-        return bound**2 * (g - 1.0) / (1.0 + bound**2 * (g - 1.0) / 2.0)
+        return _speed_sq_at_mach((self.mach_threshold + 1.0) / 2.0, phi, self.gamma,
+                                 self.eps_ref, self.q_inf)
 
 
 def make_cutoff(gas, mach_threshold=0.65, eps_ref=0.45, phi_samples=None):

@@ -20,6 +20,7 @@ the exact obstacle geometry: for circles/spheres the inner boundary is
 exact; for ellipses the stations use the exact polar radius function.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import fem
 from .errors import ConfigError, DomainError
 
-__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "check_mode", "refined",
+__all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "check_mode", "check_shell", "refined",
            "mesh_dump_string", "load_mesh"]
 
 AXISYM = "axisymmetric-3d"
@@ -43,7 +44,9 @@ class ObstacleShape:
 
     ``sphere`` is the axisymmetric ball; ``disk`` the planar circle;
     ``ellipse`` has semi-axes (along x1, transverse) and doubles as a
-    spheroid in axisymmetric mode.  Centered at the origin.
+    spheroid in axisymmetric mode.  Centered at the origin.  A sphere or disk
+    stores ``semi_axes = (radius, radius)``, and every geometric quantity
+    reads the semi-axes; equal ones give the exact circle.
     """
 
     kind: str
@@ -60,23 +63,27 @@ class ObstacleShape:
                 raise ConfigError("semi-axes must be positive")
         elif not self.radius > 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
+        elif self.semi_axes not in (None, (self.radius, self.radius)):
+            raise ConfigError(f"a {self.kind} takes a radius, not semi_axes")
+        else:
+            object.__setattr__(self, "semi_axes", (self.radius, self.radius))
 
     @property
     def max_radius(self):
-        return max(self.semi_axes) if self.kind == "ellipse" else self.radius
+        return max(self.semi_axes)
 
     def boundary_radius(self, theta):
         """Polar radius of the boundary at angle theta from the x1 axis."""
-        if self.kind != "ellipse":
-            return np.full_like(np.asarray(theta, dtype=float), self.radius)
         a, b = self.semi_axes
+        if a == b:
+            return np.full_like(np.asarray(theta, dtype=float), a)
         c, s = np.cos(theta), np.sin(theta)
         return a * b / np.sqrt(b * b * c * c + a * a * s * s)
 
     def boundary_radius_dtheta(self, theta):
-        if self.kind != "ellipse":
-            return np.zeros_like(np.asarray(theta, dtype=float))
         a, b = self.semi_axes
+        if a == b:
+            return np.zeros_like(np.asarray(theta, dtype=float))
         c, s = np.cos(theta), np.sin(theta)
         den = b * b * c * c + a * a * s * s
         return -a * b * (a * a - b * b) * s * c * den ** (-1.5)
@@ -85,11 +92,8 @@ class ObstacleShape:
         """Unit normal from the implicit boundary description, pointing
         away from the obstacle (into the fluid)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "ellipse":
-            a, b = self.semi_axes
-            g = np.stack([p[:, 0] / a**2, p[:, 1] / b**2], axis=1)
-        else:
-            g = p.copy()
+        a, b = self.semi_axes
+        g = np.stack([p[:, 0] / a**2, p[:, 1] / b**2], axis=1)
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         return g if np.asarray(points).ndim > 1 else g[0]
 
@@ -167,21 +171,12 @@ class ExteriorMesh:
         return float(self.qweights.sum())
 
     def exact_shell_volume(self):
-        """Analytic shell volume; exact for sphere/disk obstacles."""
-        R = self.r_far
+        """Analytic shell volume (the spheroid's in axisymmetric mode); the
+        quadrature volume matches it for circular obstacles."""
+        R, (a, b) = self.r_far, self.shape.semi_axes
         if self.mode == AXISYM:
-            if self.shape.kind == "ellipse":
-                a, b = self.shape.semi_axes
-                inner = 4.0 * np.pi / 3.0 * a * b * b
-            else:
-                inner = 4.0 * np.pi / 3.0 * self.shape.radius**3
-            return 4.0 * np.pi / 3.0 * R**3 - inner
-        if self.shape.kind == "ellipse":
-            a, b = self.shape.semi_axes
-            inner = np.pi * a * b
-        else:
-            inner = np.pi * self.shape.radius**2
-        return np.pi * R**2 - inner
+            return 4.0 * np.pi / 3.0 * (R**3 - a * b * b)
+        return np.pi * (R**2 - a * b)
 
     # -- structured index helpers -------------------------------------
 
@@ -235,7 +230,7 @@ class ExteriorMesh:
         the cut-off reference, whose eigenvalues lie in a fixed band around
         the Laplacian's (see ``compressible.minimize``).
         """
-        a = fem.assemble_matrix(self, np.ones_like(self.qweights))
+        a = fem.assemble_matrix(self, lambda cells: (1.0, None, None))
         return fem.VCycle(fem.Multigrid(self, self.sigma_nodes), a)
 
     def cell_id(self, i, j):
@@ -327,17 +322,17 @@ class ExteriorMesh:
         evaluated in that limit.
         """
         cid, xi, eta = self.locate(points)
-        x1, xr, (j11, j12, j21, j22), det = self._cell_geometry(cid, xi, eta)
+        x1, xr, jac, det = self._cell_geometry(cid, xi, eta)
         dxi, deta = _basis_grads(xi, eta)
         vals = np.asarray(nodal)[self.cells[cid]]
         gxi = np.einsum("pk,pk->p", dxi, vals)
         geta = np.einsum("pk,pk->p", deta, vals)
         r = np.hypot(x1, xr)
         on_axis = (self.mode == AXISYM) & (np.abs(xr) <= 1e-12 * np.maximum(r, 1.0))
-        safe = np.where(on_axis, 1.0, det)
-        gx = np.where(on_axis, gxi / j11, (j22 * gxi - j21 * geta) / safe)
-        gy = np.where(on_axis, 0.0, (-j12 * gxi + j11 * geta) / safe)
-        out = np.stack([gx, gy], axis=-1)
+        out = _physical_grads(jac, np.where(on_axis, 1.0, det), gxi, geta,
+                              np.empty(gxi.shape + (2,)))
+        out[on_axis, 0] = gxi[on_axis] / jac[0][on_axis]
+        out[on_axis, 1] = 0.0
         return out if np.asarray(points).ndim > 1 else out[0]
 
 
@@ -363,12 +358,33 @@ def _basis_grads(xi, eta):
     return dxi, deta
 
 
+def _physical_grads(jac, det, dxi, deta, out):
+    """Write the physical gradients J^-T (dxi, deta) of reference gradients
+    into ``out[..., 0]`` and ``out[..., 1]``; returns ``out``."""
+    j11, j12, j21, j22 = jac
+    out[..., 0] = (j22 * dxi - j21 * deta) / det
+    out[..., 1] = (-j12 * dxi + j11 * deta) / det
+    return out
+
+
 def check_mode(kind, mode):
     """Reject (naming ``geometry.mode``) a sphere off the axisymmetric-3d
     mode or a disk off the planar-2d one."""
     need = {"sphere": AXISYM, "disk": PLANAR}.get(kind, mode)
     if mode != need:
         raise ConfigError(f"geometry.mode: a {kind} obstacle requires the {need} mode")
+
+
+def check_shell(shape, r_far, n_r, grading):
+    """Reject (naming ``geometry.r_far``) a far-field radius below 5x the
+    obstacle size or with an overflowing cube, and (naming
+    ``geometry.grading``) a grading below 1 or whose n_r-th power passes e^700."""
+    if not (r_far >= 5.0 * shape.max_radius and math.isfinite(r_far * r_far * r_far)):
+        raise ConfigError(f"geometry.r_far: must be at least 5x the obstacle size, "
+                          f"with a finite cube, got {r_far!r}")
+    if not (grading >= 1.0 and n_r * math.log(grading) <= 700.0):
+        raise ConfigError(f"geometry.grading: must be >= 1, with its n_r-th power "
+                          f"at most e^700, got {grading!r}")
 
 
 def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
@@ -392,12 +408,9 @@ def build_mesh(shape, r_far, n_r, n_t, grading=1.15, mode=AXISYM, quad_order=3):
     if mode not in (AXISYM, PLANAR):
         raise ConfigError(f"unknown mesh mode {mode!r}")
     check_mode(shape.kind, mode)
-    if not r_far >= 5.0 * shape.max_radius:
-        raise ConfigError(f"r_far must be >= 5x obstacle size, got {r_far}")
+    check_shell(shape, r_far, n_r, grading)
     if n_r < 4 or n_t < 4:
         raise ConfigError("n_r and n_t must both be >= 4")
-    if not grading >= 1.0:
-        raise ConfigError(f"grading must be >= 1, got {grading}")
     if quad_order < 2:
         raise ConfigError("quad_order must be >= 2")
 
@@ -463,24 +476,23 @@ def _attach_quadrature(mesh):
     mesh.bgrads = np.empty((M, 4, Q, 2))
     for cells in fem.cell_blocks(M, Q):
         cid = np.arange(cells.start, cells.stop)[:, None]
-        x1, xr, (j11, j12, j21, j22), det = mesh._cell_geometry(cid, xi, eta)
+        x1, xr, jac, det = mesh._cell_geometry(cid, xi, eta)
         if np.any(det <= 0.0):
             raise ConfigError("mesh construction produced non-positive Jacobians")
         mesh.qpts[cells, :, 0], mesh.qpts[cells, :, 1] = x1, xr
         w = np.multiply(W2, det, out=mesh.qweights[cells])
         if mesh.mode == AXISYM:
             w *= 2.0 * np.pi * xr
-        j11, j12, j21, j22, d = (a[:, None, :] for a in (j11, j12, j21, j22, det))
-        g = mesh.bgrads[cells]
-        g[..., 0] = (j22 * dxi - j21 * deta) / d
-        g[..., 1] = (-j12 * dxi + j11 * deta) / d
+        _physical_grads([a[:, None, :] for a in jac], det[:, None, :], dxi, deta,
+                        mesh.bgrads[cells])
 
 
 def _attach_facets(mesh):
     gx, gw = _gauss01(mesh.quad_order)
     Qf = gx.size
     facets = {}
-    for tag, i_cell, xi_val, sign in (("gamma", 0, 0.0, -1.0), ("sigma", mesh.n_r - 1, 1.0, +1.0)):
+    for tag, i_cell, xi_val, sign, corners in (("gamma", 0, 0.0, -1.0, [0, 3]),
+                                               ("sigma", mesh.n_r - 1, 1.0, +1.0, [1, 2])):
         cells = mesh.cell_id(i_cell, np.arange(mesh.n_t))
         F = cells.size
         cid = np.repeat(cells, Qf)
@@ -500,17 +512,10 @@ def _attach_facets(mesh):
 
         vals = _basis_values(xi, eta)
         dxi, deta = _basis_grads(xi, eta)
-        gx1 = (j22[:, None] * dxi - j21[:, None] * deta) / det[:, None]
-        gx2 = (-j12[:, None] * dxi + j11[:, None] * deta) / det[:, None]
-        bg = np.stack([gx1, gx2], axis=-1)
-
-        if tag == "gamma":
-            pairs = np.stack([mesh.cells[cells][:, 0], mesh.cells[cells][:, 3]], axis=1)
-        else:
-            pairs = np.stack([mesh.cells[cells][:, 1], mesh.cells[cells][:, 2]], axis=1)
-
+        bg = _physical_grads([a[:, None] for a in (j11, j12, j21, j22)], det[:, None],
+                             dxi, deta, np.empty(dxi.shape + (2,)))
         facets[tag] = FacetSet(
-            tag=tag, cells=cells, nodes=pairs,
+            tag=tag, cells=cells, nodes=mesh.cells[cells][:, corners],
             qpts=pts.reshape(F, Qf, 2),
             weights=wts.reshape(F, Qf),
             normals=nrm.reshape(F, Qf, 2),
@@ -523,11 +528,9 @@ def _attach_facets(mesh):
 def _validate_mesh(mesh):
     vol = mesh.volume
     exact = mesh.exact_shell_volume()
-    if mesh.shape.kind in ("sphere", "disk"):
-        if abs(vol - exact) > 1e-8 * exact:
-            raise ConfigError(
-                f"quadrature volume {vol!r} does not match shell volume {exact!r}"
-            )
+    a, b = mesh.shape.semi_axes
+    if a == b and abs(vol - exact) > 1e-8 * exact:
+        raise ConfigError(f"quadrature volume {vol!r} does not match shell volume {exact!r}")
     nrm = np.concatenate([fs.normals.reshape(-1, 2) for fs in mesh.facets.values()])
     if np.max(np.abs(np.linalg.norm(nrm, axis=1) - 1.0)) > 1e-12:
         raise ConfigError("facet normals are not unit length")

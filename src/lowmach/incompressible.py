@@ -25,7 +25,6 @@ __all__ = [
     "PotentialField",
     "VelocityField",
     "solve_incompressible",
-    "velocity",
     "velocity_at_qpts",
     "velocity_at_points",
     "surface_speeds",
@@ -82,14 +81,13 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     """
     if far_field not in ("dirichlet", "neumann"):
         raise ConfigError(f"unknown far-field closure {far_field!r}")
-    b = -q_inf * fem.boundary_component_load(mesh, "gamma", component=0)
     if far_field == "dirichlet":
         cycle = mesh.laplacian_cycle
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
-        a = fem.assemble_matrix(mesh, np.ones_like(mesh.qweights))
+        a = fem.assemble_matrix(mesh, lambda cells: (1.0, None, None))
         cycle = fem.VCycle(fem.Multigrid(mesh, mesh.sigma_nodes[:1]), a)
-    values, history = fem.pcg(cycle.ops[0].stencil, b, cycle, tol=tol)
+    values, history = fem.pcg(cycle.ops[0].stencil, _slip_load(mesh, q_inf), cycle, tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,
@@ -98,11 +96,6 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
         "kind": "incompressible_perturbation",
     }
     return PotentialField(mesh, values, name="incompressible_perturbation", meta=meta)
-
-
-def velocity(psi, q_inf):
-    """Velocity field of the incompressible flow: grad(psi) + stream."""
-    return VelocityField(psi.mesh, velocity_at_qpts(psi, q_inf))
 
 
 def velocity_at_qpts(psi, q_inf, cells=slice(None)):
@@ -140,10 +133,14 @@ def weak_slip_residual(psi, q_inf):
     far-field closure ``psi`` solved.
     """
     mesh = psi.mesh
-    b = -q_inf * fem.boundary_component_load(mesh, "gamma", component=0)
-    res = mesh.laplacian_cycle.ops[0](psi.values) - b
+    res = mesh.laplacian_cycle.ops[0](psi.values) - _slip_load(mesh, q_inf)
     per_node = res[mesh.gamma_nodes]
     return per_node, float(per_node.sum())
+
+
+def _slip_load(mesh, q_inf):
+    """-q_inf oint_Gamma n_1 eta dS: the load of the slip condition on the obstacle."""
+    return -q_inf * fem.boundary_component_load(mesh, "gamma")
 
 
 def analytic_sphere_reference(a, q_inf, point):

@@ -36,7 +36,6 @@ __all__ = [
     "check_force",
     "prepare",
     "solve_epsilon",
-    "newtonian_potential",
     "validate_force",
     "fit_rate",
     "decay_fit",
@@ -87,8 +86,19 @@ class ForceField:
             max(np.max(np.abs(self.phi_qpts)), np.max(np.abs(self.phi_nodes))))
 
 
-def newtonian_potential(spec, mesh):
-    """Force potential of a finite-mass source inside the obstacle.
+def check_force(spec, shape, mode):
+    """Reject a force off the axisymmetric-3d mode (naming ``force.kind``) or
+    a newtonian source ball beyond 0.95 of the obstacle's smallest polar
+    radius (naming ``force.source_radius``)."""
+    if spec.kind != "none" and mode != geometry.AXISYM:
+        raise ConfigError(f"force.kind: a {spec.kind} force requires the {geometry.AXISYM} mode")
+    if spec.kind == "newtonian" and not spec.source_radius < 0.95 * min(shape.semi_axes):
+        raise ConfigError("force.source_radius: the source ball must lie "
+                          "strictly inside the obstacle")
+
+
+def build_force(spec, mesh):
+    """ForceField for a ForceSpec; None when there is no force.
 
     The source is spherically symmetric with total ``mass``, so by the shell
     theorem its potential outside the source ball is exactly the point-mass
@@ -97,6 +107,8 @@ def newtonian_potential(spec, mesh):
     three-dimensional (axisymmetric) mode and, for ``newtonian``, a source
     ball strictly inside the obstacle (``check_force``).
     """
+    if spec is None or spec.kind == "none":
+        return None
     check_force(spec, mesh.shape, mesh.mode)
     r_q = np.linalg.norm(mesh.qpts, axis=-1)
     return ForceField(
@@ -104,25 +116,6 @@ def newtonian_potential(spec, mesh):
         grad_qpts=-spec.mass * mesh.qpts / r_q[..., None] ** 3,
         phi_nodes=spec.mass / np.linalg.norm(mesh.nodes, axis=-1),
     )
-
-
-def check_force(spec, shape, mode):
-    """Reject a force off the axisymmetric-3d mode (naming ``force.kind``) or
-    a newtonian source ball beyond 0.95 of the obstacle's smallest polar
-    radius (naming ``force.source_radius``)."""
-    if spec.kind != "none" and mode != geometry.AXISYM:
-        raise ConfigError(f"force.kind: a {spec.kind} force requires the {geometry.AXISYM} mode")
-    inner = 0.95 * (min(shape.semi_axes) if shape.kind == "ellipse" else shape.radius)
-    if spec.kind == "newtonian" and not spec.source_radius < inner:
-        raise ConfigError("force.source_radius: the source ball must lie "
-                          "strictly inside the obstacle")
-
-
-def build_force(spec, mesh):
-    """ForceField for a ForceSpec; None when there is no force."""
-    if spec is None or spec.kind == "none":
-        return None
-    return newtonian_potential(spec, mesh)
 
 
 def beta_prime(beta, q, ndim):

@@ -62,10 +62,15 @@ def mach_of_speed(q, phi, gamma, epsilon, q_inf):
 
 
 def speed_at_mach_bisect(m, phi, gamma, epsilon, q_inf):
-    """Bisection on the monotone map q -> M(q), bracketed below sonic."""
+    """Bisection on the monotone map q -> M(q), bracketed below sonic.
+
+    The bracket grows in steps of 1.25 from a speed below Mach m <= 1, so it
+    stays below the vacuum speed, at least sqrt(2) times the sonic one for
+    gamma <= 3.
+    """
     q_hi = 1.0
     while mach_of_speed(q_hi, phi, gamma, epsilon, q_inf) < m:
-        q_hi *= 2.0
+        q_hi *= 1.25
     return bisect_increasing(
         lambda q: mach_of_speed(q, phi, gamma, epsilon, q_inf), 1e-12, q_hi, m
     )

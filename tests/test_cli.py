@@ -90,10 +90,13 @@ CONFIG_ERRORS = {
     "n_r-overflow": (_with("geometry", n_r=10**400), "geometry.n_r"),
     "n_t-large": (_with("geometry", n_t=1025), "geometry.n_t"),
     "grading-below-1": (_with("geometry", grading=0.9), "geometry.grading"),
+    "grading-overflow": (_with("geometry", grading=1e300), "geometry.grading"),
+    "r_far-overflow": (_with("geometry", r_far=1e300), "geometry.r_far"),
     "mode-unknown": (_with("geometry", kind="disk", mode="planar"),
                      "geometry.mode"),
     "ellipse-no-semi_axes": (_with("geometry", kind="ellipse"),
                              "geometry.semi_axes"),
+    "sphere-semi_axes": (_with("geometry", semi_axes=[3.0, 1.0]), "geometry.semi_axes"),
     "gamma-below-1": (_with("gas", gamma=0.9), "gas.gamma"),
     "q_inf-zero": (_with("gas", q_inf=0), "gas.q_inf"),
     "theta-one": (_with("cutoff", theta=1), "cutoff.theta"),
@@ -103,6 +106,7 @@ CONFIG_ERRORS = {
     "max_backtracks-zero": (_with("solver", max_backtracks=0),
                             "solver.max_backtracks"),
     "quad_order-one": (_with("solver", quad_order=1), "solver.quad_order"),
+    "quad_order-overflow": (_with("solver", quad_order=10**400), "solver.quad_order"),
     "eps-negative": (_with("sweep", eps=[0.2, -0.1]), "sweep.eps"),
     "eps-increasing": (_with("sweep", eps=[0.1, 0.2]), "sweep.eps"),
     "eps-three": (_with("sweep", eps=[0.4, 0.2, 0.1]), "sweep.eps"),
@@ -148,6 +152,22 @@ def test_config_error_names_field(tmp_path, capsys, no_mesh, raw, field):
                  "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_default_config_is_the_library_defaults():
+    # the defaults are written in _KEYS and in the library signatures: the
+    # empty configuration builds the default mesh and sweep setup
+    from lowmach import ObstacleShape, build_mesh
+    from lowmach.cli import RunConfig
+    from lowmach.geometry import mesh_dump_string
+    from lowmach.limits import SweepSetup
+
+    cfg = RunConfig({})
+    mesh = cfg.build_mesh()
+    want = build_mesh(ObstacleShape("sphere"), 20.0, 48, 48)
+    assert mesh_dump_string(mesh) == mesh_dump_string(want)
+    assert mesh.qweights.tobytes() == want.qweights.tobytes()
+    assert cfg.sweep_setup(mesh) == SweepSetup(mesh=mesh)
 
 
 @pytest.mark.parametrize("force, field", [({"q": 2.0}, "force.q"),

@@ -56,6 +56,11 @@ def _rank_one(sym):
     return lam[..., 1], lam[..., 1] - lam[..., 0], vec[..., 0]
 
 
+def _blockwise(c, d=None, v=None):
+    # assemble_matrix's function of a block of cells, from whole-mesh arrays
+    return lambda cells: tuple(None if f is None else f[cells] for f in (c, d, v))
+
+
 def _coefficients(mesh):
     # per kind: the arguments of assemble_matrix after the mesh, and the
     # coefficient (scalar or 2x2 matrix) the einsum oracle takes
@@ -86,7 +91,7 @@ def test_grad_at_qpts_matches_oracle(mesh):
 
 def test_assemble_vector_load_matches_oracle(mesh):
     vec = np.random.default_rng(2).standard_normal(mesh.qpts.shape)
-    got = assemble_vector_load(mesh, vec)
+    got = assemble_vector_load(mesh, lambda cells: vec[cells])
     assert _rel_err(got, oracles.assemble_vector_load(mesh, vec)) <= RTOL
 
 
@@ -100,7 +105,7 @@ def test_assemble_matrix_matches_oracle_and_is_symmetric(mesh, kind, quad_order)
         mesh = build_mesh(mesh.shape, mesh.r_far, mesh.n_r, mesh.n_t, grading=mesh.grading,
                           mode=mesh.mode, quad_order=quad_order)
     args, coeff = _coefficients(mesh)[kind]
-    got = oracles.stencil_to_csr(assemble_matrix(mesh, *args))
+    got = oracles.stencil_to_csr(assemble_matrix(mesh, _blockwise(*args)))
     want = oracles.assemble_matrix(mesh, coeff)
     scale = np.max(np.abs(want.data))
     assert got.shape == want.shape == (mesh.n_nodes, mesh.n_nodes)
@@ -114,8 +119,8 @@ def test_rank_one_assembly_temporaries_are_bounded():
     # arrays (19 with the flux), its stencil included
     mesh = build_mesh(ObstacleShape("sphere", 1.0), 20.0, 48, 48)
     args, _ = _coefficients(mesh)["rank_one"]
-    assemble_matrix(mesh, *args)            # caches the mesh's scatter slots
-    assert oracles.traced_units(mesh, lambda: assemble_matrix(mesh, *args)) <= 12.0
+    assemble_matrix(mesh, _blockwise(*args))            # caches the mesh's scatter slots
+    assert oracles.traced_units(mesh, lambda: assemble_matrix(mesh, _blockwise(*args))) <= 12.0
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +146,8 @@ def _free_block(a, b, fixed):
 
 
 def _laplacian(mesh):
-    a = assemble_matrix(mesh, np.ones_like(mesh.qweights))
-    return a, -boundary_component_load(mesh, "gamma", component=0)
+    a = assemble_matrix(mesh, lambda cells: (1.0, None, None))
+    return a, -boundary_component_load(mesh, "gamma")
 
 
 def _newton_hessian(mesh, eps=0.1):
@@ -223,7 +228,7 @@ def test_vcycle_is_symmetric_positive_definite(system):
         # node fixed the stiffness matrix is singular: keep the mass matrix)
         m = rng.standard_normal(mesh.qweights.shape + (2, 2))
         coeff = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)
-        a = assemble_matrix(mesh, *_rank_one(coeff))
+        a = assemble_matrix(mesh, _blockwise(*_rank_one(coeff)))
     apply = VCycle(Multigrid(mesh, fixed), a)
     r1, r2 = rng.standard_normal((2, mesh.n_nodes))
     z1, z2 = apply(r1), apply(r2)

@@ -196,6 +196,33 @@ def test_speed_at_mach_vs_bisection():
     assert speed_at_mach(0.5, 0.0, GAS) == pytest.approx(expect, rel=1e-10)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1.0, 3.0), theta=st.floats(0.2, 0.8), eps0=st.floats(0.05, 0.6),
+       q_inf=st.floats(0.2, 2.0), phi=st.floats(-0.5, 0.5).filter(lambda p: p != 0.0))
+def test_threshold_speeds_match_bisection_with_force(gamma, theta, eps0, q_inf, phi):
+    # the cut-off's onset and cap are the speeds at Mach theta and
+    # (theta + 1)/2 at eps_ref, for a force potential phi != 0
+    cut = CutoffSpec(theta, eps0, gamma, q_inf, phi_star=abs(phi), saturation=float("nan"))
+    gas = GasModel(gamma, eps0, q_inf)
+    for m, q in ((theta, cut.q_lower(phi)), ((theta + 1.0) / 2.0, cut.q_upper(phi))):
+        expect = oracles.speed_at_mach_bisect(m, phi, gamma, eps0, q_inf)
+        assert q == pytest.approx(expect, rel=1e-10)
+        assert speed_at_mach(m, phi, gas) == pytest.approx(expect, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1.0, 3.0), log_rho=st.floats(-3.0, 3.0))
+@example(gamma=1.0, log_rho=-3.0)
+@example(gamma=3.0, log_rho=3.0)
+def test_pressure_law_is_admissible(gamma, log_rho):
+    # p' > 0 and 2 p' + rho p'' > 0 for every gamma >= 1 a GasModel admits
+    gas = GasModel(gamma, 0.1, 1.0)
+    rho = 10.0**log_rho
+    slope = pressure_slope(rho, gas)
+    assert slope > 0.0
+    assert 2.0 * slope + rho * gamma * (gamma - 1.0) * rho ** (gamma - 2.0) > 0.0
+
+
 def test_speed_at_mach_ordering():
     q3 = speed_at_mach(0.3, 0.0, GAS)
     q6 = speed_at_mach(0.6, 0.0, GAS)

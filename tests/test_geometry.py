@@ -198,6 +198,26 @@ def test_refined_preserves_distribution(sphere_mesh):
     assert set(coarse_r).issubset(set(fine_r))
 
 
+@pytest.mark.parametrize("circle, mode", [(SPHERE, "axisymmetric-3d"), (DISK, "planar-2d")],
+                         ids=["sphere", "disk"])
+def test_equal_axes_ellipse_is_the_circle(circle, mode):
+    # equal semi-axes take the circle's exact boundary: the same mesh, bit for bit
+    got = build_mesh(ObstacleShape("ellipse", semi_axes=(1.0, 1.0)), 10.0, 8, 8, mode=mode)
+    want = build_mesh(circle, 10.0, 8, 8, mode=mode)
+    for name in ("nodes", "qpts", "qweights", "bgrads"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for tag in ("gamma", "sigma"):
+        for name in ("nodes", "qpts", "weights", "normals", "basis", "bgrads"):
+            assert (getattr(got.facets[tag], name).tobytes()
+                    == getattr(want.facets[tag], name).tobytes())
+
+
+def test_circle_semi_axes_are_its_radius():
+    assert ObstacleShape("disk", 0.8).semi_axes == (0.8, 0.8)
+    with pytest.raises(ConfigError):
+        ObstacleShape("sphere", semi_axes=(3.0, 1.0))
+
+
 @pytest.mark.parametrize("shape, mode, n_r, n_t", [
     (SPHERE, "axisymmetric-3d", 8, 8),
     (SPHERE, "axisymmetric-3d", 5, 7),

@@ -11,7 +11,6 @@ from lowmach import (
     build_mesh,
     decay_fit,
     fit_rate,
-    newtonian_potential,
     solve_incompressible,
     sweep,
     validate_force,
@@ -65,7 +64,7 @@ def test_shell_theorem(mesh):
     # a uniform finite-mass ball acts like a point mass outside itself: the
     # library's closed form against a direct Coulomb sum over the ball
     spec = ForceSpec("newtonian", mass=0.5, source_radius=0.5)
-    ff = newtonian_potential(spec, mesh)
+    ff = build_force(spec, mesh)
     pts = mesh.qpts.reshape(-1, 2)
     expect_phi, expect_grad = oracles.coulomb_ball(pts, 0.5, 0.5)
     err_phi = np.max(np.abs(ff.phi_qpts.reshape(-1) - expect_phi) / expect_phi)
@@ -77,7 +76,7 @@ def test_shell_theorem(mesh):
 
 def test_newtonian_mass_sanity(mesh):
     spec = ForceSpec("newtonian", mass=1.0, source_radius=0.5)
-    ff = newtonian_potential(spec, mesh)
+    ff = build_force(spec, mesh)
     pts = mesh.nodes
     r = np.linalg.norm(pts, axis=1)
     far = r > 15.0
@@ -87,13 +86,13 @@ def test_newtonian_mass_sanity(mesh):
 def test_newtonian_requires_axisym():
     m2 = build_mesh(ObstacleShape("disk", 1.0), 20.0, 8, 8, mode="planar-2d")
     with pytest.raises(ConfigError):
-        newtonian_potential(ForceSpec("newtonian"), m2)
+        build_force(ForceSpec("newtonian"), m2)
 
 
 def test_newtonian_source_must_fit():
     m = build_mesh(ObstacleShape("sphere", 1.0), 20.0, 8, 8)
     with pytest.raises(ConfigError):
-        newtonian_potential(ForceSpec("newtonian", source_radius=1.2), m)
+        build_force(ForceSpec("newtonian", source_radius=1.2), m)
 
 
 def test_beta_prime_arithmetic():
