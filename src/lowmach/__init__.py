@@ -16,7 +16,6 @@ from .gas import (
     density_bounds,
     density_departure,
     density_from_speed,
-    energy_density,
     enthalpy,
     enthalpy_inv,
     mach,
@@ -29,7 +28,6 @@ from .geometry import ExteriorMesh, ObstacleShape, build_mesh
 from .incompressible import (
     PotentialField,
     VelocityField,
-    analytic_disk_reference,
     analytic_sphere_reference,
     solve_incompressible,
 )

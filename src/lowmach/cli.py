@@ -140,6 +140,8 @@ class RunConfig:
         g = self.raw["geometry"]
         if (g["kind"] == "ellipse") != ("semi_axes" in g):
             raise ConfigError("geometry.semi_axes: required for an ellipse, and for no other kind")
+        if g["kind"] == "ellipse" and "radius" in raw.get("geometry", {}):
+            raise ConfigError("geometry.radius: an ellipse takes semi_axes, not a radius")
         axes = g.get("semi_axes")
         self.shape = geometry.ObstacleShape(g["kind"], g["radius"], axes and tuple(axes))
         geometry.check_shell(self.shape, g["r_far"], g["n_r"], g["grading"])

@@ -20,7 +20,7 @@ monotone truncation of the speed-squared variable that freezes the closure
 beyond a configurable Mach threshold, making the resulting coefficient
 matrix uniformly elliptic no matter how large the argument gets.  The
 kernel ``closure`` evaluates the truncation once per state; the truncated
-density, the energy density and the coefficient matrix are built on it.
+density and the coefficient matrix are built on it.
 
 Every operation is a pure function of its arguments and the two frozen
 parameter objects (GasModel, CutoffSpec); all of it is safe to call
@@ -52,15 +52,8 @@ __all__ = [
     "level_departure",
     "density_departure",
     "density_bounds",
-    "energy_density",
     "coefficients",
 ]
-
-# Gauss-Legendre nodes/weights on [0, 1], for the energy density's bridge.
-_T16, _W16 = np.polynomial.legendre.leggauss(16)
-_T16 = 0.5 * (_T16 + 1.0)
-_W16 = 0.5 * _W16
-
 
 @dataclass(frozen=True)
 class GasModel:
@@ -514,60 +507,6 @@ def density_departure(q2, f, gas, spec):
     """
     qhat, _ = truncated_speed_sq(q2, f, spec)
     return level_departure(qhat, gas)
-
-
-def energy_density(lam, f, gas, spec):
-    """Integral energy density G(Lambda, phi) = 1/2 int_0^Lambda rho_hat.
-
-    Closed form on the identity branch (the antiderivative of the density
-    along the Bernoulli branch is the pressure), 16-point Gauss on the
-    bridge, and linear in Lambda past saturation.  G(0) = 0 and
-    dG/dLambda = rho_hat / 2.
-    """
-    lam = np.asarray(lam, dtype=float)
-    phi = np.asarray(_phi_of(f), dtype=float)
-    lam, phi = np.broadcast_arrays(lam, phi)
-    if np.any(lam < 0.0):
-        raise DomainError("energy_density requires Lambda >= 0")
-
-    lam_lo = np.asarray(spec._lambda_lo(phi))
-    lam_hi = np.asarray(spec._lambda_hi(phi))
-    eps2 = gas.epsilon**2
-    g = gas.gamma
-
-    # Identity segment [0, min(lam, lam_lo)]: G = (p(rho(0)) - p(rho(L)))/eps^2,
-    # written in expm1/log1p form so the eps -> 0 limit (= L/2) is exact.
-    l1 = np.minimum(lam, lam_lo)
-    y1 = eps2 * ((gas.q_inf**2 - l1) / 2.0 + phi)
-    if g == 1.0:
-        dlog = eps2 * l1 / 2.0
-        ident = np.exp(y1) * np.expm1(dlog) / eps2
-    else:
-        u1 = 1.0 + (g - 1.0) * y1 / g
-        if np.any(u1 <= 0.0):
-            raise ConfigError("energy_density: Bernoulli level out of range")
-        dlog = np.log1p((g - 1.0) * eps2 * l1 / (2.0 * g * u1)) / (g - 1.0)
-        ident = np.exp(g / (g - 1.0) * np.log1p((g - 1.0) * y1 / g)) \
-            * np.expm1(g * dlog) / eps2
-
-    out = ident
-
-    # Bridge segment [lam_lo, min(lam, lam_hi)], 16-point Gauss.
-    on_bridge = lam > lam_lo
-    if np.any(on_bridge):
-        b_hi = np.minimum(lam, lam_hi)
-        seg = np.where(on_bridge, b_hi - lam_lo, 0.0)
-        nodes = lam_lo[..., None] + seg[..., None] * _T16
-        rho_b = closure(nodes, phi[..., None], gas, spec)[2]
-        out = out + 0.5 * seg * (np.asarray(rho_b) @ _W16)
-
-    # Saturated tail.
-    past = lam > lam_hi
-    if np.any(past):
-        rho_sat = closure(lam_hi, phi, gas, spec)[2]
-        out = out + np.where(past, 0.5 * np.asarray(rho_sat) * (lam - lam_hi), 0.0)
-
-    return _as_result(out)
 
 
 def density_bounds(gas, spec):

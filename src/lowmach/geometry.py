@@ -30,7 +30,7 @@ from . import fem
 from .errors import ConfigError, DomainError
 
 __all__ = ["ObstacleShape", "ExteriorMesh", "build_mesh", "check_mode", "check_shell", "refined",
-           "mesh_dump_string", "load_mesh"]
+           "mesh_dump_string"]
 
 AXISYM = "axisymmetric-3d"
 PLANAR = "planar-2d"
@@ -87,15 +87,6 @@ class ObstacleShape:
         c, s = np.cos(theta), np.sin(theta)
         den = b * b * c * c + a * a * s * s
         return -a * b * (a * a - b * b) * s * c * den ** (-1.5)
-
-    def level_set_normal(self, points):
-        """Unit normal from the implicit boundary description, pointing
-        away from the obstacle (into the fluid)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        a, b = self.semi_axes
-        g = np.stack([p[:, 0] / a**2, p[:, 1] / b**2], axis=1)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g if np.asarray(points).ndim > 1 else g[0]
 
 
 @dataclass
@@ -304,14 +295,6 @@ class ExteriorMesh:
         j22 = r_eta * s + r * s_eta
         det = j11 * j22 - j12 * j21
         return x1, xr, (j11, j12, j21, j22), det
-
-    def evaluate(self, nodal, points):
-        """Bilinear field value at arbitrary points inside the shell."""
-        cid, xi, eta = self.locate(points)
-        N = _basis_values(xi, eta)
-        vals = np.asarray(nodal)[self.cells[cid]]
-        out = np.einsum("pk,pk->p", N, vals)
-        return out if np.asarray(points).ndim > 1 else float(out[0])
 
     def evaluate_gradient(self, nodal, points):
         """Gradient of a nodal field at arbitrary points inside the shell.
@@ -579,35 +562,3 @@ def mesh_dump_string(mesh, config_hash=""):
     lines += [f"{k} {tag} {c} {a} {b}\n" for k, (tag, c, a, b) in enumerate(facets)]
     return "".join(lines)
 
-
-def load_mesh(path):
-    """Rebuild a mesh from its dump and verify the tables bit-exactly."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_MESH_FORMAT):
-            raise ConfigError(f"not a mesh dump (header {header!r})")
-        kv = dict(tok.split("=", 1) for tok in header.split()[2:] if "=" in tok)
-        if kv["kind"] == "ellipse":
-            ax = tuple(float(v) for v in kv["semi_axes"].split(","))
-            shape = ObstacleShape("ellipse", semi_axes=ax)
-        else:
-            shape = ObstacleShape(kv["kind"], radius=float(kv["radius"]))
-        mesh = build_mesh(
-            shape, float(kv["r_far"]), int(kv["n_r"]), int(kv["n_t"]),
-            grading=float(kv["grading"]), mode=kv["mode"],
-            quad_order=int(kv["quad_order"]),
-        )
-        n = int(fh.readline().split()[1])
-        nodes = np.empty((n, 2))
-        for k in range(n):
-            parts = fh.readline().split()
-            nodes[k] = (float(parts[1]), float(parts[2]))
-        if not np.array_equal(nodes, mesh.nodes):
-            raise ConfigError("mesh dump does not match its parameters (nodes)")
-        m = int(fh.readline().split()[1])
-        cells = np.empty((m, 4), dtype=np.int64)
-        for k in range(m):
-            cells[k] = [int(v) for v in fh.readline().split()[1:]]
-    if not np.array_equal(cells, mesh.cells):
-        raise ConfigError("mesh dump does not match its parameters (cells)")
-    return mesh

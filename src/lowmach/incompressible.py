@@ -30,7 +30,6 @@ __all__ = [
     "surface_speeds",
     "weak_slip_residual",
     "analytic_sphere_reference",
-    "analytic_disk_reference",
 ]
 
 
@@ -165,21 +164,3 @@ def analytic_sphere_reference(a, q_inf, point):
     )
     return phi, u
 
-
-def analytic_disk_reference(a, q_inf, point):
-    """Exact potential and velocity for the planar disk (two-dimensional)."""
-    p = np.asarray(point, dtype=float)
-    if p.shape[-1] != 2:
-        raise DomainError("disk reference expects 2-d points")
-    r = np.linalg.norm(p, axis=-1)
-    if np.any(r < a * (1.0 - 1e-12)):
-        raise DomainError("point inside the obstacle")
-    x1 = p[..., 0]
-    phi = q_inf * (x1 + a**2 * x1 / r**2)
-    e1 = np.zeros_like(p)
-    e1[..., 0] = 1.0
-    u = q_inf * (
-        (1.0 + a**2 / r**2)[..., None] * e1
-        - (2.0 * a**2 * x1 / r**4)[..., None] * p
-    )
-    return phi, u

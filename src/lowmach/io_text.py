@@ -2,7 +2,7 @@
 
 Every file starts with a header line carrying the format version and the
 hash of the run configuration.  Floats are written with 17 significant
-digits, so dump -> load -> dump is byte-identical and reruns of the same
+digits, so ``np.loadtxt`` reads them back bit for bit, and reruns of the same
 configuration produce byte-identical artifacts (no timestamps anywhere).
 """
 
@@ -11,8 +11,6 @@ import json
 import math
 
 import numpy as np
-
-from .errors import ConfigError
 
 FIELD_FORMAT = "lowmach-field v1"
 SURFACE_FORMAT = "lowmach-surface v1"
@@ -53,22 +51,6 @@ def node_weights(mesh):
     for wq, nq in zip(mesh.qweights.T, mesh.basis):      # over the points, in order
         w += wq[:, None] * nq
     return np.bincount(mesh.cells.ravel(), w.ravel(), minlength=mesh.n_nodes)
-
-
-def load_field(path):
-    """Parse a field dump; returns (points, weights, values, header dict)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if FIELD_FORMAT not in header:
-            raise ConfigError(f"not a field dump (header {header!r})")
-        meta = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-        fh.readline()  # column comment
-        rows = np.array([[float(tok) for tok in line.split()]
-                         for line in fh if line.strip()])
-    n = int(meta["n"])
-    if rows.shape != (n, 4):
-        raise ConfigError("field dump row count does not match header")
-    return rows[:, :2], rows[:, 2], rows[:, 3], meta
 
 
 def field_dump_string(field, cfg_hash="", extra=None):
@@ -120,15 +102,6 @@ def report_csv(report, cfg_hash=""):
                 cells.append(str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def load_report(path):
-    """Parse a JSON report back into the dictionary that produced it."""
-    with open(path) as fh:
-        out = json.load(fh)
-    if out.get("schema") != REPORT_FORMAT:
-        raise ConfigError(f"not a report file (schema {out.get('schema')!r})")
-    return out
 
 
 def report_json(report, cfg_hash=""):

@@ -12,6 +12,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+from lowmach.errors import ConfigError, DomainError
+from lowmach.gas import _as_result, _phi_of, closure
+from lowmach.geometry import _basis_values
+
 
 def p_prime(s, gamma):
     return gamma * s ** (gamma - 1.0)
@@ -116,6 +120,66 @@ def level_departure_mp(qhat, gamma, epsilon, q_inf_sq, dps=50):
         return float((rho - 1) / eps2)
 
 
+# Gauss-Legendre nodes/weights on [0, 1], for the energy density's bridge.
+_T16, _W16 = np.polynomial.legendre.leggauss(16)
+_T16 = 0.5 * (_T16 + 1.0)
+_W16 = 0.5 * _W16
+
+
+def energy_density(lam, f, gas, spec):
+    """Integral energy density G(Lambda, phi) = 1/2 int_0^Lambda rho_hat.
+
+    Closed form on the identity branch (the antiderivative of the density
+    along the Bernoulli branch is the pressure), 16-point Gauss on the
+    bridge, and linear in Lambda past saturation.  G(0) = 0 and
+    dG/dLambda = rho_hat / 2.
+    """
+    lam = np.asarray(lam, dtype=float)
+    phi = np.asarray(_phi_of(f), dtype=float)
+    lam, phi = np.broadcast_arrays(lam, phi)
+    if np.any(lam < 0.0):
+        raise DomainError("energy_density requires Lambda >= 0")
+
+    lam_lo = np.asarray(spec._lambda_lo(phi))
+    lam_hi = np.asarray(spec._lambda_hi(phi))
+    eps2 = gas.epsilon**2
+    g = gas.gamma
+
+    # Identity segment [0, min(lam, lam_lo)]: G = (p(rho(0)) - p(rho(L)))/eps^2,
+    # written in expm1/log1p form so the eps -> 0 limit (= L/2) is exact.
+    l1 = np.minimum(lam, lam_lo)
+    y1 = eps2 * ((gas.q_inf**2 - l1) / 2.0 + phi)
+    if g == 1.0:
+        dlog = eps2 * l1 / 2.0
+        ident = np.exp(y1) * np.expm1(dlog) / eps2
+    else:
+        u1 = 1.0 + (g - 1.0) * y1 / g
+        if np.any(u1 <= 0.0):
+            raise ConfigError("energy_density: Bernoulli level out of range")
+        dlog = np.log1p((g - 1.0) * eps2 * l1 / (2.0 * g * u1)) / (g - 1.0)
+        ident = np.exp(g / (g - 1.0) * np.log1p((g - 1.0) * y1 / g)) \
+            * np.expm1(g * dlog) / eps2
+
+    out = ident
+
+    # Bridge segment [lam_lo, min(lam, lam_hi)], 16-point Gauss.
+    on_bridge = lam > lam_lo
+    if np.any(on_bridge):
+        b_hi = np.minimum(lam, lam_hi)
+        seg = np.where(on_bridge, b_hi - lam_lo, 0.0)
+        nodes = lam_lo[..., None] + seg[..., None] * _T16
+        rho_b = closure(nodes, phi[..., None], gas, spec)[2]
+        out = out + 0.5 * seg * (np.asarray(rho_b) @ _W16)
+
+    # Saturated tail.
+    past = lam > lam_hi
+    if np.any(past):
+        rho_sat = closure(lam_hi, phi, gas, spec)[2]
+        out = out + np.where(past, 0.5 * np.asarray(rho_sat) * (lam - lam_hi), 0.0)
+
+    return _as_result(out)
+
+
 def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
                  chunk=2048):
     """Potential and meridian-plane gradient of a uniform ball by direct summation.
@@ -147,6 +211,25 @@ def coulomb_ball(targets2d, mass, radius, n_radial=12, n_polar=12, n_azimuth=16,
         phi[lo:lo + chunk] = inv @ w
         grad[lo:lo + chunk] = -np.einsum("tk,tkd->td", w * inv**3, d)[:, :2]
     return phi, grad
+
+
+def analytic_disk_reference(a, q_inf, point):
+    """Exact potential and velocity for the planar disk (two-dimensional)."""
+    p = np.asarray(point, dtype=float)
+    if p.shape[-1] != 2:
+        raise DomainError("disk reference expects 2-d points")
+    r = np.linalg.norm(p, axis=-1)
+    if np.any(r < a * (1.0 - 1e-12)):
+        raise DomainError("point inside the obstacle")
+    x1 = p[..., 0]
+    phi = q_inf * (x1 + a**2 * x1 / r**2)
+    e1 = np.zeros_like(p)
+    e1[..., 0] = 1.0
+    u = q_inf * (
+        (1.0 + a**2 / r**2)[..., None] * e1
+        - (2.0 * a**2 * x1 / r**4)[..., None] * p
+    )
+    return phi, u
 
 
 def truncated_speed_sq(q2, phi, spec):
@@ -209,6 +292,27 @@ def coefficient_matrix(v, c, d):
     v = np.asarray(v, dtype=float)
     c, d = (np.asarray(x)[..., None, None] for x in (c, d))
     return c * np.eye(v.shape[-1]) - d * (v[..., :, None] * v[..., None, :])
+
+
+# The obstacle's implicit normal and point evaluation of a nodal field.
+
+def level_set_normal(shape, points):
+    """Unit normal from the implicit boundary description, pointing
+    away from the obstacle (into the fluid)."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b = shape.semi_axes
+    g = np.stack([p[:, 0] / a**2, p[:, 1] / b**2], axis=1)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g if np.asarray(points).ndim > 1 else g[0]
+
+
+def evaluate(mesh, nodal, points):
+    """Bilinear field value at arbitrary points inside the shell."""
+    cid, xi, eta = mesh.locate(points)
+    N = _basis_values(xi, eta)
+    vals = np.asarray(nodal)[mesh.cells[cid]]
+    out = np.einsum("pk,pk->p", N, vals)
+    return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
 # Finite-element kernels written as einsum contractions over the
@@ -429,7 +533,8 @@ def weak_dp_gaps_tensor(state, force=None):
     return gaps
 
 
-# Structured-mesh index tables and the field dump, one node at a time.
+# Structured-mesh index tables, the field dump one node at a time, and
+# the artifact readers (np.loadtxt; a '#' header line is a comment to it).
 
 def structured_tables(n_r, n_t, periodic):
     """(cells, gamma_nodes, sigma_nodes) of the shell: node (i, j) is
@@ -453,6 +558,28 @@ def field_dump_rows(nodes, weights, values):
     """The rows of a field dump, one f-string per node."""
     return "".join(f"{x:.17g} {y:.17g} {w:.17g} {v:.17g}\n"
                    for (x, y), w, v in zip(nodes, weights, values))
+
+
+def header_fields(line):
+    """The key=value fields of an artifact's header line."""
+    return dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+
+
+def read_field_dump(path):
+    """A field dump as (header fields, rows x1 xr weight value)."""
+    with open(path) as fh:
+        return header_fields(fh.readline()), np.loadtxt(path, ndmin=2)
+
+
+def read_mesh_dump(path):
+    """A mesh dump as (header fields, node coordinates, cell corners)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    n = int(lines[1].split()[1])
+    m = int(lines[n + 2].split()[1])
+    nodes = np.loadtxt(lines[2:n + 2], ndmin=2)[:, 1:]
+    cells = np.loadtxt(lines[n + 3:n + 3 + m], dtype=np.int64, ndmin=2)[:, 1:]
+    return header_fields(lines[0]), nodes, cells
 
 
 def traced_units(mesh, call):

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from lowmach.cli import main
-from lowmach.io_text import load_field
 
 
 BASE = {
@@ -49,7 +49,8 @@ def test_solve_incompressible_artifacts(tmp_path):
     assert files == ["psi.txt", "summary.json", "surface.csv"]
     summary = json.loads(open(os.path.join(run, "summary.json")).read())
     assert summary["residual"] < 1e-10
-    pts, wts, vals, meta = load_field(os.path.join(run, "psi.txt"))
+    meta, rows = oracles.read_field_dump(os.path.join(run, "psi.txt"))
+    pts, vals = rows[:, :2], rows[:, 3]
     assert meta["kind"] == "incompressible_perturbation"
     assert pts.shape[0] == int(meta["n"]) == vals.size
     # the dump reloads to the in-memory solution exactly
@@ -75,6 +76,13 @@ def test_solve_incompressible_deterministic(tmp_path):
 def _with(section, **vals):
     cfg = json.loads(json.dumps(BASE))
     cfg[section].update(vals)
+    return cfg
+
+
+def _ellipse(semi_axes):
+    # an ellipse takes semi_axes in place of BASE's radius
+    cfg = _with("geometry", kind="ellipse", semi_axes=semi_axes)
+    del cfg["geometry"]["radius"]
     return cfg
 
 
@@ -120,9 +128,11 @@ CONFIG_ERRORS = {
     "source-outside": (_with("force", kind="newtonian", source_radius=1.0),
                        "force.source_radius"),
     # the ball must fit the smaller semi-axis, whichever axis it lies along
-    "source-outside-ellipse": ({**_with("geometry", kind="ellipse", semi_axes=[1.0, 2.0]),
+    "source-outside-ellipse": ({**_ellipse([1.0, 2.0]),
                                 "force": {"kind": "newtonian", "source_radius": 1.2}},
                                "force.source_radius"),
+    "ellipse-radius": (_with("geometry", kind="ellipse", semi_axes=[1.5, 1.0]),
+                       "geometry.radius"),
     "output-directory-int": ({**BASE, "output": {"directory": 3}},
                              "output.directory"),
     "top-level-list": ([BASE], "configuration"),
@@ -200,13 +210,13 @@ def test_python_dash_m_exits_2_and_writes_nothing(tmp_path):
 
 
 def test_solve_incompressible_ellipse(tmp_path):
-    cfg = _write_config(tmp_path, {"geometry": {"kind": "ellipse",
-                                                "semi_axes": [1.5, 1.0]}})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_ellipse([1.5, 1.0])))
     out = str(tmp_path / "out")
-    assert main(["solve-incompressible", "--config", cfg, "--out", out]) == 0
+    assert main(["solve-incompressible", "--config", str(cfg), "--out", out]) == 0
     run, files = _run_files(out)
     assert files == ["psi.txt", "summary.json", "surface.csv"]
-    pts, _, vals, meta = load_field(os.path.join(run, "psi.txt"))
+    meta, _ = oracles.read_field_dump(os.path.join(run, "psi.txt"))
     assert meta["kind"] == "incompressible_perturbation"
     # the surface profile lies on the ellipse (x1/1.5)^2 + xr^2 = 1
     rows = np.loadtxt(os.path.join(run, "surface.csv"), delimiter=",",
@@ -320,10 +330,12 @@ def test_sweep_artifacts_and_rates(tmp_path):
     csv = open(os.path.join(run, "report.csv")).read().splitlines()
     assert csv[1].startswith("epsilon,")
     assert len(csv) == 2 + 4
-    # the JSON report round-trips through its loader
-    from lowmach.io_text import load_report, canonical_json
+    # the JSON report reads back with json.load and re-serializes to its bytes
+    from lowmach.io_text import canonical_json
 
-    loaded = load_report(os.path.join(run, "report.json"))
+    with open(os.path.join(run, "report.json")) as fh:
+        loaded = json.load(fh)
+    assert loaded["schema"] == "lowmach-report v1"
     assert canonical_json(loaded) == open(os.path.join(run, "report.json")).read()
     assert loaded["energy_uniform_ratio"] < 2.0
     assert loaded["uniform_u_ratio"] < 1.25
@@ -559,15 +571,25 @@ def test_validate_force_verdicts(tmp_path):
 
 
 def test_dump_mesh_roundtrip(tmp_path):
-    from lowmach.geometry import load_mesh
+    from lowmach import ObstacleShape, build_mesh
+    from lowmach.geometry import mesh_dump_string
 
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["dump-mesh", "--config", cfg, "--out", out]) == 0
     run, files = _run_files(out)
     assert files == ["mesh.txt"]
-    mesh = load_mesh(os.path.join(run, "mesh.txt"))
-    assert mesh.n_r == 16 and mesh.n_t == 16
+    path = os.path.join(run, "mesh.txt")
+    kv, nodes, cells = oracles.read_mesh_dump(path)
+    assert kv["n_r"] == kv["n_t"] == "16"
+    # the tables are those of the mesh built from the header's parameters,
+    # and re-dumping that mesh reproduces the file byte for byte
+    mesh = build_mesh(ObstacleShape(kv["kind"], float(kv["radius"])), float(kv["r_far"]),
+                      int(kv["n_r"]), int(kv["n_t"]), grading=float(kv["grading"]),
+                      mode=kv["mode"], quad_order=int(kv["quad_order"]))
+    assert np.array_equal(nodes, mesh.nodes)
+    assert np.array_equal(cells, mesh.cells)
+    assert mesh_dump_string(mesh, kv["config"]) == open(path).read()
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -101,7 +101,7 @@ def test_functional_matches_literal_definition(mesh, psi, cut):
     # exact; at compressibilities this moderate the literal form still has
     # enough digits left to compare tightly.
     import lowmach.fem as fem
-    from lowmach.gas import energy_density
+    from oracles import energy_density
 
     rng = np.random.default_rng(8)
     r = np.linalg.norm(mesh.nodes, axis=1)

@@ -16,7 +16,6 @@ from lowmach import (
     critical_speed,
     density_departure,
     density_from_speed,
-    energy_density,
     enthalpy,
     enthalpy_inv,
     mach,
@@ -26,6 +25,7 @@ from lowmach import (
     truncated_speed_sq,
 )
 from lowmach.gas import closure, coefficients, level_departure, pressure_slope
+from oracles import energy_density
 
 GAS = GasModel(gamma=1.4, epsilon=0.1, q_inf=1.0)
 
@@ -455,35 +455,41 @@ def test_density_departure_low_mach_limit(cut_forced):
 
 
 # The closure over its parameter domain: gamma in [1, 3], epsilon in
-# [1e-8, eps_ref] and the truncated speed variable in [0, saturation].
+# [1e-8, eps_ref], the force potential phi = frac * phi_star in
+# [-phi_star, phi_star] with phi_star in [0, 0.3], and the truncated speed
+# variable in [0, saturation].
 _EPS_REF = 0.45
 
 
-def _force_free_spec(gamma, q_inf):
-    # the cut-off without its eigenvalue scan, which these properties never read
-    spec = CutoffSpec(0.65, _EPS_REF, gamma, q_inf, 0.0, float("nan"))
-    return replace(spec, saturation=float(spec._lambda_hi(0.0)))
+def _scanless_spec(gamma, q_inf, star=0.0):
+    # the cut-off without its eigenvalue scan, which these properties never
+    # read; its saturation is make_cutoff's over the samples -star, 0, star
+    spec = CutoffSpec(0.65, _EPS_REF, gamma, q_inf, star, float("nan"))
+    phis = np.array([-star, 0.0, star])
+    return replace(spec, saturation=float(np.max(spec._lambda_hi(phis) - 2.0 * phis)))
 
 
 _CLOSURE_DOMAIN = dict(
     gamma=st.floats(1.0, 3.0), log_eps=st.floats(-8.0, np.log10(_EPS_REF)),
     q_inf=st.floats(0.5, 2.0),
 )
+_FORCE_DOMAIN = dict(star=st.floats(0.0, 0.3), frac_phi=st.floats(-1.0, 1.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(frac=st.floats(0.0, 1.0), **_CLOSURE_DOMAIN)
-@example(frac=1.0, gamma=1.0, log_eps=-8.0, q_inf=1.0)
-@example(frac=1.0, gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0)
-@example(frac=1.0, gamma=3.0, log_eps=np.log10(_EPS_REF), q_inf=2.0)
-def test_departure_matches_high_precision_oracle(frac, gamma, log_eps, q_inf):
+@given(frac=st.floats(0.0, 1.0), **_CLOSURE_DOMAIN, **_FORCE_DOMAIN)
+@example(frac=1.0, gamma=1.0, log_eps=-8.0, q_inf=1.0, star=0.0, frac_phi=0.0)
+@example(frac=1.0, gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0, star=0.0, frac_phi=0.0)
+@example(frac=1.0, gamma=3.0, log_eps=np.log10(_EPS_REF), q_inf=2.0, star=0.0, frac_phi=0.0)
+def test_departure_matches_high_precision_oracle(frac, gamma, log_eps, q_inf, star, frac_phi):
     gas = GasModel(gamma, 10.0**log_eps, q_inf)
-    spec = _force_free_spec(gamma, q_inf)
+    spec = _scanless_spec(gamma, q_inf, star)
+    phi = frac_phi * star
     qhat = np.concatenate([np.linspace(0.0, spec.saturation, 9),
                            [q_inf**2, frac * spec.saturation]])
-    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(0.0), 9)
+    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(phi), 9)
     cases = [(qhat, level_departure(qhat, gas)),
-             (truncated_speed_sq(lam, 0.0, spec)[0], density_departure(lam, 0.0, gas, spec))]
+             (truncated_speed_sq(lam, phi, spec)[0], density_departure(lam, phi, gas, spec))]
     for q, got in cases:
         want = np.array([oracles.level_departure_mp(v, gamma, gas.epsilon, q_inf**2)
                          for v in q])
@@ -505,13 +511,14 @@ def test_departure_limit_survives_eps_squared_underflow():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(**_CLOSURE_DOMAIN)
-@example(gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0)
-def test_closure_slope_is_pressure_slope(gamma, log_eps, q_inf):
+@given(**_CLOSURE_DOMAIN, **_FORCE_DOMAIN)
+@example(gamma=1.0, log_eps=np.log10(_EPS_REF), q_inf=1.0, star=0.0, frac_phi=0.0)
+def test_closure_slope_is_pressure_slope(gamma, log_eps, q_inf, star, frac_phi):
     gas = GasModel(gamma, 10.0**log_eps, q_inf)
-    spec = _force_free_spec(gamma, q_inf)
-    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(0.0), 33)
-    _, _, rho, ps = closure(lam, 0.0, gas, spec)
+    spec = _scanless_spec(gamma, q_inf, star)
+    phi = frac_phi * star
+    lam = np.linspace(0.0, 1.25 * spec._lambda_hi(phi), 33)
+    _, _, rho, ps = closure(lam, phi, gas, spec)
     want = pressure_slope(rho, gas)
     assert np.all(np.abs(ps - want) <= 1e-14 * want)
 
@@ -550,14 +557,31 @@ def test_energy_density_vs_trapezoid(cut):
         assert energy_density(lam_top, 0.0, GAS, cut) == pytest.approx(expect, rel=1e-8)
 
 
+def _check_energy_slope(lam, phi, gas, spec, h=1e-5):
+    # dG/dLambda = rho_hat / 2, by central differences of step h
+    up = energy_density(lam + h, phi, gas, spec)
+    dn = energy_density(lam - h, phi, gas, spec)
+    fd = (up - dn) / (2.0 * h)
+    expect = truncated_density(lam, phi, gas, spec) / 2.0
+    assert np.allclose(fd, expect, rtol=1e-6, atol=1e-8)
+
+
 def test_energy_density_slope_is_half_density(cut_forced):
     lam = np.linspace(0.05, 1.4 * cut_forced.q_upper(0.2) ** 2, 37)
+    _check_energy_slope(lam, 0.2, GAS, cut_forced)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(frac=st.floats(0.0, 1.0), **_CLOSURE_DOMAIN, **_FORCE_DOMAIN)
+def test_energy_density_slope_is_half_density_property(frac, gamma, log_eps, q_inf,
+                                                        star, frac_phi):
+    # Lambda in [h, 1.4 Lambda_hi(phi)]: the identity branch, the bridge and
+    # the saturated tail
+    spec = _scanless_spec(gamma, q_inf, star)
+    phi = frac_phi * star
     h = 1e-5
-    up = energy_density(lam + h, 0.2, GAS, cut_forced)
-    dn = energy_density(lam - h, 0.2, GAS, cut_forced)
-    fd = (up - dn) / (2.0 * h)
-    expect = truncated_density(lam, 0.2, GAS, cut_forced) / 2.0
-    assert np.allclose(fd, expect, rtol=1e-6, atol=1e-8)
+    lam = h + frac * (1.4 * spec._lambda_hi(phi) - h)
+    _check_energy_slope(lam, phi, GasModel(gamma, 10.0**log_eps, q_inf), spec, h)
 
 
 def test_coefficients_stagnation(cut):

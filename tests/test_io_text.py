@@ -8,8 +8,7 @@ import pytest
 
 import oracles
 from lowmach import ObstacleShape, PotentialField, build_mesh
-from lowmach.io_text import (canonical_json, field_dump_string, load_field,
-                             node_weights)
+from lowmach.io_text import canonical_json, field_dump_string, node_weights
 
 
 MESHES = {
@@ -44,9 +43,10 @@ def test_field_dump_matches_per_node_rows(name, tmp_path):
     # the rows read back bit for bit, -0.0 included
     path = tmp_path / "field.txt"
     path.write_text(text)
-    pts, wts, vals, meta = load_field(path)
+    meta, rows = oracles.read_field_dump(path)
     assert meta["n"] == str(mesh.n_nodes)
-    assert np.array_equal(pts, mesh.nodes)
+    assert np.array_equal(rows[:, :2], mesh.nodes)
+    vals = rows[:, 3]
     assert np.array_equal(vals, values)
     assert np.array_equal(np.signbit(vals), np.signbit(values))
 
