@@ -27,7 +27,6 @@ from .gas import (
 from .geometry import ExteriorMesh, ObstacleShape, build_mesh
 from .incompressible import (
     PotentialField,
-    VelocityField,
     analytic_sphere_reference,
     solve_incompressible,
 )

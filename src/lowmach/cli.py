@@ -209,26 +209,25 @@ def cmd_solve_compressible(cfg, args):
     GasModel(cfg.raw["gas"]["gamma"], epsilon, cfg.raw["gas"]["q_inf"])
     setup = cfg.sweep_setup(cfg.build_mesh())
     state, info = limits.solve_epsilon(setup, epsilon, *limits.prepare(setup))
-    # keep what the artifacts need and drop the state's fields before formatting
-    summary, phi_corr, truncated = state.summary(), state.phi_corr, state.truncated_regime
-    del state
-
     correction = io_text.field_dump_string(
-        phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
+        state.phi_corr, cfg.hash, extra={"epsilon": repr(float(epsilon))})
     trace = dataclasses.asdict(info)
+    summary = state.summary()
     summary.update({
         "config": cfg.hash,
         "command": "solve-compressible",
-        "truncated_regime": truncated,
+        "truncated_regime": state.truncated_regime,
         "newton_iterations": trace.pop("iterations"),
         "relative_gradient_target": trace.pop("relative_target"),
         "newton_trace": trace,
         "incompressible_solved_implicitly": True,
     })
     code = EXIT_OK if summary["cutoff_removed"] else EXIT_CUTOFF
+    # six digits name the files unless two epsilons share them
+    tag = f"{epsilon:g}" if float(f"{epsilon:g}") == epsilon else repr(epsilon)
     return code, {
-        f"correction_eps{epsilon:g}.txt": correction,
-        f"state_eps{epsilon:g}.json": io_text.canonical_json(summary, compact=True),
+        f"correction_eps{tag}.txt": correction,
+        f"state_eps{tag}.json": io_text.canonical_json(summary, compact=True),
     }
 
 

@@ -57,7 +57,7 @@ from .gas import (
     enthalpy,
     level_departure,
 )
-from .incompressible import PotentialField, VelocityField, velocity_at_qpts
+from .incompressible import PotentialField, velocity_at_qpts
 
 __all__ = [
     "FlowState",
@@ -95,18 +95,25 @@ def _at(field, cells):
     return field if np.ndim(field) == 0 else field[cells]
 
 
+def _velocity(psi_base, corr, gas, cells):
+    """(base velocity, correction gradient, base + eps^2 times the latter)
+    at the quadrature points of the slice ``cells``."""
+    base = velocity_at_qpts(psi_base, gas.q_inf, cells)
+    g = fem.grad_at_qpts(psi_base.mesh, corr, cells)
+    return base, g, base + gas.epsilon**2 * g
+
+
 class DifferenceProblem:
     """Discrete difference functional on a fixed mesh and base flow."""
 
     def __init__(self, psi_base, force, gas, cut, t_order=8):
-        mesh = psi_base.mesh
-        self.mesh = mesh
+        self.mesh = psi_base.mesh
+        self.psi_base = psi_base
         self.gas = gas
         self.cut = cut
         # force potential at the quadrature points; a scalar 0 without a
         # force keeps the closure's cut-off thresholds scalar
         self.phi = 0.0 if force is None else force.phi_qpts
-        self.base = velocity_at_qpts(psi_base, gas.q_inf)   # grad of incompressible potential
         tn, tw = np.polynomial.legendre.leggauss(t_order)
         self.t_nodes, self.t_weights = 0.5 * (tn + 1.0), 0.5 * tw
 
@@ -120,7 +127,7 @@ class DifferenceProblem:
         total = 0.0
         for cells in fem.cell_blocks(*self.mesh.qweights.shape):
             g = fem.grad_at_qpts(self.mesh, corr, cells)
-            base, phi = self.base[cells], _at(self.phi, cells)
+            base, phi = velocity_at_qpts(self.psi_base, self.gas.q_inf, cells), _at(self.phi, cells)
             base_sq = _dot(base, base)
             g_sq = _dot(g, g)
             base_dot_g = _dot(base, g)
@@ -139,8 +146,7 @@ class DifferenceProblem:
     def gradient(self, corr):
         """Nodal gradient: component k is int [D(|v|^2) v + g] . grad(N_k)."""
         def load(cells):
-            g = fem.grad_at_qpts(self.mesh, corr, cells)
-            v = self.base[cells] + self.gas.epsilon**2 * g
+            _, g, v = _velocity(self.psi_base, corr, self.gas, cells)
             dep = density_departure(_dot(v, v), _at(self.phi, cells), self.gas, self.cut)
             return dep[..., None] * v + g
 
@@ -152,9 +158,7 @@ class DifferenceProblem:
         form.  Up to the cut-off reference, an eigenvalue below ``cut.lam1``
         at any quadrature point raises SolverError."""
         def coef(cells):
-            v = fem.grad_at_qpts(self.mesh, corr, cells)
-            v *= self.gas.epsilon**2
-            v += self.base[cells]
+            v = _velocity(self.psi_base, corr, self.gas, cells)[2]
             lam = _dot(v, v)
             c, d = coefficients(lam, _at(self.phi, cells), self.gas, self.cut)
             if self.gas.epsilon <= self.cut.eps_ref:
@@ -333,7 +337,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
 
 @dataclass
 class FlowState:
-    """Full compressible state derived from the converged correction.
+    """Norms, weak pressure gaps and cut-off margin of a converged correction.
 
     ``cutoff_margin`` is the smallest gap between the blending-onset speed
     and the local flow speed.  When it is positive the cut-off is removed:
@@ -344,11 +348,8 @@ class FlowState:
     gas: object
     psi_base: PotentialField
     phi_corr: PotentialField
-    u: VelocityField
-    rho: np.ndarray             # (M, Q)
-    departure: np.ndarray       # (rho - 1)/eps^2, cancellation-free
-    mach: np.ndarray            # (M, Q)
-    corr_grad: np.ndarray       # (M, Q, 2)
+    force: object               # ForceField or None
+    cut: object                 # the cut-off the correction minimized under
     cutoff_margin: float
     truncated_regime: bool
     norms: dict
@@ -368,7 +369,7 @@ class FlowState:
 
 
 def flow_state(phi_corr, psi_base, gas, force, cut):
-    """Derive (rho, u, M) fields, the weak pressure gaps and cut-off diagnostics.
+    """Derive the norms of (rho, u, M), the weak pressure gaps and cut-off diagnostics.
 
     The velocity is the base gradient plus eps^2 times the correction
     gradient; density follows from the Bernoulli branch (identical to the
@@ -382,43 +383,35 @@ def flow_state(phi_corr, psi_base, gas, force, cut):
     mesh = psi_base.mesh
     phi = 0.0 if force is None else force.phi_qpts
     eps2 = gas.epsilon**2
-    # corr_grad, u, rho, departure, Mach number
-    fields = [np.empty(mesh.qweights.shape + s) for s in ((2,), (2,), (), (), ())]
-    margin, failed, energy, grad_sq_max, dep_max, gaps = math.inf, set(), 0.0, 0.0, 0.0, 0.0
+    margin, failed, energy, gaps = math.inf, set(), 0.0, 0.0
+    grad_sq_max = dep_max = mach_max = 0.0
     for cells in fem.cell_blocks(*mesh.qweights.shape):
-        corr_grad = fem.grad_at_qpts(mesh, phi_corr.values, cells)
-        base = velocity_at_qpts(psi_base, gas.q_inf, cells)
-        u = base + eps2 * corr_grad
-        rho, dep, m, block_margin, block_failed = _pointwise_state(u, _at(phi, cells), gas, cut)
+        base, corr_grad, u = _velocity(psi_base, phi_corr.values, gas, cells)
+        dep, m, block_margin, block_failed = _pointwise_state(u, _at(phi, cells), gas, cut)
         margin, failed = min(margin, block_margin), failed | block_failed
         grad_sq = _dot(corr_grad, corr_grad)
         energy += np.sum(mesh.qweights[cells] * grad_sq)
         grad_sq_max, dep_max = max(grad_sq_max, np.max(grad_sq)), max(dep_max, np.max(np.abs(dep)))
+        mach_max = max(mach_max, np.max(m))
         gaps += _weak_dp_gaps(mesh, cells, eps2, base, corr_grad, u, dep, force)
-        for f, a in zip(fields, (corr_grad, u, rho, dep, m)):
-            f[cells] = a
     truncated = margin <= 0.0
     failed -= {0, 1, 3} if truncated else set()
     if failed:
         raise SolverError(_CHECKS[min(failed)])
 
-    corr_grad, u, rho, dep, m = fields
     grad_inf = np.sqrt(grad_sq_max)      # sqrt is monotone: max of the norms
     dp_gap = {k: float(eps2 * v) for k, v in zip(("radial", "aligned", "quadrupole"), gaps)}
     norms = {
         "u_diff_l2": float(eps2 * np.sqrt(energy)),
         "u_diff_inf": float(eps2 * grad_inf),
         "rho_diff_inf": float(eps2 * dep_max),
-        "mach_max": float(np.max(m)),
+        "mach_max": float(mach_max),
         "corr_energy": float(energy),
         "corr_grad_inf": float(grad_inf),
         "dp_gap_max": max(abs(v) for v in dp_gap.values()),
     }
     return FlowState(
-        gas=gas, psi_base=psi_base, phi_corr=phi_corr,
-        u=VelocityField(mesh, u),
-        rho=rho, departure=np.asarray(dep), mach=np.asarray(m),
-        corr_grad=corr_grad,
+        gas=gas, psi_base=psi_base, phi_corr=phi_corr, force=force, cut=cut,
         cutoff_margin=margin, truncated_regime=truncated,
         norms=norms, dp_gap=dp_gap,
     )
@@ -433,9 +426,9 @@ _CHECKS = ("truncated and Bernoulli densities disagree inside the removal region
 
 
 def _pointwise_state(u, phi, gas, cut):
-    """(rho, departure, Mach number, cut-off margin, failed checks: indices
-    into ``_CHECKS``) at the velocities ``u`` of a block of cells; the
-    checks of the removal region run where the block's margin is positive."""
+    """(departure, Mach number, cut-off margin, failed checks: indices into
+    ``_CHECKS``) at the velocities ``u`` of a block of cells; the checks of
+    the removal region run where the block's margin is positive."""
     eps2 = gas.epsilon**2
     speed = np.sqrt(_dot(u, u))
     lam = speed**2
@@ -456,7 +449,7 @@ def _pointwise_state(u, phi, gas, cut):
         # two-sided density bound, uniform over epsilon up to the reference
         low, high = density_bounds(gas, cut)
         bad[2] = not (np.all(rho > low) and np.all(rho <= high * (1.0 + 1e-12)))
-    return rho, dep, m, margin, {k for k, b in bad.items() if b}
+    return dep, m, margin, {k for k, b in bad.items() if b}
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +494,7 @@ def _weak_dp_gaps(mesh, cells, eps2, base, c, u, dep, force):
         (T x) . y = (base.x + eps^2 corr.x) corr.y + (corr.x) base.y
                     + departure (u.x)(u.y).
 
-    No vector or tensor field is formed beyond those ``flow_state`` keeps.
+    No vector or tensor field is formed beyond the block's own velocities.
     Here ``c`` is the correction gradient, ``u`` the velocity and ``dep``
     the departure at the quadrature points of ``cells``.  Without a force
     (``force`` None) the force term is dropped.
@@ -558,13 +551,19 @@ def station_mass_flux(state, station):
 
     Sums int rho u . grad(N_k) over all nodes strictly inside the station;
     by the discrete divergence-free property the value is independent of the
-    station up to the solver tolerance.
+    station up to the solver tolerance.  rho u is formed per block of cells.
     """
     mesh = state.psi_base.mesh
     if not 0 < station <= mesh.n_r:
         raise DomainError("station must lie in (0, n_r]")
-    res = fem.assemble_vector_load(
-        mesh, lambda cells: state.rho[cells, :, None] * state.u.at_qpts[cells])
+    phi = 0.0 if state.force is None else state.force.phi_qpts
+
+    def load(cells):
+        u = _velocity(state.psi_base, state.phi_corr.values, state.gas, cells)[2]
+        rho = closure(_dot(u, u), _at(phi, cells), state.gas, state.cut)[2]
+        return rho[..., None] * u
+
+    res = fem.assemble_vector_load(mesh, load)
     n_th = mesh.node_grid[1]
     inner = np.arange(0, station * n_th)
     return float(res[inner].sum())

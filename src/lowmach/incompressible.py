@@ -23,7 +23,6 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "PotentialField",
-    "VelocityField",
     "solve_incompressible",
     "velocity_at_qpts",
     "velocity_at_points",
@@ -51,17 +50,6 @@ class PotentialField:
 
     def grad_at_qpts(self):
         return fem.grad_at_qpts(self.mesh, self.values)
-
-
-@dataclass
-class VelocityField:
-    """Velocity vectors at the quadrature points of the mesh."""
-
-    mesh: object
-    at_qpts: np.ndarray          # (M, Q, 2)
-
-    def speed(self):
-        return np.linalg.norm(self.at_qpts, axis=-1)
 
 
 def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):

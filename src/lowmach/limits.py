@@ -225,7 +225,7 @@ class RateFit:
 
 
 def fit_rate(pairs):
-    """Least-squares log-log fit of (x, value) pairs; refuses values <= 0."""
+    """Least-squares log-log fit of (x, value) pairs; refuses values <= 0 and one abscissa."""
     pts = [(float(x), float(v)) for x, v in pairs]
     if len(pts) < 2:
         raise DomainError("fit_rate needs at least 2 pairs")
@@ -233,6 +233,8 @@ def fit_rate(pairs):
     vs = np.array([p[1] for p in pts])
     if np.any(xs <= 0.0) or np.any(vs <= 0.0):
         raise DomainError("fit_rate requires positive abscissae and values")
+    if np.all(xs == xs[0]):
+        raise DomainError("fit_rate needs at least 2 distinct abscissae")
     lx, lv = np.log(xs), np.log(vs)
     n = lx.size
     a = np.vstack([lx, np.ones(n)]).T
@@ -264,9 +266,9 @@ def decay_fit(field, ray_direction):
 
     Samples the gradient magnitude at 24 geometrically spaced radii along the
     ray, from twice the obstacle's largest radius to 0.8 r_far, and fits
-    log|grad| against log(1 + r); the reported exponent is the negated
-    slope.  The contract is one-sided: the theory provides an upper bound on
-    the field, hence a lower bound on the exponent.  A field that vanishes
+    log|grad| against log r; the reported exponent is the negated slope.
+    The contract is one-sided: the theory provides an upper bound on the
+    field, hence a lower bound on the exponent.  A field that vanishes
     identically in the window is reported unresolved.
     """
     mesh = field.mesh
@@ -279,7 +281,7 @@ def decay_fit(field, ray_direction):
     if np.all(mag <= 1e3 * np.finfo(float).tiny):
         return DecayFit(float("nan"), 0.0, (lo, hi), resolved=False)
     keep = mag > 0.0
-    f = fit_rate(list(zip(1.0 + radii[keep], mag[keep])))
+    f = fit_rate(list(zip(radii[keep], mag[keep])))
     return DecayFit(-f.slope, f.r_squared, (lo, hi))
 
 
@@ -369,7 +371,6 @@ def _sweep_rows(setup, eps_grid):
             row = {**state.summary(), "converged": True,
                    "newton_iterations": int(info.iterations)}
             last = state.phi_corr
-            del state       # one FlowState alive at a time
         rows.append(row)
     return psi, rows, last
 

@@ -506,6 +506,22 @@ def tensor_panel(mesh):
     return panel
 
 
+def pointwise_state(state):
+    """(correction gradient, velocity, density, departure) of a flow state at
+    every quadrature point, the departure from ``gas.density_departure``."""
+    from lowmach import fem
+    from lowmach.gas import density_departure, truncated_density
+    from lowmach.incompressible import velocity_at_qpts
+
+    gas, mesh = state.gas, state.psi_base.mesh
+    phi = 0.0 if state.force is None else state.force.phi_qpts
+    corr_grad = fem.grad_at_qpts(mesh, state.phi_corr.values)
+    u = velocity_at_qpts(state.psi_base, gas.q_inf) + gas.epsilon**2 * corr_grad
+    lam = np.sum(u * u, axis=-1)
+    return (corr_grad, u, truncated_density(lam, phi, gas, state.cut),
+            density_departure(lam, phi, gas, state.cut))
+
+
 def weak_dp_gaps_tensor(state, force=None):
     """eps^2 integral(T : grad w + departure grad(phi_f) . w) per panel field."""
     from lowmach import fem
@@ -516,9 +532,7 @@ def weak_dp_gaps_tensor(state, force=None):
     base[..., 0] += state.gas.q_inf
     force_grad = (np.zeros(mesh.qpts.shape) if force is None
                   else np.asarray(force.grad_qpts, dtype=float))
-    ut = state.corr_grad
-    u = state.u.at_qpts
-    dep = state.departure
+    ut, u, _, dep = pointwise_state(state)
 
     T = (base[..., :, None] * ut[..., None, :]
          + ut[..., :, None] * base[..., None, :]

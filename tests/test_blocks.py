@@ -88,9 +88,6 @@ def test_kernels_match_one_block(pair, kernel):
 
 def test_flow_state_matches_one_block(pair):
     one, many = (p["state"] for p in pair)
-    for name in ("rho", "departure", "mach", "corr_grad"):
-        assert _close(getattr(many, name), getattr(one, name)), name
-    assert _close(many.u.at_qpts, one.u.at_qpts)
     assert many.cutoff_margin == one.cutoff_margin
     assert many.truncated_regime == one.truncated_regime
     for key, value in one.summary().items():
@@ -120,15 +117,14 @@ def test_build_mesh_temporaries_are_bounded(mesh96):
 
 
 def test_minimize_and_flow_state_temporaries_are_bounded(mesh96):
-    # minimize keeps the base velocity (2 units) while it runs; 8.9 measured.
-    # flow_state keeps 7 units of fields; 12.6 measured
+    # neither keeps a per-point field: minimize 6.9 and flow_state 4.3 measured
     psi = solve_incompressible(mesh96, 1.0)
     gas = GasModel(1.4, 0.1, 1.0)
     cut = make_cutoff(gas, 0.65, 0.45)
     box = {}
     units = oracles.traced_units(
         mesh96, lambda: box.setdefault("corr", minimize(psi, None, gas, cut)[0]))
-    assert units <= 9.7
+    assert units <= 7.5
     units = oracles.traced_units(
         mesh96, lambda: flow_state(box["corr"], psi, gas, None, cut))
-    assert units <= 13.8
+    assert units <= 5.5

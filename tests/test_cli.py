@@ -298,6 +298,19 @@ def test_solve_compressible_removed(tmp_path):
     assert norms[-1] <= state["relative_gradient_target"] * norms[0]
 
 
+def test_solve_compressible_close_epsilons_keep_their_artifacts(tmp_path):
+    # 0.1 and 0.1000001 agree to six digits; each keeps its own two files
+    cfg = _write_config(tmp_path, {"geometry": {"n_r": 8, "n_t": 8}})
+    out = str(tmp_path / "out")
+    for eps in ("0.1", "0.1000001"):
+        assert main(["solve-compressible", "--config", cfg, "--out", out,
+                     "--epsilon", eps]) == 0
+    run, files = _run_files(out)
+    assert files == ["correction_eps0.1.txt", "correction_eps0.1000001.txt",
+                     "state_eps0.1.json", "state_eps0.1000001.json"]
+    assert json.loads(open(os.path.join(run, "state_eps0.1.json")).read())["epsilon"] == 0.1
+
+
 def test_solve_compressible_saturated_exits_4(tmp_path):
     cfg = _write_config(tmp_path, {"cutoff": {"theta": 0.1, "eps0": 0.9}})
     out = str(tmp_path / "out")
