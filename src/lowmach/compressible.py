@@ -163,8 +163,8 @@ class DifferenceProblem:
             c, d = coefficients(lam, _at(self.phi, cells), self.gas, self.cut)
             if self.gas.epsilon <= self.cut.eps_ref:
                 # the pointwise eigenvalues, on whose bound ``minimize`` relies
-                low = min(float(np.min(c)), float(np.min(c - d * lam)))
-                if low < self.cut.lam1:
+                low = float(np.minimum(np.min(c), np.min(c - d * lam)))   # NaN propagates
+                if not low >= self.cut.lam1:
                     raise SolverError(
                         f"Hessian eigenvalue {low!r} below lam1 = {self.cut.lam1!r} "
                         f"at epsilon {self.gas.epsilon!r}")

@@ -26,10 +26,12 @@ repeated runs produce bitwise identical operators.
 
 The linear solver is a deterministic conjugate gradient with a full
 residual history, preconditioned by one geometric-multigrid V-cycle on the
-node grid: linear interpolation between levels, Galerkin coarse operators
-(again 9-point stencils), damped block-Jacobi smoothing over radial lines
-(graded cells near the obstacle are strongly anisotropic) and a dense solve
-on the coarsest level; its iteration count does not grow with the mesh.  A
+node grid: linear interpolation between levels (strided slices of the node
+grid), Galerkin coarse operators (again 9-point stencils), damped
+block-Jacobi smoothing over radial lines (graded cells near the obstacle are
+strongly anisotropic; cyclic reduction down to ``_LINE_TAIL`` stations, then
+one batched product with the remaining lines' inverses) and a dense solve on
+the coarsest level; its iteration count does not grow with the mesh.  A
 cycle preconditions every matrix spectrally equivalent to its own: the
 mesh's Laplacian cycle (``ExteriorMesh.laplacian_cycle``) serves the Newton
 solves of the compressible problem.  A node held at zero (the far-field
@@ -189,6 +191,9 @@ def project_to_nodes(mesh, qpt_values):
 _OMEGA = 0.8
 # Grids of at most _COARSEST nodes are solved densely.
 _COARSEST = 200
+# Radial lines of at most _LINE_TAIL stations are solved densely (of 13, 25
+# and 49, 25 gave the fastest cycle at 48^2, 96^2 and 192^2).
+_LINE_TAIL = 25
 
 
 def _neighbours(grid):
@@ -233,9 +238,12 @@ class Operator:
         return out.reshape(grid.shape)[:, 1:-1].reshape(-1)
 
 
-def _take(x, idx, axis):
-    """``x`` gathered at ``idx`` along axis 0 or along the last axis (-1)."""
-    return x[..., idx] if axis else x.take(idx, 0)
+def _along(x, axis, n):
+    """An empty array shaped as ``x`` but with n entries along axis 0 or the
+    last axis (-1), and a function indexing arrays along that axis."""
+    if axis:
+        return np.empty(x.shape[:-1] + (n,)), lambda s: (Ellipsis, s)
+    return np.empty((n,) + x.shape[1:]), lambda s: s
 
 
 class _Interp:
@@ -245,6 +253,10 @@ class _Interp:
     line is periodic (then the last point interpolates across the wrap).  A
     line is kept as it is when fewer than three points would remain, so the
     two neighbours of a periodic coarse point stay distinct.
+
+    Fine point 2k + 1 lies between coarse points k and k + 1 (k + 1 = 0
+    across the wrap), so both transfers are strided slices along axis 0 or
+    the last axis (-1).
     """
 
     def __init__(self, n, periodic):
@@ -254,23 +266,40 @@ class _Interp:
         if coarse.size < 3:
             coarse = np.arange(n)
         self.periodic, self.coarse, self.size = periodic, coarse, coarse.size
-        pos = np.full(n, -1)
-        pos[coarse] = np.arange(coarse.size)
-        fine, odd = np.arange(n), pos < 0
-        # the two coarse neighbours of each fine point (itself twice if coarse)
-        self.lo = np.where(odd, pos[fine - 1], pos)
-        self.hi = np.where(odd, pos[(fine + 1) % n], pos)
-        # the fine neighbours of each coarse point, weighted 1/2 if in between
-        self.left, self.right = (coarse - 1) % n, (coarse + 1) % n
-        self.w_left, self.w_right = 0.5 * odd[self.left], 0.5 * odd[self.right]
+        # fine points: n; at even indices: even; in between two coarse ones: odd
+        self.n, self.even, self.odd = n, (n + 1) // 2, n - coarse.size
+        self.wrap = periodic and n % 2 == 0
 
     def prolong(self, x, axis):
-        return 0.5 * (_take(x, self.lo, axis) + _take(x, self.hi, axis))
+        if not self.odd:
+            return x
+        out, at = _along(x, axis, self.n)
+        if self.wrap:
+            x = np.concatenate((x, x[at(slice(0, 1))]), axis=axis)
+        out[at(slice(0, None, 2))] = x[at(slice(0, self.even))]
+        if self.size > self.even:
+            out[at(-1)] = x[at(-1)]
+        between = out[at(slice(1, 2 * self.odd, 2))]
+        np.add(x[at(slice(0, self.odd))], x[at(slice(1, self.odd + 1))], out=between)
+        between *= 0.5
+        return out
 
     def restrict(self, r, axis):
-        w = (self.w_left, self.w_right) if axis else (self.w_left[:, None], self.w_right[:, None])
-        return (_take(r, self.coarse, axis) + w[0] * _take(r, self.left, axis)
-                + w[1] * _take(r, self.right, axis))
+        if not self.odd:
+            return r
+        out, at = _along(r, axis, self.size)
+        out[at(slice(0, self.even))] = r[at(slice(0, None, 2))]
+        if self.size > self.even:
+            out[at(-1)] = r[at(-1)]
+        half = 0.5 * r[at(slice(1, 2 * self.odd, 2))]
+        # each coarse point adds the fine point before it, then the one after
+        if self.wrap:
+            out[at(slice(1, None))] += half[at(slice(0, -1))]
+            out[at(0)] += half[at(-1)]
+        else:
+            out[at(slice(1, self.odd + 1))] += half
+        out[at(slice(0, self.odd))] += half
+        return out
 
     def galerkin(self, t):
         """P^T T P along the last axis of couplings ``t`` (3, ..., n) of each
@@ -340,8 +369,9 @@ class VCycle:
     P^T A P, each with the fixed nodes of its level as identity rows
     (``_identity_rows``).  Builds them and factors the radial lines of every
     level but the coarsest, and the coarsest level itself; calling it on a
-    residual returns the preconditioned residual.  A non-positive pivot on
-    the way means the matrix is not positive definite and raises SolverError.
+    residual returns the preconditioned residual (each level forms its
+    residual in a buffer of the cycle's own).  A non-positive pivot on the
+    way means the matrix is not positive definite and raises SolverError.
     """
 
     def __init__(self, grid, a):
@@ -358,12 +388,8 @@ class VCycle:
         node = np.arange(s[0, 0].size).reshape(s.shape[2:])
         dense = np.zeros((node.size, node.size))
         np.add.at(dense, (np.broadcast_to(node, s.shape), _neighbours(node)), s)
-        try:
-            np.linalg.cholesky(dense)
-        except np.linalg.LinAlgError:
-            raise SolverError("non-positive curvature in CG", [1.0]) from None
-        inverse = np.linalg.inv(dense)
-        self.coarse = 0.5 * (inverse + inverse.T)
+        self.coarse = _spd_inverse(dense)
+        self._res = [np.empty(op.stencil[0, 0].size) for op in self.ops[:-1]]
 
     def __call__(self, r):
         return self._cycle(0, r)
@@ -373,13 +399,34 @@ class VCycle:
             return self.coarse @ r
         op, smooth, (t_i, t_j) = self.ops[level], self.smoothers[level], self.grid.transfers[level]
         fine, coarse = self.grid.levels[level:level + 2]
+        res = self._res[level]
         z = smooth(r)
-        r_c = t_j.restrict(t_i.restrict(fine * (r - op(z)).reshape(fine.shape), 0), -1)
+        np.subtract(r, op(z), out=res)
+        res *= fine.reshape(-1)
+        r_c = t_j.restrict(t_i.restrict(res.reshape(fine.shape), 0), -1)
         e = self._cycle(level + 1, (coarse * r_c).reshape(-1)).reshape(coarse.shape)
         # e is 0 on fixed coarse nodes: their rows are identity rows, right-hand side 0
         z += (fine * t_i.prolong(t_j.prolong(e, -1), 0)).reshape(-1)
-        z += smooth(r - op(z))
+        z += smooth(np.subtract(r, op(z), out=res))
         return z
+
+
+def _spd_inverse(m, pivots=()):
+    """Symmetrised inverse of the matrices ``m`` (..., k, k).
+
+    Raises SolverError unless every diagonal entry of their Cholesky factors,
+    and every entry of the arrays ``pivots``, is positive: a pivot after a
+    non-positive one can be positive again, and the factor of a matrix
+    holding a NaN is NaN rather than an error.
+    """
+    try:
+        roots = np.linalg.cholesky(m).diagonal(axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        roots = np.zeros(1)
+    if not all(np.all(p > 0.0) for p in [*pivots, roots]):
+        raise SolverError("non-positive curvature in CG", [1.0])
+    inverse = np.linalg.inv(m)
+    return 0.5 * (inverse + np.swapaxes(inverse, -1, -2))
 
 
 def _line_solver(s):
@@ -388,19 +435,25 @@ def _line_solver(s):
     Line j couples the nodes (i, j), i = 0..n_i-1, through the tridiagonal
     part of the stencil: the diagonal ``s[1, 1]`` and the coupling
     ``s[2, 1]`` of each station to the next (``s[0, 1]`` is its transpose).
-    All lines are solved at once by cyclic reduction (Buzbee, Golub &
-    Nielson 1970), vectorized over stations and angles on contiguous copies
-    of the odd and even stations: each step eliminates the odd stations and
-    leaves a tridiagonal system on the even ones, down to a single station.
-    The eliminated diagonals, and that last one, are the pivots of an LDL^T
-    factorization: the lines are positive definite exactly when all of them
-    are positive.
+    All lines are solved at once.  While they have more than ``_LINE_TAIL``
+    stations, a step of cyclic reduction (Buzbee, Golub & Nielson 1970),
+    vectorized over stations and angles on contiguous copies of the odd and
+    even stations, eliminates the odd stations and leaves a tridiagonal
+    system on the even ones.  The lines that remain (on a level of at most
+    ``_LINE_TAIL`` stations, the lines themselves) are solved by one batched
+    product with their inverses, scaled by omega and symmetrised like the
+    coarsest level's (``_spd_inverse``; a table of n_j _LINE_TAIL^2 numbers).
+
+    The eliminated diagonals are pivots of an LDL^T factorization, and the
+    remaining lines have Cholesky factors: the lines are positive definite
+    exactly when every pivot and every diagonal entry of those factors is
+    positive.  Anything else, a NaN included, raises SolverError.
     """
     shape = s.shape[2:]
     diag, off = s[1, 1], s[2, 1, :-1]
     steps, pivots = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        while diag.shape[0] > 1:
+        while diag.shape[0] > _LINE_TAIL:
             pivots.append(diag[1::2])
             inv = 1.0 / diag[1::2]
             # couplings of each odd station to the even ones before and after
@@ -411,10 +464,12 @@ def _line_solver(s):
             diag[:up.shape[0]] -= up * left
             diag[1:down.shape[0] + 1] -= down * right
             off = -up[:down.shape[0]] * right
-        last = _OMEGA / diag
-    # a pivot after a non-positive one can be positive again: check all
-    if not all(np.all(p > 0.0) for p in pivots + [diag]):
-        raise SolverError("non-positive curvature in CG", [1.0])
+    # the remaining lines as dense (n_j, k, k) matrices
+    k = np.arange(diag.shape[0])
+    lines = np.zeros((shape[1], k.size, k.size))
+    lines[:, k, k] = diag.T
+    lines[:, k[1:], k[:-1]] = lines[:, k[:-1], k[1:]] = off.T
+    tail = _OMEGA * _spd_inverse(lines, pivots)
 
     def solve(r):
         r, odds = r.reshape(shape), []
@@ -423,7 +478,8 @@ def _line_solver(s):
             r[:up.shape[0]] -= up * odd
             r[1:down.shape[0] + 1] -= down * odd[:down.shape[0]]
             odds.append(odd)
-        x = last * r
+        x = np.empty(r.shape)
+        np.matmul(tail, r.T[..., None], out=x.T[..., None])
         for (inv, up, down), odd in zip(steps[::-1], odds[::-1]):
             odd *= inv
             odd -= up * x[:up.shape[0]]
@@ -452,7 +508,8 @@ def pcg(a, b, cycle, tol=1e-10):
     number of free nodes.  Returns (x, history), x nodal and exactly zero on
     the fixed nodes.  Non-positive curvature raises SolverError instead of
     silently diverging, which the Newton loop uses to trigger Hessian
-    regularization.
+    regularization; so does a non-finite residual norm or curvature (a NaN
+    in ``a`` or ``b``), at once rather than after ``maxiter`` iterations.
     """
     free = cycle.grid.levels[0]
     b = free.ravel() * b
@@ -469,16 +526,19 @@ def pcg(a, b, cycle, tol=1e-10):
     rz = r @ z
     history = [float(np.linalg.norm(r) / bnorm)]
     while True:
-        if history[-1] <= tol:             # false on a NaN residual
+        if history[-1] <= tol:
             return x, history
+        if not np.isfinite(history[-1]):
+            raise SolverError("non-finite residual in CG", history)
         if len(history) > maxiter:
             raise SolverError(
                 f"CG did not reach tol={tol:g} in {maxiter} iterations "
                 f"(residual {history[-1]:.3e})", history)
         ap = a(p)
         pap = p @ ap
-        if pap <= 0.0:
-            raise SolverError("non-positive curvature in CG", history)
+        if not pap > 0.0:
+            kind = "non-positive" if pap <= 0.0 else "non-finite"
+            raise SolverError(f"{kind} curvature in CG", history)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap

@@ -285,6 +285,16 @@ def test_hessian_below_lam1_raises(psi, cut):
         minimize(psi, None, _gas(0.2), replace(cut, lam1=10.0))
 
 
+def test_hessian_with_a_nan_coefficient_raises(psi, cut):
+    # a NaN eigenvalue is not at or above lam1: the minima must propagate it
+    # (Python's min(1.0, nan) is 1.0), and the comparison must fail on it
+    prob = DifferenceProblem(psi, None, _gas(0.1), cut)
+    corr = np.zeros(psi.mesh.n_nodes)
+    corr[40] = np.nan
+    with pytest.raises(SolverError, match=r"Hessian eigenvalue nan below lam1"):
+        prob.hessian(corr)
+
+
 def test_regularization_shifts_the_hessian_centre(psi, monkeypatch):
     # beyond the cut-off reference a failed Newton solve is retried on
     # H + diag(tau |H_kk| + tau), an update of the stencil's centre coefficient

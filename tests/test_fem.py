@@ -19,10 +19,12 @@ from lowmach import (
 from lowmach.compressible import DifferenceProblem
 from lowmach.errors import SolverError
 from lowmach.fem import (
+    _LINE_TAIL,
     _OMEGA,
     Multigrid,
     Operator,
     VCycle,
+    _Interp,
     _line_solver,
     assemble_mass,
     assemble_matrix,
@@ -280,6 +282,45 @@ def test_indefinite_matrix_raises():
         pcg(shifted, b, VCycle(grid, shifted))
 
 
+@pytest.mark.parametrize("fault", ["negative", "nan"])
+@pytest.mark.parametrize("station", [5, 20], ids=["reduced", "tail"])
+def test_line_definiteness_is_checked_on_both_sides_of_the_tail(station, fault):
+    # 41 stations: one step of cyclic reduction eliminates the odd stations
+    # (a fault at station 5 is a pivot of it), and the 21 even ones are
+    # solved densely (a fault at station 20 reaches the tail's Cholesky
+    # factor; the factor of a NaN line is NaN rather than an error)
+    mesh = _sphere(40, 40)
+    n_i, n_j, _ = mesh.node_grid
+    assert (n_i + 1) // 2 <= _LINE_TAIL < n_i
+    a, b = _laplacian(mesh)
+    grid = Multigrid(mesh, mesh.sigma_nodes)
+    broken = a.copy()
+    centre = broken[1, 1].reshape(-1)
+    centre[station * n_j + 10] = -0.01 * centre[station * n_j + 10] if fault == "negative" else np.nan
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        _line_solver(broken)
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        VCycle(grid, broken)
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        pcg(broken, b, VCycle(grid, broken))
+
+
+@pytest.mark.parametrize("where", ["rhs", "diagonal"])
+def test_non_finite_system_raises_at_once(where):
+    # a NaN residual norm or curvature compares false with everything, so
+    # CG must test for it, not run into its iteration limit (12000 here)
+    mesh = _sphere(24, 24)
+    a, b = _laplacian(mesh)
+    cycle = VCycle(Multigrid(mesh, mesh.sigma_nodes), a)
+    if where == "rhs":
+        b[40] = np.nan
+    else:
+        a[1, 1].reshape(-1)[40] = np.nan
+    with pytest.raises(SolverError, match="non-finite") as info:
+        pcg(a, b, cycle)
+    assert len(info.value.history) - 1 <= 2
+
+
 def test_indefinite_matrix_raises_with_the_laplacian_cycle():
     # a prebuilt cycle has no pivot of the solved matrix to check: the
     # curvature test in CG must catch the flipped diagonal on its own
@@ -346,6 +387,24 @@ def test_line_solve_matches_thomas_sweep(name):
         r = rng.standard_normal(op.stencil[0, 0].size)
         want = oracles.thomas_line_solve(op.stencil, r, _OMEGA)
         assert np.max(np.abs(smooth(r) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["line", "periodic"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 23, 24])
+def test_transfers_match_interpolation_matrix(n, periodic):
+    # odd and even lengths, the appended last point, the periodic wrap and
+    # lines too short to coarsen, along the stations and along the angles
+    interp = _Interp(n, periodic)
+    p, coarse = oracles._interp_1d(n, periodic)
+    p = p.toarray()
+    assert np.array_equal(interp.coarse, coarse)
+    rng = np.random.default_rng(n)
+    e, r = rng.standard_normal((3, coarse.size)), rng.standard_normal((3, n))
+    pairs = [(interp.prolong(e.T, 0), p @ e.T), (interp.prolong(e, -1), e @ p.T),
+             (interp.restrict(r.T, 0), p.T @ r.T), (interp.restrict(r, -1), r @ p)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def _subprocess_env():
