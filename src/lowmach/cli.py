@@ -178,7 +178,8 @@ class RunConfig:
 
 
 def _write(path, text):
-    with open(path, "w") as fh:
+    # the same bytes whatever the locale's encoding or the platform's newline
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
