@@ -28,16 +28,18 @@ The minimizer is found by an inexact Newton method: the Hessian, the same
 coefficient matrix at the state, assembled in weak form in its rank-one
 form (``DifferenceProblem.hessian``), full steps accepted by a convexity
 certificate up to the cut-off reference and by an Armijo backtracking line
-search otherwise, and a multigrid-preconditioned conjugate-gradient inner
-solve (``fem.pcg``) taken only to a forcing tolerance proportional to the
+search otherwise, and a preconditioned conjugate-gradient inner solve
+(``fem.pcg``) taken only to a forcing tolerance proportional to the
 gradient norm (see ``minimize``).  For epsilon at or below the cut-off
 reference the Hessian is uniformly elliptic, with eigenvalues in a band
-around the Laplacian's fixed for all states and epsilons, so one V-cycle of
-the mesh's Laplacian preconditions every Newton solve and each takes about
-as many iterations on every mesh.  Beyond the reference (allowed, but outside the regime where the
-truncated problem is convex) each step builds the cycle of its own Hessian,
-and negative curvature triggers a diagonal regularization so the iteration
-still reaches a stationary point.
+around the Laplacian's fixed for all states and epsilons, so the mesh's
+Laplacian solver (its exact solve on a circle mesh, a V-cycle on an
+ellipse) preconditions every Newton solve and each takes about as many
+iterations on every mesh: 3-7 with the exact solve.  Beyond the reference
+(allowed, but outside the regime where the truncated problem is convex)
+each step builds the V-cycle of its own Hessian, and negative curvature
+triggers a diagonal regularization so the iteration still reaches a
+stationary point.
 """
 
 import itertools
@@ -221,13 +223,15 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     as accurate as the target needs.  The minimizer is unique for epsilon <=
     the cut-off reference (uniform convexity), so restarts from different
     initial guesses must agree.  There every Hessian has its eigenvalues in
-    [cut.lam1, cut.lam2], so the mesh's ``laplacian_cycle`` preconditions
-    every Newton solve.  For epsilon beyond the reference the Hessian may
-    lose definiteness on the blending band; each step then builds the cycle
-    of its own Hessian on the same hierarchy, whose pivots detect that,
-    negative curvature triggers diagonal regularization, and the gradient
-    target is relaxed (and recorded in the diagnostics).  Each CG solve
-    starts from zero on an SPD matrix, so every Newton direction descends.
+    [cut.lam1, cut.lam2], so the mesh's ``laplacian_cycle`` (the exact
+    Laplacian solve on a circle mesh) preconditions every Newton solve.  For
+    epsilon beyond the reference the Hessian may lose definiteness on the
+    blending band; each step then builds the V-cycle of its own Hessian on
+    the same hierarchy, whose pivots detect that, negative curvature
+    triggers diagonal regularization, and the gradient target is relaxed
+    (and recorded in the diagnostics).  Each CG solve starts from zero on an
+    SPD matrix, so every Newton direction descends.  Every SolverError it
+    raises names the epsilon.
 
     Up to the reference I is lam1-strongly convex in d^T K d = int |grad d|^2
     w (K the Laplacian), so phi(a) = I(x + a d) has phi(1) <= phi(0) +
@@ -245,6 +249,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     _check_cutoff_gas(gas, cut)
     prob = DifferenceProblem(psi_base, force, gas, cut)
     mesh = prob.mesh
+    at_eps = f"at epsilon {gas.epsilon!r}"
     x = (np.zeros(mesh.n_nodes) if initial is None
          else np.asarray(initial, dtype=float).copy())
     x[mesh.sigma_nodes] = 0.0
@@ -272,7 +277,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         if it >= max_newton:
             raise SolverError(
                 f"Newton did not reach relative tolerance {rel_target:g} "
-                f"in {max_newton} iterations", info.gradient_norms)
+                f"in {max_newton} iterations {at_eps}", info.gradient_norms)
         h = prob.hessian(x)
         eta = max(_LIN_TOL, min(gn / gn0, max_forcing))
         tau = 0.0
@@ -290,11 +295,11 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                 if not beyond_reference:
                     raise SolverError(
                         "Hessian lost positive definiteness below the cut-off "
-                        "reference epsilon", info.gradient_norms)
+                        f"reference epsilon {at_eps}", info.gradient_norms)
                 info.regularized = True
                 tau = 1e-6 if tau == 0.0 else 10.0 * tau
                 if tau > 1e6:
-                    raise SolverError("Hessian regularization failed",
+                    raise SolverError(f"Hessian regularization failed {at_eps}",
                                       info.gradient_norms)
         info.cg_iterations.append(len(cg_hist) - 1)
 
@@ -310,7 +315,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                 energy = prob.functional(x)
             alpha, energy = _line_search(prob, x, d, energy, slope, max_backtracks)
             if alpha is None:
-                raise SolverError(f"line search failed at Newton iteration {it}",
+                raise SolverError(f"line search failed at Newton iteration {it} {at_eps}",
                                   info.gradient_norms)
         info.accepted_by.append(accepted)
         x = x + alpha * d
@@ -326,7 +331,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     # audit: never above what the accepted steps certified, nor above I(0) = 0
     if info.energy > min(certified, 0.0) + allowance:
         raise SolverError(f"minimizer energy {info.energy!r} above I(0) = 0 or "
-                          f"the certified bound {certified!r}", info.gradient_norms)
+                          f"the certified bound {certified!r} {at_eps}", info.gradient_norms)
     return PotentialField(mesh, x, name="compressibility_correction"), info
 
 

@@ -25,18 +25,25 @@ summed into it by one ``np.bincount``, which adds in input order, so
 repeated runs produce bitwise identical operators.
 
 The linear solver is a deterministic conjugate gradient with a full
-residual history, preconditioned by one geometric-multigrid V-cycle on the
-node grid: linear interpolation between levels (strided slices of the node
-grid), Galerkin coarse operators (again 9-point stencils), damped
-block-Jacobi smoothing over radial lines (graded cells near the obstacle are
-strongly anisotropic; cyclic reduction down to ``_LINE_TAIL`` stations, then
-one batched product with the remaining lines' inverses) and a dense solve on
-the coarsest level; its iteration count does not grow with the mesh.  A
-cycle preconditions every matrix spectrally equivalent to its own: the
-mesh's Laplacian cycle (``ExteriorMesh.laplacian_cycle``) serves the Newton
-solves of the compressible problem.  A node held at zero (the far-field
-station, or a pinned node) stays an identity row on every level, so callers
-pass the assembled operator and the nodal right-hand side as they are and
+residual history, preconditioned by the mesh's Laplacian solver or by one
+geometric-multigrid V-cycle.  On a circle mesh the Laplacian's stencil is a
+sum of two Kronecker products, and ``FastLaplacian`` solves it exactly by
+fast diagonalization: one eigenbasis of the angular factors, then one
+batched tridiagonal solve along the stations per angular mode.  Every other
+matrix (an ellipse mesh's Laplacian, a Newton Hessian beyond the cut-off
+reference) gets a V-cycle on the node grid: linear interpolation between
+levels (strided slices of the node grid), Galerkin coarse operators (again
+9-point stencils), damped block-Jacobi smoothing over radial lines (graded
+cells near the obstacle are strongly anisotropic; cyclic reduction down to
+``_LINE_TAIL`` stations, then one batched product with the remaining lines'
+inverses) and a dense solve on the coarsest level; its iteration count does
+not grow with the mesh.  A solver preconditions every matrix spectrally
+equivalent to its own: the mesh's Laplacian solver
+(``ExteriorMesh.laplacian_cycle``) serves the Newton solves of the
+compressible problem up to the cut-off reference, in 3-7 iterations with
+the exact solve.  A node held at zero (the far-field station, or a pinned
+node) stays an identity row on every level, so callers pass the assembled
+operator and the nodal right-hand side as they are and
 get a nodal solution back.  Only numpy is used.
 """
 
@@ -55,6 +62,7 @@ __all__ = [
     "Operator",
     "Multigrid",
     "VCycle",
+    "FastLaplacian",
     "pcg",
 ]
 
@@ -411,31 +419,167 @@ class VCycle:
         return z
 
 
-def _spd_inverse(m, pivots=()):
-    """Symmetrised inverse of the matrices ``m`` (..., k, k).
+class FastLaplacian:
+    """Exact solve of a separable stencil by fast diagonalization (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964), in place of a ``VCycle``.
 
-    Raises SolverError unless every diagonal entry of their Cholesky factors,
-    and every entry of the arrays ``pivots``, is positive: a pivot after a
-    non-positive one can be positive again, and the factor of a matrix
-    holding a NaN is NaN rather than an error.
+    On a circle mesh the nodes are r_i (cos t_j, sin t_j), so the metric
+    terms and the axisymmetric weight of the bilinear map are products of a
+    station factor and an angle factor, and the Laplacian's stencil is a sum
+    of two Kronecker products, K = A_1 (x) B_1 + A_2 (x) B_2: the A along the
+    stations and the B along the angles (wrapping around on planar meshes),
+    all symmetric and tridiagonal (``_separable_factors``).  The nodes held
+    at zero must be whole stations; on the free ones the solve is
+
+        X = Lines^-1(R W) W^T,   W^T B_1 W = I,  W^T B_2 W = diag(lambda),
+
+    R the residual as an (n_i, n_j) array and Lines the n_j lines w_m^T K
+    w_m = A_1 + lambda_m A_2 along the stations, read off the stencil and
+    solved by ``_tridiagonal_lines`` (undamped), with identity rows on the
+    fixed stations, whose nodes get zero.  B_1 is the coupling of one station
+    to itself, a diagonal block of K: W comes from its Cholesky factor and
+    ``np.linalg.eigh``.  The build raises SolverError exactly when K is not
+    positive definite, when that block's Cholesky factor or a pivot of a
+    line is not positive: a line is K seen through one w_m, and K is the
+    direct sum of its lines.
+
+    Like a ``VCycle`` it holds the ``grid`` and, in ``ops[0]``, the
+    ``Operator`` of ``a`` with the fixed nodes as identity rows, and a call
+    on a residual returns the solution; ``pcg`` with it converges in one
+    iteration.
+    """
+
+    def __init__(self, grid, a):
+        self.grid = grid
+        free = grid.levels[0]
+        if np.any(free != free[:, :1]):
+            raise ValueError("fast diagonalization holds whole stations at zero")
+        self.ops = [Operator(_identity_rows(a, free))]
+        stations = free[:, 0] == 1.0
+        _, (b_diag, b_off) = _separable_factors(a, stations)
+        n_j = b_diag.shape[1]
+        j, after = np.arange(n_j), (np.arange(n_j) + 1) % n_j
+        pencil = np.zeros((2, n_j, n_j))
+        pencil[:, j, j] = b_diag
+        pencil[:, j, after] = pencil[:, after, j] = b_off
+        inv_low = np.linalg.inv(_cholesky(pencil[0]))
+        c = inv_low @ pencil[1] @ inv_low.T
+        w = inv_low.T @ np.linalg.eigh(0.5 * (c + c.T))[1]
+        # line m couples stations i and i + a - 1 by w_m^T K_(i, i+a-1) w_m,
+        # read off the stencil: sum_j,b s[a, b, i, j] w[j, m] w[j + b - 1, m]
+        pairs = [w * np.roll(w, 1 - b, axis=0) for b in range(3)]
+        diag, off = (sum(a[row, b] @ pairs[b] for b in range(3)) for row in (1, 2))
+        diag[~stations] = 1.0
+        off = off[:-1] * (stations[:-1] & stations[1:])[:, None]
+        self._w, self._lines, self._free = w, _tridiagonal_lines(diag, off, 1.0), free[:, :1]
+
+    def __call__(self, r):
+        shape = (self._free.shape[0], -1)
+        x = self._lines(r.reshape(shape) @ self._w).reshape(shape) @ self._w.T
+        x *= self._free
+        return x.reshape(-1)
+
+
+# Largest entry of the separable rebuild's error, relative to the largest
+# entry of the station's stencil (``_separable_factors``).
+_SEPARABLE_TOL = 1e-10
+
+
+def _separable_factors(s, free):
+    """The tridiagonal factors of a stencil s = A_1 (x) B_1 + A_2 (x) B_2 on
+    the free stations (``free``, a boolean per station), couplings to the
+    other stations dropped: ((A_diag, A_off), (B_diag, B_off)), each (2, n)
+    arrays of the diagonals and of the couplings of each station (angle) to
+    the next; B_off wraps around from the last angle to the first.
+
+    The stencil is read as a matrix M with rows (i, a) and columns (j, b),
+    each station's rows scaled by its largest entry, of rank 2.  Its skeleton
+    M = M[:, J] M[I, J]^-1 M[I, :] takes the rows I and the columns J of two
+    pivots: the largest entry of station i0's coupling to itself (i0 the
+    first free station), and then the largest entry left once that cross is
+    taken away.  So B_1 is that coupling, a diagonal block of the stencil.
+    Raises SolverError unless the factors rebuild every free station's
+    stencil to ``_SEPARABLE_TOL`` of its largest entry (a NaN included).
+    M is visited one coupling (a, b) at a time, (n_i, n_j) each.
+    """
+    couplings = list(np.ndindex(3, 3))
+    padded = np.pad(free, 1)
+    to_free = free & np.stack([padded[:-2], padded[1:-1], padded[2:]])   # [a, i]
+    scale = np.max([np.abs(s[a, b]).max(axis=1) for a, b in couplings], axis=0)
+    scale[scale == 0.0] = 1.0
+    weight = to_free / scale                                      # M = s * weight[a, i]
+    i0 = np.flatnonzero(free)[0]
+    row = s[1, :, i0] * weight[1, i0]                             # [b, j]
+    b1, j1 = np.unravel_index(np.argmax(np.abs(row)), row.shape)
+    col = s[:, b1, :, j1] * weight                                # [a, i]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = row / row[b1, j1]
+        peaks = []
+        for a, b in couplings:
+            rest = np.abs(s[a, b] * weight[a, :, None] - col[a, :, None] * ratio[b])
+            k = np.argmax(rest)
+            peaks.append((rest.flat[k], a, b) + np.unravel_index(k, rest.shape))
+        _, a2, b2, i2, j2 = max(peaks, key=lambda peak: peak[0])
+        rows = np.stack([row, s[a2, :, i2] * weight[a2, i2]])     # [k, b, j]
+        cols = np.stack([col, s[:, b2, :, j2] * weight])          # [l, a, i]
+        (g00, g01), (g10, g11) = rows[:, [b1, b2], [j1, j2]]      # M[I, J]
+        inverse = np.array([[g11, -g01], [-g10, g00]]) / (g00 * g11 - g01 * g10)
+        alpha = np.einsum("lai,lk->kai", cols, inverse) * scale   # [k, a, i]
+        # each factor's couplings of station i to i - 1, i and i + 1 (angle
+        # j to j - 1, j and j + 1), from its diagonal and its coupling to the next
+        a_fac = np.stack([np.pad(alpha[:, 2, :-1], ((0, 0), (1, 0))), alpha[:, 1],
+                          alpha[:, 2]], axis=1)
+        b_fac = np.stack([np.roll(rows[:, 2], 1, axis=-1), rows[:, 1], rows[:, 2]], axis=1)
+        err = np.zeros(s.shape[2])
+        for a, b in couplings:
+            rest = a_fac[0, a, :, None] * b_fac[0, b] + a_fac[1, a, :, None] * b_fac[1, b]
+            rest -= s[a, b] * to_free[a, :, None]
+            err = np.maximum(err, np.abs(rest).max(axis=1))       # NaN propagates
+    if not np.all(err <= _SEPARABLE_TOL * scale):
+        raise SolverError(f"stencil is not a sum of two Kronecker products: error "
+                          f"{float(np.max(err / scale))!r} of a station's largest entry")
+    return (alpha[:, 1], alpha[:, 2, :-1]), (rows[:, 1], rows[:, 2])
+
+
+def _cholesky(m, pivots=()):
+    """Cholesky factors of the matrices ``m`` (..., k, k).
+
+    Raises SolverError unless every diagonal entry of them, and every entry
+    of the arrays ``pivots``, is positive: a pivot after a non-positive one
+    can be positive again, and the factor of a matrix holding a NaN is NaN
+    rather than an error.
     """
     try:
-        roots = np.linalg.cholesky(m).diagonal(axis1=-2, axis2=-1)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        roots = np.zeros(1)
-    if not all(np.all(p > 0.0) for p in [*pivots, roots]):
+        low = np.zeros((1, 1))
+    if not all(np.all(p > 0.0) for p in [*pivots, low.diagonal(axis1=-2, axis2=-1)]):
         raise SolverError("non-positive curvature in CG", [1.0])
+    return low
+
+
+def _spd_inverse(m, pivots=()):
+    """Symmetrised inverse of the matrices ``m`` (..., k, k), checked by
+    ``_cholesky``."""
+    _cholesky(m, pivots)
     inverse = np.linalg.inv(m)
     return 0.5 * (inverse + np.swapaxes(inverse, -1, -2))
 
 
 def _line_solver(s):
-    """Damped block-Jacobi solve over the radial lines, r -> omega T^-1 r.
+    """Damped block-Jacobi solve over the radial lines of a stencil, r ->
+    omega T^-1 r: ``_tridiagonal_lines`` of its diagonal ``s[1, 1]`` and its
+    coupling ``s[2, 1]`` of each station to the next (``s[0, 1]`` is its
+    transpose), with omega = ``_OMEGA``."""
+    return _tridiagonal_lines(s[1, 1], s[2, 1, :-1], _OMEGA)
 
-    Line j couples the nodes (i, j), i = 0..n_i-1, through the tridiagonal
-    part of the stencil: the diagonal ``s[1, 1]`` and the coupling
-    ``s[2, 1]`` of each station to the next (``s[0, 1]`` is its transpose).
-    All lines are solved at once.  While they have more than ``_LINE_TAIL``
+
+def _tridiagonal_lines(diag, off, omega):
+    """Solve of symmetric tridiagonal lines along axis 0, r -> omega T^-1 r.
+
+    Line j has the diagonal ``diag[:, j]`` (n_i, n_j) and the couplings
+    ``off[:, j]`` (n_i - 1, n_j) of each station to the next.  All lines are
+    solved at once.  While they have more than ``_LINE_TAIL``
     stations, a step of cyclic reduction (Buzbee, Golub & Nielson 1970),
     vectorized over stations and angles on contiguous copies of the odd and
     even stations, eliminates the odd stations and leaves a tridiagonal
@@ -449,8 +593,7 @@ def _line_solver(s):
     exactly when every pivot and every diagonal entry of those factors is
     positive.  Anything else, a NaN included, raises SolverError.
     """
-    shape = s.shape[2:]
-    diag, off = s[1, 1], s[2, 1, :-1]
+    shape = diag.shape
     steps, pivots = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         while diag.shape[0] > _LINE_TAIL:
@@ -459,7 +602,7 @@ def _line_solver(s):
             # couplings of each odd station to the even ones before and after
             left, right = off[0::2], off[1::2]
             up, down = left * inv, right * inv[:right.shape[0]]
-            steps.append((_OMEGA * inv, up, down))
+            steps.append((omega * inv, up, down))
             diag = diag[0::2].copy()
             diag[:up.shape[0]] -= up * left
             diag[1:down.shape[0] + 1] -= down * right
@@ -469,7 +612,7 @@ def _line_solver(s):
     lines = np.zeros((shape[1], k.size, k.size))
     lines[:, k, k] = diag.T
     lines[:, k[1:], k[:-1]] = lines[:, k[:-1], k[1:]] = off.T
-    tail = _OMEGA * _spd_inverse(lines, pivots)
+    tail = omega * _spd_inverse(lines, pivots)
 
     def solve(r):
         r, odds = r.reshape(shape), []
@@ -496,13 +639,14 @@ def pcg(a, b, cycle, tol=1e-10):
     """Multigrid-preconditioned conjugate gradient for SPD systems.
 
     ``a`` is the assembled stencil and ``b`` the nodal right-hand side.
-    ``cycle`` is a ``VCycle`` and the fixed nodes of its grid are held at
-    zero: the system solved is ``a`` with their rows and columns made
-    identity ones and ``b`` zeroed there, so the finite values ``a`` and
-    ``b`` store for them do not matter.  The cycle may be that of ``a``
-    itself (``VCycle(grid, a)``, whose pivots check that ``a`` is positive
-    definite) or of any matrix spectrally equivalent to it, which keeps the
-    iteration count bounded: one cycle built once serves every solve.
+    ``cycle`` is a ``VCycle`` or a ``FastLaplacian`` and the fixed nodes of
+    its grid are held at zero: the system solved is ``a`` with their rows
+    and columns made identity ones and ``b`` zeroed there, so the finite
+    values ``a`` and ``b`` store for them do not matter.  The cycle may be
+    that of ``a`` itself (``VCycle(grid, a)``, whose pivots check that ``a``
+    is positive definite; with ``FastLaplacian(grid, a)`` CG converges in
+    one iteration) or of any matrix spectrally equivalent to it, which keeps
+    the iteration count bounded: one cycle built once serves every solve.
     Starts from zero and converges on the relative residual
     ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations, n the
     number of free nodes.  Returns (x, history), x nodal and exactly zero on

@@ -113,8 +113,8 @@ class ExteriorMesh:
 
     Immutable after construction (arrays are not written to).  It caches
     the finite-element data that depend on it alone (``stencil_slots``,
-    ``stiffness_table``, ``laplacian_cycle``); the cycle applies its
-    operators through work buffers, so solves on one mesh run one after
+    ``stiffness_table``, ``laplacian_cycle``); the Laplacian solver applies
+    its operators through work buffers, so solves on one mesh run one after
     another.
     The per-point arrays are filled one block of ``fem._BLOCK_POINTS``
     points at a time (``fem.cell_blocks``), so the build adds little to them.
@@ -213,8 +213,10 @@ class ExteriorMesh:
 
     @cached_property
     def laplacian_cycle(self):
-        """``fem.VCycle`` of the Laplacian with the far-field station held at
-        zero.
+        """Solver of the Laplacian with the far-field station held at zero:
+        its exact solve by fast diagonalization (``fem.FastLaplacian``) on a
+        circle mesh, whose Laplacian is separable, and a ``fem.VCycle`` of it
+        on an ellipse mesh.
 
         It solves the Dirichlet closure of the incompressible flow and
         preconditions every Newton Hessian of the compressible problem up to
@@ -222,7 +224,9 @@ class ExteriorMesh:
         the Laplacian's (see ``compressible.minimize``).
         """
         a = fem.assemble_matrix(self, lambda cells: (1.0, None, None))
-        return fem.VCycle(fem.Multigrid(self, self.sigma_nodes), a)
+        a1, a2 = self.shape.semi_axes
+        solver = fem.FastLaplacian if a1 == a2 else fem.VCycle
+        return solver(fem.Multigrid(self, self.sigma_nodes), a)
 
     def cell_id(self, i, j):
         return i * self.n_t + (j % self.n_t)
@@ -542,6 +546,8 @@ def mesh_dump_string(mesh, config_hash=""):
     Floats are written with 17 significant digits so the round-trip is
     bit-exact.
     """
+    from .io_text import g17_rows      # not loaded by ``import lowmach``
+
     shp = mesh.shape
     geom = (f"radius={shp.radius!r}" if shp.kind != "ellipse"
             else f"semi_axes={shp.semi_axes[0]!r},{shp.semi_axes[1]!r}")
@@ -552,7 +558,8 @@ def mesh_dump_string(mesh, config_hash=""):
         f"config={config_hash}\n",
         f"NODES {mesh.n_nodes}\n",
     ]
-    lines += [f"{k} {x:.17g} {y:.17g}\n" for k, (x, y) in enumerate(mesh.nodes)]
+    # '%.17g' of an integer-valued float is the integer: the index column too
+    lines += g17_rows(np.column_stack([np.arange(mesh.n_nodes), mesh.nodes]), " ")
     lines.append(f"CELLS {mesh.n_cells}\n")
     lines += [f"{k} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n"
               for k, quad in enumerate(mesh.cells)]

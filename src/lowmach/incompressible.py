@@ -6,9 +6,9 @@ condition on the obstacle that cancels the normal component of the stream.
 On the truncated far-field boundary the perturbation is closed either with
 a homogeneous Dirichlet condition (default; justified by its fast decay) or
 a homogeneous Neumann condition with one pinned node, for sensitivity
-studies.  Both go through the same multigrid-preconditioned conjugate
-gradient (``fem.pcg``): each node of the far-field station, or the pinned
-node, simply is an identity row.
+studies.  Both go through the same preconditioned conjugate gradient
+(``fem.pcg``): each node of the far-field station, or the pinned node,
+simply is an identity row.
 
 The same bilinear space is used by the compressible module, so the two
 potentials subtract cleanly degree of freedom by degree of freedom.
@@ -60,11 +60,12 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
         int grad(psi) . grad(eta) dV = -q_inf * oint_Gamma n_1 eta dS
 
     for all test functions, with the far-field closure above.  The linear
-    system is solved by multigrid-preconditioned CG (``fem.pcg``) to a
-    relative residual of ``tol``; failure raises SolverError carrying the
-    residual history.  The Dirichlet closure's system and preconditioner is
-    the mesh's ``laplacian_cycle``; the Neumann closure pins one node
-    instead, a hierarchy of its own.
+    system is solved by preconditioned CG (``fem.pcg``) to a relative
+    residual of ``tol``; failure raises SolverError carrying the residual
+    history.  The Dirichlet closure's system and preconditioner is the
+    mesh's ``laplacian_cycle``, an exact solve on a circle mesh (one CG
+    iteration); the Neumann closure pins one node instead, with a V-cycle
+    on a hierarchy of its own.
     """
     if far_field not in ("dirichlet", "neumann"):
         raise ConfigError(f"unknown far-field closure {far_field!r}")

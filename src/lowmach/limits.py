@@ -10,7 +10,7 @@ min(n/2, beta + n/q - 1), the rate the force admissibility parameters
 dictate.
 
 Per-epsilon solves share only what ``prepare`` builds and the mesh's
-Laplacian V-cycle, which applies its operators through work buffers, so the
+Laplacian solver, which applies its operator through work buffers, so the
 solves run one after another.  The report assembly is sequential and
 deterministic.
 """

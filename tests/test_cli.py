@@ -368,11 +368,11 @@ def test_sweep_unconverged_rows_exit_3(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out]) == 3
     run, _ = _run_files(out)
     report = json.loads(open(os.path.join(run, "report.json")).read())
-    error = "Newton did not reach relative tolerance 1e-10 in 1 iterations"
+    error = "Newton did not reach relative tolerance 1e-10 in 1 iterations at epsilon {!r}"
     assert [r["epsilon"] for r in report["rows"]] == BASE["sweep"]["eps"]
     for row in report["rows"]:
         assert row["converged"] is False and row["cutoff_removed"] is False
-        assert row["error"] == error
+        assert row["error"] == error.format(row["epsilon"])
     assert report["slopes"] == {}
 
 
@@ -383,8 +383,22 @@ def test_solve_compressible_solver_error_exits_3(tmp_path, capsys):
                  "--epsilon", "0.1"]) == 3
     err = capsys.readouterr().err
     assert ("solver error: Newton did not reach relative tolerance 1e-10 "
-            "in 1 iterations") in err
-    assert "residual history (tail): 6.363e-01, 6.541e-06" in err
+            "in 1 iterations at epsilon 0.1\n") in err
+    assert "residual history (tail): 6.363e-01, 6.545e-06" in err
+    assert not out.exists()
+
+
+def test_solver_error_names_the_epsilon(tmp_path, capsys):
+    # far beyond the cut-off reference (theta 0.1, eps0 0.9) the Newton
+    # iteration fails; the error says at which epsilon
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"geometry": {"n_r": 16, "n_t": 16},
+                               "cutoff": {"theta": 0.1, "eps0": 0.9}}))
+    out = tmp_path / "out"
+    assert main(["solve-compressible", "--config", str(cfg), "--out", str(out),
+                 "--epsilon", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: " in err and " at epsilon 5.0\n" in err
     assert not out.exists()
 
 

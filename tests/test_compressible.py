@@ -392,17 +392,21 @@ def test_forcing_keeps_newton_steps_and_minimizer(mesh, psi, cut, eps, monkeypat
 
 @pytest.fixture
 def built_cycles(monkeypatch):
-    # the matrix of every fem.VCycle built while the test runs
+    # the matrix of every Laplacian solver of either kind (fem.FastLaplacian,
+    # fem.VCycle) built while the test runs
     from lowmach import fem
 
     built = []
 
-    class Counted(fem.VCycle):
-        def __init__(self, grid, a):
-            built.append(a)
-            super().__init__(grid, a)
+    def counted(solver):
+        class Counted(solver):
+            def __init__(self, grid, a):
+                built.append(a)
+                super().__init__(grid, a)
+        return Counted
 
-    monkeypatch.setattr(fem, "VCycle", Counted)
+    for name in ("FastLaplacian", "VCycle"):
+        monkeypatch.setattr(fem, name, counted(getattr(fem, name)))
     return built
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import oracles
 from lowmach import (
@@ -21,11 +23,13 @@ from lowmach.errors import SolverError
 from lowmach.fem import (
     _LINE_TAIL,
     _OMEGA,
+    FastLaplacian,
     Multigrid,
     Operator,
     VCycle,
     _Interp,
     _line_solver,
+    _separable_factors,
     assemble_mass,
     assemble_matrix,
     assemble_vector_load,
@@ -405,6 +409,112 @@ def test_transfers_match_interpolation_matrix(n, periodic):
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# ----------------------------------------------------------------------
+# Exact Laplacian solves by fast diagonalization
+# ----------------------------------------------------------------------
+
+
+def _tridiagonal(diag, off, wrap):
+    # dense symmetric tridiagonal matrix; ``off`` couples each point to the
+    # next, the last one to the first if ``wrap``
+    n = diag.size
+    m = np.diag(diag) + np.diag(off[:n - 1], 1) + np.diag(off[:n - 1], -1)
+    if wrap:
+        m[0, -1] = m[-1, 0] = off[-1]
+    return m
+
+
+@pytest.mark.parametrize("grading", [1.0, 1.15, 1.3])
+@pytest.mark.parametrize("n", [24, 48, 96])
+@pytest.mark.parametrize("make", [_sphere, _disk], ids=["sphere", "disk"])
+def test_circle_laplacian_is_a_sum_of_two_kronecker_products(make, n, grading):
+    # on the free stations K = A_1 (x) B_1 + A_2 (x) B_2 to 1e-10 of each
+    # station's largest entry; the angular factors wrap around on a disk
+    # (grading 1.0 is build_mesh's uniform branch)
+    mesh = make(n, n, grading=grading)
+    a, _ = _laplacian(mesh)
+    n_i, n_j, periodic = mesh.node_grid
+    (a_diag, a_off), (b_diag, b_off) = _separable_factors(a, np.arange(n_i) < n_i - 1)
+    assert not periodic or np.all(b_off[:, -1] != 0.0)
+    rebuilt = sum(sp.kron(_tridiagonal(a_diag[k, :-1], a_off[k, :-1], False),
+                          _tridiagonal(b_diag[k], b_off[k], periodic))
+                  for k in range(2))
+    free = slice(0, (n_i - 1) * n_j)
+    err = abs(oracles.stencil_to_csr(a)[free][:, free] - rebuilt).max(axis=1).toarray()
+    station_max = np.abs(a).max(axis=(0, 1, 3))[:-1]
+    assert np.all(err.reshape(n_i - 1, n_j).max(axis=1) <= 1e-10 * station_max)
+
+
+@pytest.fixture(scope="module", params=["sphere", "disk"])
+def circle_family(request):
+    # geometry.refined family from 24^2: each level doubles n and
+    # square-roots the grading
+    coarse = (_sphere if request.param == "sphere" else _disk)(24, 24, grading=1.15**2)
+    return [coarse, refined(coarse), refined(refined(coarse))]
+
+
+def test_fast_laplacian_solves_exactly(circle_family):
+    for mesh in circle_family:
+        solver = mesh.laplacian_cycle
+        assert isinstance(solver, FastLaplacian)
+        free = solver.grid.levels[0].ravel()
+        r = free * np.random.default_rng(mesh.n_r).standard_normal(mesh.n_nodes)
+        x = solver(r)
+        assert np.linalg.norm(solver.ops[0](x) - r) <= 1e-10 * np.linalg.norm(r)
+        # the far-field station gets zero, whatever the load holds there
+        junk = r + (1.0 - free) * np.random.default_rng(1).standard_normal(mesh.n_nodes)
+        assert np.array_equal(solver(junk), x)
+        assert np.all(x[mesh.sigma_nodes] == 0.0)
+        a, b = _laplacian(mesh)
+        x, history = pcg(a, b, solver, tol=1e-10)
+        assert len(history) - 1 == 1, history
+        assert np.all(x[mesh.sigma_nodes] == 0.0)
+
+
+def test_fast_laplacian_raises_exactly_when_indefinite():
+    # -K: the coupling of the first station to itself is not positive
+    # definite.  K - sigma M, M the mass matrix (separable on a circle mesh
+    # too, with K's first angular factor): between the two smallest
+    # eigenvalues of (K, M) it has one negative eigenvalue, below the
+    # smallest none, and only the line pivots tell the two apart
+    mesh = _sphere(24, 24)
+    a, b = _laplacian(mesh)
+    grid = Multigrid(mesh, mesh.sigma_nodes)
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        FastLaplacian(grid, -a)
+    mass = assemble_mass(mesh)
+    k_ff, _, free = _free_block(a, b, mesh.sigma_nodes)
+    m_ff = oracles.stencil_to_csr(mass)[free][:, free]
+    lam = scipy.linalg.eigh(k_ff.toarray(), m_ff.toarray(), eigvals_only=True)[:2]
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        FastLaplacian(grid, a - 0.5 * (lam[0] + lam[1]) * mass)
+    shifted = a - 0.5 * lam[0] * mass
+    _, history = pcg(shifted, b, FastLaplacian(grid, shifted), tol=1e-10)
+    assert len(history) - 1 == 1, history
+
+
+def test_fast_laplacian_rejects_what_it_cannot_solve():
+    # a stencil that is not separable (one flipped entry), and a grid with
+    # a node held at zero on a free station
+    mesh = _sphere(24, 24)
+    a, _ = _laplacian(mesh)
+    flipped = a.copy()
+    flipped[1, 1].reshape(-1)[40] *= -0.01
+    with pytest.raises(SolverError, match="not a sum of two Kronecker products"):
+        FastLaplacian(Multigrid(mesh, mesh.sigma_nodes), flipped)
+    with pytest.raises(ValueError, match="whole stations"):
+        FastLaplacian(Multigrid(mesh, mesh.sigma_nodes[:1]), a)
+
+
+def test_ellipse_laplacian_keeps_the_vcycle():
+    # the ellipse's Laplacian is not separable: its solver stays a V-cycle
+    mesh = build_mesh(ObstacleShape("ellipse", semi_axes=(1.5, 1.0)), 20.0, 24, 24)
+    assert type(mesh.laplacian_cycle) is VCycle
+    a, _ = _laplacian(mesh)
+    with pytest.raises(SolverError, match="not a sum of two Kronecker products"):
+        FastLaplacian(mesh.laplacian_cycle.grid, a)
 
 
 def _subprocess_env():

@@ -173,6 +173,27 @@ def test_mesh_dump_roundtrip(tmp_path, sphere_mesh):
     assert mesh_dump_string(mesh2, config_hash="abc123") == path.read_text()
 
 
+@pytest.mark.parametrize("shape, mode, head", [
+    (SPHERE, "axisymmetric-3d", "kind=sphere radius=1.0 "),
+    (DISK, "planar-2d", "kind=disk radius=1.0 "),
+    (ObstacleShape("ellipse", semi_axes=(1.5, 1.0)), "axisymmetric-3d",
+     "kind=ellipse semi_axes=1.5,1.0 "),
+], ids=["sphere", "disk", "ellipse"])
+def test_mesh_dump_node_table_is_the_per_node_format(shape, mode, head):
+    # the node table goes through io_text.g17_rows, the index column too;
+    # the text is that of one f-string per node, byte for byte (x1 holds
+    # zeros and values near 1e-16 at the right angle, which take the
+    # formatter's fallback)
+    mesh = build_mesh(shape, 10.0, 12, 10, grading=1.2, mode=mode)
+    text = mesh_dump_string(mesh, config_hash="abc123")
+    lines = text.splitlines(keepends=True)
+    assert f"lowmach-mesh v1 mode={mode} {head}" in lines[0]
+    assert lines[1] == f"NODES {mesh.n_nodes}\n"
+    want = [f"{k} {x:.17g} {y:.17g}\n" for k, (x, y) in enumerate(mesh.nodes)]
+    assert lines[2:2 + mesh.n_nodes] == want
+    assert lines[2 + mesh.n_nodes] == f"CELLS {mesh.n_cells}\n"
+
+
 def test_build_mesh_validation():
     with pytest.raises(ConfigError):
         build_mesh(SPHERE, 3.0, 8, 8)              # r_far too small
