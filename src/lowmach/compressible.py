@@ -33,13 +33,12 @@ search otherwise, and a preconditioned conjugate-gradient inner solve
 gradient norm (see ``minimize``).  For epsilon at or below the cut-off
 reference the Hessian is uniformly elliptic, with eigenvalues in a band
 around the Laplacian's fixed for all states and epsilons, so the mesh's
-Laplacian solver (its exact solve on a circle mesh, a V-cycle on an
-ellipse) preconditions every Newton solve and each takes about as many
-iterations on every mesh: 3-7 with the exact solve.  Beyond the reference
-(allowed, but outside the regime where the truncated problem is convex)
-each step builds the V-cycle of its own Hessian, and negative curvature
-triggers a diagonal regularization so the iteration still reaches a
-stationary point.
+Laplacian solver (an exact solve) preconditions every Newton solve and
+each takes about as many iterations on every mesh: 3-7 on a circle mesh.
+Beyond the reference (allowed, but outside the regime where the truncated
+problem is convex) each step factors its own Hessian, and a Hessian that
+is not positive definite triggers a diagonal regularization so the
+iteration still reaches a stationary point.
 """
 
 import itertools
@@ -226,9 +225,10 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     [cut.lam1, cut.lam2], so the mesh's ``laplacian_cycle`` (the exact
     Laplacian solve on a circle mesh) preconditions every Newton solve.  For
     epsilon beyond the reference the Hessian may lose definiteness on the
-    blending band; each step then builds the V-cycle of its own Hessian on
-    the same hierarchy, whose pivots detect that, negative curvature
-    triggers diagonal regularization, and the gradient target is relaxed
+    blending band; each step then factors its own Hessian
+    (``fem.StationCholesky``, one CG iteration), whose pivots detect that
+    exactly, a Hessian that is not positive definite triggers diagonal
+    regularization, and the gradient target is relaxed
     (and recorded in the diagnostics).  Each CG solve starts from zero on an
     SPD matrix, so every Newton direction descends.  Every SolverError it
     raises names the epsilon.
@@ -255,7 +255,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
     x[mesh.sigma_nodes] = 0.0
     beyond_reference = gas.epsilon > cut.eps_ref
     cycle = mesh.laplacian_cycle
-    free = cycle.grid.levels[0].ravel()     # 0 on the far-field station
+    free = cycle.free.ravel()   # 0 on the far-field station
     rel_target = max(tol, _BEYOND_REFERENCE_TOL) if beyond_reference else tol
     max_forcing = 0.01 * math.sqrt(rel_target)
 
@@ -288,7 +288,8 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
                     hmat = h.copy()
                     hmat[1, 1] += tau * np.abs(h[1, 1]) + tau
                 d, cg_hist = fem.pcg(
-                    hmat, -grad, fem.VCycle(cycle.grid, hmat) if beyond_reference else cycle,
+                    hmat, -grad,
+                    fem.StationCholesky(cycle.free, hmat) if beyond_reference else cycle,
                     tol=eta)
                 break
             except SolverError:
@@ -307,7 +308,7 @@ def minimize(psi_base, force, gas, cut, tol=1e-10, max_newton=40,
         alpha, full_grad, accepted = 1.0, None, "armijo"
         if not beyond_reference:
             full_grad = free * prob.gradient(x + d)
-            curvature = float(d @ cycle.ops[0](d))
+            curvature = float(d @ cycle.op(d))
             if float(full_grad @ d) - 0.5 * cut.lam1 * curvature <= _ARMIJO_C * slope:
                 energy, accepted = None, "certificate"
         if accepted == "armijo":

@@ -25,26 +25,24 @@ summed into it by one ``np.bincount``, which adds in input order, so
 repeated runs produce bitwise identical operators.
 
 The linear solver is a deterministic conjugate gradient with a full
-residual history, preconditioned by the mesh's Laplacian solver or by one
-geometric-multigrid V-cycle.  On a circle mesh the Laplacian's stencil is a
-sum of two Kronecker products, and ``FastLaplacian`` solves it exactly by
-fast diagonalization: one eigenbasis of the angular factors, then one
-batched tridiagonal solve along the stations per angular mode.  Every other
-matrix (an ellipse mesh's Laplacian, a Newton Hessian beyond the cut-off
-reference) gets a V-cycle on the node grid: linear interpolation between
-levels (strided slices of the node grid), Galerkin coarse operators (again
-9-point stencils), damped block-Jacobi smoothing over radial lines (graded
-cells near the obstacle are strongly anisotropic; cyclic reduction down to
+residual history, preconditioned by an exact solve.  On a circle mesh the
+Laplacian's stencil is a sum of two Kronecker products, and
+``FastLaplacian`` solves it by fast diagonalization: one eigenbasis of the
+angular factors, then one batched tridiagonal solve along the stations per
+angular mode (graded cells near the obstacle are strongly anisotropic, so
+the lines along the stations are solved exactly: cyclic reduction down to
 ``_LINE_TAIL`` stations, then one batched product with the remaining lines'
-inverses) and a dense solve on the coarsest level; its iteration count does
-not grow with the mesh.  A solver preconditions every matrix spectrally
-equivalent to its own: the mesh's Laplacian solver
+inverses).  Every other matrix (an ellipse mesh's Laplacian, a Newton
+Hessian beyond the cut-off reference, the pinned Neumann Laplacian, the
+mass matrix) gets ``StationCholesky``, the block LDL^T factorization of its
+stencil along the stations.  Both builds raise SolverError exactly when the
+matrix is not positive definite.  A solver preconditions every matrix
+spectrally equivalent to its own: the mesh's Laplacian solver
 (``ExteriorMesh.laplacian_cycle``) serves the Newton solves of the
-compressible problem up to the cut-off reference, in 3-7 iterations with
-the exact solve.  A node held at zero (the far-field station, or a pinned
-node) stays an identity row on every level, so callers pass the assembled
-operator and the nodal right-hand side as they are and
-get a nodal solution back.  Only numpy is used.
+compressible problem up to the cut-off reference, in 3-7 iterations.  A
+node held at zero (the far-field station, or a pinned node) is an identity
+row, so callers pass the assembled operator and the nodal right-hand side
+as they are and get a nodal solution back.  Only numpy is used.
 """
 
 import numpy as np
@@ -59,9 +57,9 @@ __all__ = [
     "assemble_vector_load",
     "boundary_component_load",
     "project_to_nodes",
+    "free_mask",
     "Operator",
-    "Multigrid",
-    "VCycle",
+    "StationCholesky",
     "FastLaplacian",
     "pcg",
 ]
@@ -187,21 +185,26 @@ def project_to_nodes(mesh, qpt_values):
                       (w * np.asarray(qpt_values)[..., None]).sum(axis=1).ravel(),
                       minlength=mesh.n_nodes)
     m = assemble_mass(mesh)
-    x, _ = pcg(m, num, VCycle(Multigrid(mesh), m), tol=1e-13)
+    x, _ = pcg(m, num, StationCholesky(free_mask(mesh), m), tol=1e-13)
     return x
 
 
 # ----------------------------------------------------------------------
-# Stencil operators and the multigrid-preconditioned conjugate gradient
+# Stencil operators, exact solvers and the conjugate gradient
 # ----------------------------------------------------------------------
 
-# Damping of the radial-line Jacobi smoother.
-_OMEGA = 0.8
-# Grids of at most _COARSEST nodes are solved densely.
-_COARSEST = 200
 # Radial lines of at most _LINE_TAIL stations are solved densely (of 13, 25
-# and 49, 25 gave the fastest cycle at 48^2, 96^2 and 192^2).
+# and 49, 25 gave the fastest line solve at 48^2, 96^2 and 192^2).
 _LINE_TAIL = 25
+
+
+def free_mask(mesh, fixed=()):
+    """(n_i, n_j) array over a mesh's node grid (``mesh.node_grid``): 0 on
+    the nodes ``fixed`` held at zero, 1 on the free ones."""
+    n_i, n_j, _ = mesh.node_grid
+    free = np.ones(n_i * n_j)
+    free[np.asarray(fixed, dtype=np.int64)] = 0.0
+    return free.reshape(n_i, n_j)
 
 
 def _neighbours(grid):
@@ -246,122 +249,6 @@ class Operator:
         return out.reshape(grid.shape)[:, 1:-1].reshape(-1)
 
 
-def _along(x, axis, n):
-    """An empty array shaped as ``x`` but with n entries along axis 0 or the
-    last axis (-1), and a function indexing arrays along that axis."""
-    if axis:
-        return np.empty(x.shape[:-1] + (n,)), lambda s: (Ellipsis, s)
-    return np.empty((n,) + x.shape[1:]), lambda s: s
-
-
-class _Interp:
-    """Linear interpolation along a line of n points from every other one.
-
-    The coarse points are the even indices, plus the last one unless the
-    line is periodic (then the last point interpolates across the wrap).  A
-    line is kept as it is when fewer than three points would remain, so the
-    two neighbours of a periodic coarse point stay distinct.
-
-    Fine point 2k + 1 lies between coarse points k and k + 1 (k + 1 = 0
-    across the wrap), so both transfers are strided slices along axis 0 or
-    the last axis (-1).
-    """
-
-    def __init__(self, n, periodic):
-        coarse = np.arange(0, n, 2)
-        if not periodic and coarse[-1] != n - 1:
-            coarse = np.append(coarse, n - 1)
-        if coarse.size < 3:
-            coarse = np.arange(n)
-        self.periodic, self.coarse, self.size = periodic, coarse, coarse.size
-        # fine points: n; at even indices: even; in between two coarse ones: odd
-        self.n, self.even, self.odd = n, (n + 1) // 2, n - coarse.size
-        self.wrap = periodic and n % 2 == 0
-
-    def prolong(self, x, axis):
-        if not self.odd:
-            return x
-        out, at = _along(x, axis, self.n)
-        if self.wrap:
-            x = np.concatenate((x, x[at(slice(0, 1))]), axis=axis)
-        out[at(slice(0, None, 2))] = x[at(slice(0, self.even))]
-        if self.size > self.even:
-            out[at(-1)] = x[at(-1)]
-        between = out[at(slice(1, 2 * self.odd, 2))]
-        np.add(x[at(slice(0, self.odd))], x[at(slice(1, self.odd + 1))], out=between)
-        between *= 0.5
-        return out
-
-    def restrict(self, r, axis):
-        if not self.odd:
-            return r
-        out, at = _along(r, axis, self.size)
-        out[at(slice(0, self.even))] = r[at(slice(0, None, 2))]
-        if self.size > self.even:
-            out[at(-1)] = r[at(-1)]
-        half = 0.5 * r[at(slice(1, 2 * self.odd, 2))]
-        # each coarse point adds the fine point before it, then the one after
-        if self.wrap:
-            out[at(slice(1, None))] += half[at(slice(0, -1))]
-            out[at(0)] += half[at(-1)]
-        else:
-            out[at(slice(1, self.odd + 1))] += half
-        out[at(slice(0, self.odd))] += half
-        return out
-
-    def galerkin(self, t):
-        """P^T T P along the last axis of couplings ``t`` (3, ..., n) of each
-        point to the one before, itself and the one after.
-
-        Probed with one coarse line per colour: no two points within one of
-        each other share a colour (points left over when a periodic line's
-        length is not a multiple of 3 get colours of their own), so entry K
-        of a colour's probe is the coupling of K to its neighbour of that
-        colour.
-        """
-        n = self.size
-        colour = np.arange(n) % 3
-        if self.periodic:
-            colour[n - n % 3:] = 3 + np.arange(n % 3)
-        outside = colour.max() + 1
-        probes = np.zeros((outside + 1,) + t.shape[1:-1] + (n,))   # last: off the line
-        halo = np.arange(-1, t.shape[-1] + 1)
-        for c in range(outside):
-            v = self.prolong(1.0 * (colour == c), -1).take(halo, mode="wrap")
-            probes[c] = self.restrict(t[0] * v[:-2] + t[1] * v[1:-1] + t[2] * v[2:], -1)
-        codes = (colour.take(np.arange(-1, n + 1), mode="wrap") if self.periodic
-                 else np.concatenate(([outside], colour, [outside])))
-        codes = sliding_window_view(codes, n).reshape((3,) + (1,) * (t.ndim - 2) + (n,))
-        return np.take_along_axis(probes, codes, axis=0)
-
-
-class Multigrid:
-    """Grid hierarchy of a mesh's (station i, angle j) node grid.
-
-    Each coarser level keeps every other station and angle (``transfers``
-    holds the two ``_Interp`` of each step), and its prolongation P
-    interpolates linearly along both.  ``levels`` holds one (n_i, n_j) array
-    per level, 1 on free nodes and 0 on nodes held at zero (``fixed``); a
-    coarse node is fixed when the fine node it sits on is, and P neither
-    reads nor writes fixed nodes.  The hierarchy depends only on the grid,
-    so one is shared by every operator solved on it (see ``VCycle``).
-    """
-
-    def __init__(self, mesh, fixed=()):
-        n_i, n_j, periodic = mesh.node_grid
-        free = np.ones((n_i, n_j))
-        free.reshape(-1)[np.asarray(fixed, dtype=np.int64)] = 0.0
-        self.levels, self.transfers = [free], []
-        while free.size > _COARSEST:
-            t_i, t_j = _Interp(n_i, False), _Interp(n_j, periodic)
-            if t_i.size == n_i and t_j.size == n_j:
-                break
-            free = free[np.ix_(t_i.coarse, t_j.coarse)]
-            self.transfers.append((t_i, t_j))
-            self.levels.append(free)
-            n_i, n_j = free.shape
-
-
 def _identity_rows(s, free):
     """Stencil ``s`` with the row and column of every node where ``free`` is
     0 made those of the identity: couplings zeroed, 1 on the diagonal."""
@@ -370,58 +257,73 @@ def _identity_rows(s, free):
     return out
 
 
-class VCycle:
-    """One symmetric V(1,1) cycle of a ``Multigrid`` for a nodal stencil.
+def _wrapped(c, x):
+    """Product of a tridiagonal matrix that wraps around with ``x`` (n, ...):
+    row j couples to j + b - 1 (mod n) with ``c[b, j]``, and broadcasts
+    against ``x[j]``.  Three shifted products."""
+    pad = np.concatenate((x[-1:], x, x[:1]))
+    n = x.shape[0]
+    return c[0] * pad[:n] + c[1] * pad[1:n + 1] + c[2] * pad[2:]
 
-    ``ops`` holds the ``Operator`` of ``a`` and of its Galerkin operators
-    P^T A P, each with the fixed nodes of its level as identity rows
-    (``_identity_rows``).  Builds them and factors the radial lines of every
-    level but the coarsest, and the coarsest level itself; calling it on a
-    residual returns the preconditioned residual (each level forms its
-    residual in a buffer of the cycle's own).  A non-positive pivot on the
-    way means the matrix is not positive definite and raises SolverError.
+
+class StationCholesky:
+    """Exact solve of a stencil by its block LDL^T factorization along the
+    stations (the block Thomas algorithm).
+
+    With the nodes held at zero (``free`` 0) as identity rows
+    (``_identity_rows``), the stencil is block tridiagonal: A_ii couples
+    station i to itself and A_i,i-1 to the station before, both tridiagonal
+    along the angles (wrapping around on planar meshes) and read off the
+    stencil as three shifted products (``_wrapped``).  The pivots are the
+    Schur complements
+
+        D_0 = A_00,   D_i = A_ii - A_i,i-1 D_i-1^-1 A_i-1,i,
+
+    and only their symmetrised inverses are kept (``_spd_inverse``; n_i n_j^2
+    numbers, 54 MiB at 192^2).  The matrix is positive definite exactly when
+    every pivot is, so the build raises SolverError exactly when it is not
+    (a NaN included).  A call on a residual returns the solution, by a
+    forward and a backward sweep over the stations, with zero on the fixed
+    nodes whatever the residual holds there; ``pcg`` with it converges in
+    one iteration, up to the round-off of the inverses.  It holds the free
+    mask as ``free`` and, as ``op``, the ``Operator`` of ``a`` with the
+    fixed nodes as identity rows.
     """
 
-    def __init__(self, grid, a):
-        self.grid = grid
-        self.ops = [Operator(_identity_rows(a, grid.levels[0]))]
-        for (t_i, t_j), fine, coarse in zip(grid.transfers, grid.levels, grid.levels[1:]):
-            # P^T A P, P blind to fixed nodes so A enters with their rows zeroed:
-            # a pass along the angles, then one along the stations
-            s = t_j.galerkin((self.ops[-1].stencil * fine).swapaxes(0, 1))   # [b, a, i, j]
-            s = t_i.galerkin(np.ascontiguousarray(s.transpose(1, 0, 3, 2)))  # [a, b, j, i]
-            self.ops.append(Operator(_identity_rows(s.swapaxes(2, 3), coarse)))
-        self.smoothers = [_line_solver(op.stencil) for op in self.ops[:-1]]
-        s = self.ops[-1].stencil
-        node = np.arange(s[0, 0].size).reshape(s.shape[2:])
-        dense = np.zeros((node.size, node.size))
-        np.add.at(dense, (np.broadcast_to(node, s.shape), _neighbours(node)), s)
-        self.coarse = _spd_inverse(dense)
-        self._res = [np.empty(op.stencil[0, 0].size) for op in self.ops[:-1]]
+    def __init__(self, free, a):
+        self.free = free
+        self.op = Operator(_identity_rows(a, free))
+        s = self.op.stencil
+        n_i, n_j = free.shape
+        # A_i,i-1 and its transpose A_i-1,i, as couplings of row j to j + b - 1
+        self._low = s[0]
+        self._up = np.stack([np.roll(s[0, 2 - b], 1 - b, axis=-1) for b in range(3)])
+        self._inv = np.empty((n_i, n_j, n_j))
+        eye = np.eye(n_j)
+        for i in range(n_i):
+            pivot = _wrapped(s[1, :, i, :, None], eye)
+            if i:
+                # A D^-1 A^T = A (A D^-1)^T, D^-1 being symmetric
+                low = self._low[:, i, :, None]
+                pivot -= _wrapped(low, _wrapped(low, self._inv[i - 1]).T)
+            self._inv[i] = _spd_inverse(pivot)
 
     def __call__(self, r):
-        return self._cycle(0, r)
-
-    def _cycle(self, level, r):
-        if level == len(self.smoothers):
-            return self.coarse @ r
-        op, smooth, (t_i, t_j) = self.ops[level], self.smoothers[level], self.grid.transfers[level]
-        fine, coarse = self.grid.levels[level:level + 2]
-        res = self._res[level]
-        z = smooth(r)
-        np.subtract(r, op(z), out=res)
-        res *= fine.reshape(-1)
-        r_c = t_j.restrict(t_i.restrict(res.reshape(fine.shape), 0), -1)
-        e = self._cycle(level + 1, (coarse * r_c).reshape(-1)).reshape(coarse.shape)
-        # e is 0 on fixed coarse nodes: their rows are identity rows, right-hand side 0
-        z += (fine * t_i.prolong(t_j.prolong(e, -1), 0)).reshape(-1)
-        z += smooth(np.subtract(r, op(z), out=res))
-        return z
+        z = r.reshape(self.free.shape) * self.free
+        inv, low, up = self._inv, self._low, self._up
+        z[0] = inv[0] @ z[0]
+        for i in range(1, z.shape[0]):
+            z[i] -= _wrapped(low[:, i], z[i - 1])
+            z[i] = inv[i] @ z[i]
+        for i in range(z.shape[0] - 2, -1, -1):
+            z[i] -= inv[i] @ _wrapped(up[:, i + 1], z[i + 1])
+        z *= self.free
+        return z.reshape(-1)
 
 
 class FastLaplacian:
     """Exact solve of a separable stencil by fast diagonalization (Lynch,
-    Rice & Thomas, Numer. Math. 6, 1964), in place of a ``VCycle``.
+    Rice & Thomas, Numer. Math. 6, 1964), cheaper than a ``StationCholesky``.
 
     On a circle mesh the nodes are r_i (cos t_j, sin t_j), so the metric
     terms and the axisymmetric weight of the bilinear map are products of a
@@ -435,7 +337,7 @@ class FastLaplacian:
 
     R the residual as an (n_i, n_j) array and Lines the n_j lines w_m^T K
     w_m = A_1 + lambda_m A_2 along the stations, read off the stencil and
-    solved by ``_tridiagonal_lines`` (undamped), with identity rows on the
+    solved by ``_tridiagonal_lines``, with identity rows on the
     fixed stations, whose nodes get zero.  B_1 is the coupling of one station
     to itself, a diagonal block of K: W comes from its Cholesky factor and
     ``np.linalg.eigh``.  The build raises SolverError exactly when K is not
@@ -443,18 +345,17 @@ class FastLaplacian:
     line is not positive: a line is K seen through one w_m, and K is the
     direct sum of its lines.
 
-    Like a ``VCycle`` it holds the ``grid`` and, in ``ops[0]``, the
-    ``Operator`` of ``a`` with the fixed nodes as identity rows, and a call
-    on a residual returns the solution; ``pcg`` with it converges in one
-    iteration.
+    Like a ``StationCholesky`` it holds the free mask as ``free`` and, as
+    ``op``, the ``Operator`` of ``a`` with the fixed nodes as identity rows,
+    and a call on a residual returns the solution; ``pcg`` with it converges
+    in one iteration.
     """
 
-    def __init__(self, grid, a):
-        self.grid = grid
-        free = grid.levels[0]
+    def __init__(self, free, a):
         if np.any(free != free[:, :1]):
             raise ValueError("fast diagonalization holds whole stations at zero")
-        self.ops = [Operator(_identity_rows(a, free))]
+        self.free = free
+        self.op = Operator(_identity_rows(a, free))
         stations = free[:, 0] == 1.0
         _, (b_diag, b_off) = _separable_factors(a, stations)
         n_j = b_diag.shape[1]
@@ -471,7 +372,7 @@ class FastLaplacian:
         diag, off = (sum(a[row, b] @ pairs[b] for b in range(3)) for row in (1, 2))
         diag[~stations] = 1.0
         off = off[:-1] * (stations[:-1] & stations[1:])[:, None]
-        self._w, self._lines, self._free = w, _tridiagonal_lines(diag, off, 1.0), free[:, :1]
+        self._w, self._lines, self._free = w, _tridiagonal_lines(diag, off), free[:, :1]
 
     def __call__(self, r):
         shape = (self._free.shape[0], -1)
@@ -566,16 +467,8 @@ def _spd_inverse(m, pivots=()):
     return 0.5 * (inverse + np.swapaxes(inverse, -1, -2))
 
 
-def _line_solver(s):
-    """Damped block-Jacobi solve over the radial lines of a stencil, r ->
-    omega T^-1 r: ``_tridiagonal_lines`` of its diagonal ``s[1, 1]`` and its
-    coupling ``s[2, 1]`` of each station to the next (``s[0, 1]`` is its
-    transpose), with omega = ``_OMEGA``."""
-    return _tridiagonal_lines(s[1, 1], s[2, 1, :-1], _OMEGA)
-
-
-def _tridiagonal_lines(diag, off, omega):
-    """Solve of symmetric tridiagonal lines along axis 0, r -> omega T^-1 r.
+def _tridiagonal_lines(diag, off):
+    """Solve of symmetric tridiagonal lines along axis 0, r -> T^-1 r.
 
     Line j has the diagonal ``diag[:, j]`` (n_i, n_j) and the couplings
     ``off[:, j]`` (n_i - 1, n_j) of each station to the next.  All lines are
@@ -585,8 +478,8 @@ def _tridiagonal_lines(diag, off, omega):
     even stations, eliminates the odd stations and leaves a tridiagonal
     system on the even ones.  The lines that remain (on a level of at most
     ``_LINE_TAIL`` stations, the lines themselves) are solved by one batched
-    product with their inverses, scaled by omega and symmetrised like the
-    coarsest level's (``_spd_inverse``; a table of n_j _LINE_TAIL^2 numbers).
+    product with their symmetrised inverses (``_spd_inverse``; a table of
+    n_j _LINE_TAIL^2 numbers).
 
     The eliminated diagonals are pivots of an LDL^T factorization, and the
     remaining lines have Cholesky factors: the lines are positive definite
@@ -602,7 +495,7 @@ def _tridiagonal_lines(diag, off, omega):
             # couplings of each odd station to the even ones before and after
             left, right = off[0::2], off[1::2]
             up, down = left * inv, right * inv[:right.shape[0]]
-            steps.append((omega * inv, up, down))
+            steps.append((inv, up, down))
             diag = diag[0::2].copy()
             diag[:up.shape[0]] -= up * left
             diag[1:down.shape[0] + 1] -= down * right
@@ -612,7 +505,7 @@ def _tridiagonal_lines(diag, off, omega):
     lines = np.zeros((shape[1], k.size, k.size))
     lines[:, k, k] = diag.T
     lines[:, k[1:], k[:-1]] = lines[:, k[:-1], k[1:]] = off.T
-    tail = omega * _spd_inverse(lines, pivots)
+    tail = _spd_inverse(lines, pivots)
 
     def solve(r):
         r, odds = r.reshape(shape), []
@@ -636,17 +529,17 @@ def _tridiagonal_lines(diag, off, omega):
 
 
 def pcg(a, b, cycle, tol=1e-10):
-    """Multigrid-preconditioned conjugate gradient for SPD systems.
+    """Preconditioned conjugate gradient for SPD systems.
 
     ``a`` is the assembled stencil and ``b`` the nodal right-hand side.
-    ``cycle`` is a ``VCycle`` or a ``FastLaplacian`` and the fixed nodes of
-    its grid are held at zero: the system solved is ``a`` with their rows
-    and columns made identity ones and ``b`` zeroed there, so the finite
-    values ``a`` and ``b`` store for them do not matter.  The cycle may be
-    that of ``a`` itself (``VCycle(grid, a)``, whose pivots check that ``a``
-    is positive definite; with ``FastLaplacian(grid, a)`` CG converges in
-    one iteration) or of any matrix spectrally equivalent to it, which keeps
-    the iteration count bounded: one cycle built once serves every solve.
+    ``cycle`` is a ``StationCholesky`` or a ``FastLaplacian``, and the nodes
+    where its ``free`` mask is 0 are held at zero: the system solved is
+    ``a`` with their rows and columns made identity ones and ``b`` zeroed
+    there, so the finite values ``a`` and ``b`` store for them do not
+    matter.  The solver may be that of ``a`` itself (its build checks that
+    ``a`` is positive definite, and CG converges in one iteration) or of any
+    matrix spectrally equivalent to it, which keeps the iteration count
+    bounded: one solver built once serves every solve.
     Starts from zero and converges on the relative residual
     ||b - A x|| <= tol * ||b|| within max(20 n, 200) iterations, n the
     number of free nodes.  Returns (x, history), x nodal and exactly zero on
@@ -655,7 +548,7 @@ def pcg(a, b, cycle, tol=1e-10):
     regularization; so does a non-finite residual norm or curvature (a NaN
     in ``a`` or ``b``), at once rather than after ``maxiter`` iterations.
     """
-    free = cycle.grid.levels[0]
+    free = cycle.free
     b = free.ravel() * b
     n = b.shape[0]
     maxiter = max(20 * int(free.sum()), 200)

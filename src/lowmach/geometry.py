@@ -215,8 +215,9 @@ class ExteriorMesh:
     def laplacian_cycle(self):
         """Solver of the Laplacian with the far-field station held at zero:
         its exact solve by fast diagonalization (``fem.FastLaplacian``) on a
-        circle mesh, whose Laplacian is separable, and a ``fem.VCycle`` of it
-        on an ellipse mesh.
+        circle mesh, whose Laplacian is separable, and by its block LDL^T
+        factorization along the stations (``fem.StationCholesky``) on an
+        ellipse mesh.
 
         It solves the Dirichlet closure of the incompressible flow and
         preconditions every Newton Hessian of the compressible problem up to
@@ -225,8 +226,8 @@ class ExteriorMesh:
         """
         a = fem.assemble_matrix(self, lambda cells: (1.0, None, None))
         a1, a2 = self.shape.semi_axes
-        solver = fem.FastLaplacian if a1 == a2 else fem.VCycle
-        return solver(fem.Multigrid(self, self.sigma_nodes), a)
+        solver = fem.FastLaplacian if a1 == a2 else fem.StationCholesky
+        return solver(fem.free_mask(self, self.sigma_nodes), a)
 
     def cell_id(self, i, j):
         return i * self.n_t + (j % self.n_t)
@@ -558,11 +559,11 @@ def mesh_dump_string(mesh, config_hash=""):
         f"config={config_hash}\n",
         f"NODES {mesh.n_nodes}\n",
     ]
-    # '%.17g' of an integer-valued float is the integer: the index column too
+    # '%.17g' of an integer-valued float is the integer: the index columns
+    # and the cell table too
     lines += g17_rows(np.column_stack([np.arange(mesh.n_nodes), mesh.nodes]), " ")
     lines.append(f"CELLS {mesh.n_cells}\n")
-    lines += [f"{k} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n"
-              for k, quad in enumerate(mesh.cells)]
+    lines += g17_rows(np.column_stack([np.arange(mesh.n_cells), mesh.cells]).astype(float), " ")
     facets = [(tag, c, a, b) for tag in ("gamma", "sigma")
               for c, (a, b) in zip(mesh.facets[tag].cells, mesh.facets[tag].nodes)]
     lines.append(f"FACETS {len(facets)}\n")

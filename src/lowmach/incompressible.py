@@ -63,9 +63,10 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     system is solved by preconditioned CG (``fem.pcg``) to a relative
     residual of ``tol``; failure raises SolverError carrying the residual
     history.  The Dirichlet closure's system and preconditioner is the
-    mesh's ``laplacian_cycle``, an exact solve on a circle mesh (one CG
-    iteration); the Neumann closure pins one node instead, with a V-cycle
-    on a hierarchy of its own.
+    mesh's ``laplacian_cycle``; the Neumann closure pins one node instead
+    and factors its own Laplacian (``fem.StationCholesky``).  Either solve
+    is exact, so CG takes one iteration (two or three on large meshes, from
+    the round-off of the exact solve).
     """
     if far_field not in ("dirichlet", "neumann"):
         raise ConfigError(f"unknown far-field closure {far_field!r}")
@@ -74,8 +75,8 @@ def solve_incompressible(mesh, q_inf, tol=1e-10, far_field="dirichlet"):
     else:
         # pure Neumann: solution only defined up to a constant; pin one node
         a = fem.assemble_matrix(mesh, lambda cells: (1.0, None, None))
-        cycle = fem.VCycle(fem.Multigrid(mesh, mesh.sigma_nodes[:1]), a)
-    values, history = fem.pcg(cycle.ops[0].stencil, _slip_load(mesh, q_inf), cycle, tol=tol)
+        cycle = fem.StationCholesky(fem.free_mask(mesh, mesh.sigma_nodes[:1]), a)
+    values, history = fem.pcg(cycle.op.stencil, _slip_load(mesh, q_inf), cycle, tol=tol)
     meta = {
         "q_inf": float(q_inf),
         "far_field": far_field,
@@ -121,7 +122,7 @@ def weak_slip_residual(psi, q_inf):
     far-field closure ``psi`` solved.
     """
     mesh = psi.mesh
-    res = mesh.laplacian_cycle.ops[0](psi.values) - _slip_load(mesh, q_inf)
+    res = mesh.laplacian_cycle.op(psi.values) - _slip_load(mesh, q_inf)
     per_node = res[mesh.gamma_nodes]
     return per_node, float(per_node.sum())
 

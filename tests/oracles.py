@@ -369,47 +369,6 @@ def stencil_to_csr(s):
                          shape=(n, n)).tocsr()
 
 
-def _interp_1d(n, periodic):
-    """(n, n_c) CSR linear interpolation from every other point (the last one
-    kept on a non-periodic line) and the fine indices of the coarse points;
-    a line that would keep fewer than three points stays as it is."""
-    coarse = np.arange(0, n, 2)
-    if not periodic and coarse[-1] != n - 1:
-        coarse = np.append(coarse, n - 1)
-    if coarse.size < 3:
-        return sp.identity(n, format="csr"), np.arange(n)
-    pos = np.full(n, -1)
-    pos[coarse] = np.arange(coarse.size)
-    odd = np.flatnonzero(pos < 0)
-    rows = np.concatenate([coarse, odd, odd])
-    cols = np.concatenate([pos[coarse], pos[odd - 1], pos[(odd + 1) % n]])
-    vals = np.concatenate([np.ones(coarse.size), np.full(2 * odd.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size)), coarse
-
-
-def _identity_rows(a, free):
-    keep = sp.diags(free.ravel())
-    return (keep @ a @ keep + sp.diags(1.0 - free.ravel())).tocsr()
-
-
-def galerkin_hierarchy(a, free, periodic, n_levels):
-    """CSR operators of the first ``n_levels`` multigrid levels: ``a`` and
-    its Galerkin products P^T A P with P the Kronecker product of the 1-D
-    interpolations, fixed nodes (``free`` 0) as identity rows on each level.
-    Returns the operators and the free-node arrays of the levels."""
-    ops, frees = [_identity_rows(a, free)], [free]
-    for _ in range(n_levels - 1):
-        n_i, n_j = free.shape
-        p_i, c_i = _interp_1d(n_i, False)
-        p_j, c_j = _interp_1d(n_j, periodic)
-        coarse = free[np.ix_(c_i, c_j)]
-        p = sp.diags(free.ravel()) @ sp.kron(p_i, p_j) @ sp.diags(coarse.ravel())
-        ops.append(_identity_rows(p.T @ ops[-1] @ p, coarse))
-        frees.append(coarse)
-        free = coarse
-    return ops, frees
-
-
 def thomas_line_solve(s, r, omega):
     """omega T^-1 r for the tridiagonal radial-line part T of a stencil
     (diagonal s[1, 1], coupling s[2, 1] to the next station): an L D L^T
@@ -432,8 +391,8 @@ def thomas_line_solve(s, r, omega):
 def jacobi_pcg(a, b, tol=1e-10):
     """Jacobi-preconditioned conjugate gradient from zero: (x, history).
 
-    The one-level solver the multigrid-preconditioned one replaced; its
-    iteration count doubles with each uniform refinement.
+    A one-level solver: its iteration count doubles with each uniform
+    refinement.
     """
     n = b.shape[0]
     bnorm = np.linalg.norm(b)

@@ -218,6 +218,9 @@ def test_solve_incompressible_ellipse(tmp_path):
     assert files == ["psi.txt", "summary.json", "surface.csv"]
     meta, _ = oracles.read_field_dump(os.path.join(run, "psi.txt"))
     assert meta["kind"] == "incompressible_perturbation"
+    # the ellipse's Laplacian is factored exactly: one CG iteration
+    summary = json.loads(open(os.path.join(run, "summary.json")).read())
+    assert summary["iterations"] == 1
     # the surface profile lies on the ellipse (x1/1.5)^2 + xr^2 = 1
     rows = np.loadtxt(os.path.join(run, "surface.csv"), delimiter=",",
                       skiprows=2)

@@ -392,20 +392,20 @@ def test_forcing_keeps_newton_steps_and_minimizer(mesh, psi, cut, eps, monkeypat
 
 @pytest.fixture
 def built_cycles(monkeypatch):
-    # the matrix of every Laplacian solver of either kind (fem.FastLaplacian,
-    # fem.VCycle) built while the test runs
+    # the matrix of every solver of either kind (fem.FastLaplacian,
+    # fem.StationCholesky) built while the test runs
     from lowmach import fem
 
     built = []
 
     def counted(solver):
         class Counted(solver):
-            def __init__(self, grid, a):
+            def __init__(self, free, a):
                 built.append(a)
-                super().__init__(grid, a)
+                super().__init__(free, a)
         return Counted
 
-    for name in ("FastLaplacian", "VCycle"):
+    for name in ("FastLaplacian", "StationCholesky"):
         monkeypatch.setattr(fem, name, counted(getattr(fem, name)))
     return built
 

@@ -22,18 +22,17 @@ from lowmach.compressible import DifferenceProblem
 from lowmach.errors import SolverError
 from lowmach.fem import (
     _LINE_TAIL,
-    _OMEGA,
     FastLaplacian,
-    Multigrid,
     Operator,
-    VCycle,
-    _Interp,
-    _line_solver,
+    StationCholesky,
+    _identity_rows,
     _separable_factors,
+    _tridiagonal_lines,
     assemble_mass,
     assemble_matrix,
     assemble_vector_load,
     boundary_component_load,
+    free_mask,
     grad_at_qpts,
     pcg,
 )
@@ -130,7 +129,7 @@ def test_rank_one_assembly_temporaries_are_bounded():
 
 
 # ----------------------------------------------------------------------
-# Multigrid-preconditioned conjugate gradient
+# Exact block solves and the conjugate gradient
 # ----------------------------------------------------------------------
 
 SOLVE_TOL = 1e-12
@@ -196,9 +195,7 @@ def system(request):
 
 def test_solution_matches_dense_solve(system):
     mesh, fixed, a, b = system
-    grid = Multigrid(mesh, fixed)
-    assert len(grid.transfers) >= 1           # the cycle really coarsens
-    x, history = pcg(a, b, VCycle(grid, a), tol=SOLVE_TOL)
+    x, history = pcg(a, b, StationCholesky(free_mask(mesh, fixed), a), tol=SOLVE_TOL)
     a_ff, b_f, free = _free_block(a, b, fixed)
     dense = np.zeros(mesh.n_nodes)
     dense[free] = np.linalg.solve(a_ff.toarray(), b_f)
@@ -212,8 +209,8 @@ def test_solution_matches_dense_solve(system):
     "name", sorted(k for k, case in SOLVER_CASES.items() if case[1] != "none"))
 def test_fixed_nodes_are_identity_rows(name):
     mesh, fixed, a, b = _system(name)
-    grid = Multigrid(mesh, fixed)
-    x, history = pcg(a, b, VCycle(grid, a), tol=SOLVE_TOL)
+    free = free_mask(mesh, fixed)
+    x, history = pcg(a, b, StationCholesky(free, a), tol=SOLVE_TOL)
     assert np.all(x[fixed] == 0.0)
     # whatever finite values are stored for the fixed nodes, nothing changes
     rng = np.random.default_rng(13)
@@ -221,7 +218,7 @@ def test_fixed_nodes_are_identity_rows(name):
     a_junk, b_junk = a.copy(), b.copy()
     a_junk[on_fixed] = rng.uniform(-1e3, 1e3, np.count_nonzero(on_fixed))
     b_junk[fixed] = rng.uniform(-1e3, 1e3, fixed.size)
-    x_junk, history_junk = pcg(a_junk, b_junk, VCycle(grid, a_junk), tol=SOLVE_TOL)
+    x_junk, history_junk = pcg(a_junk, b_junk, StationCholesky(free, a_junk), tol=SOLVE_TOL)
     assert x_junk.tobytes() == x.tobytes()
     assert history_junk == history
 
@@ -235,7 +232,7 @@ def test_vcycle_is_symmetric_positive_definite(system):
         m = rng.standard_normal(mesh.qweights.shape + (2, 2))
         coeff = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)
         a = assemble_matrix(mesh, _blockwise(*_rank_one(coeff)))
-    apply = VCycle(Multigrid(mesh, fixed), a)
+    apply = StationCholesky(free_mask(mesh, fixed), a)
     r1, r2 = rng.standard_normal((2, mesh.n_nodes))
     z1, z2 = apply(r1), apply(r2)
     assert abs(z1 @ r2 - z2 @ r1) <= 1e-12 * np.linalg.norm(z1) * np.linalg.norm(r2)
@@ -254,7 +251,7 @@ def test_iterations_are_mesh_independent(sphere_family, matrix):
     counts, jacobi_counts = [], []
     for mesh in sphere_family:
         a, b = _laplacian(mesh) if matrix == "laplacian" else _newton_hessian(mesh)
-        _, history = pcg(a, b, VCycle(Multigrid(mesh, mesh.sigma_nodes), a),
+        _, history = pcg(a, b, StationCholesky(free_mask(mesh, mesh.sigma_nodes), a),
                          tol=SOLVE_TOL)
         counts.append(len(history) - 1)
         a_ff, b_f, _ = _free_block(a, b, mesh.sigma_nodes)
@@ -267,23 +264,23 @@ def test_iterations_are_mesh_independent(sphere_family, matrix):
 def test_indefinite_matrix_raises():
     mesh = _sphere(24, 24)
     a, b = _laplacian(mesh)
-    grid = Multigrid(mesh, mesh.sigma_nodes)
+    free = free_mask(mesh, mesh.sigma_nodes)
     # a negative pivot on a radial line: the line factorization itself
-    # raises, and so does building the cycle
+    # raises, and so does building the solver
     flipped = a.copy()
     flipped[1, 1].reshape(-1)[40] *= -0.01
     with pytest.raises(SolverError, match="non-positive curvature"):
-        _line_solver(flipped)
+        _tridiagonal_lines(flipped[1, 1], flipped[2, 1, :-1])
     with pytest.raises(SolverError, match="non-positive curvature"):
-        VCycle(grid, flipped)
+        StationCholesky(free, flipped)
     with pytest.raises(SolverError, match="non-positive curvature"):
-        pcg(flipped, b, VCycle(grid, flipped))
+        pcg(flipped, b, StationCholesky(free, flipped))
     # one negative eigenvalue: shifted between the two smallest
     lam = np.linalg.eigvalsh(_free_block(a, b, mesh.sigma_nodes)[0].toarray())[:2]
     shifted = a.copy()
     shifted[1, 1] -= 0.5 * (lam[0] + lam[1])
     with pytest.raises(SolverError, match="non-positive curvature"):
-        pcg(shifted, b, VCycle(grid, shifted))
+        pcg(shifted, b, StationCholesky(free, shifted))
 
 
 @pytest.mark.parametrize("fault", ["negative", "nan"])
@@ -297,16 +294,16 @@ def test_line_definiteness_is_checked_on_both_sides_of_the_tail(station, fault):
     n_i, n_j, _ = mesh.node_grid
     assert (n_i + 1) // 2 <= _LINE_TAIL < n_i
     a, b = _laplacian(mesh)
-    grid = Multigrid(mesh, mesh.sigma_nodes)
+    free = free_mask(mesh, mesh.sigma_nodes)
     broken = a.copy()
     centre = broken[1, 1].reshape(-1)
     centre[station * n_j + 10] = -0.01 * centre[station * n_j + 10] if fault == "negative" else np.nan
     with pytest.raises(SolverError, match="non-positive curvature"):
-        _line_solver(broken)
+        _tridiagonal_lines(broken[1, 1], broken[2, 1, :-1])
     with pytest.raises(SolverError, match="non-positive curvature"):
-        VCycle(grid, broken)
+        StationCholesky(free, broken)
     with pytest.raises(SolverError, match="non-positive curvature"):
-        pcg(broken, b, VCycle(grid, broken))
+        pcg(broken, b, StationCholesky(free, broken))
 
 
 @pytest.mark.parametrize("where", ["rhs", "diagonal"])
@@ -315,7 +312,7 @@ def test_non_finite_system_raises_at_once(where):
     # CG must test for it, not run into its iteration limit (12000 here)
     mesh = _sphere(24, 24)
     a, b = _laplacian(mesh)
-    cycle = VCycle(Multigrid(mesh, mesh.sigma_nodes), a)
+    cycle = StationCholesky(free_mask(mesh, mesh.sigma_nodes), a)
     if where == "rhs":
         b[40] = np.nan
     else:
@@ -326,20 +323,80 @@ def test_non_finite_system_raises_at_once(where):
 
 
 def test_indefinite_matrix_raises_with_the_laplacian_cycle():
-    # a prebuilt cycle has no pivot of the solved matrix to check: the
+    # a prebuilt solver has no pivot of the solved matrix to check: the
     # curvature test in CG must catch the flipped diagonal on its own
     mesh = _sphere(24, 24)
     a, b = _laplacian(mesh)
-    cycle = VCycle(Multigrid(mesh, mesh.sigma_nodes), a)
+    free = free_mask(mesh, mesh.sigma_nodes)
+    cycle = StationCholesky(free, a)
     flipped = a.copy()
     flipped[1, 1].reshape(-1)[40] *= -0.01
     with pytest.raises(SolverError, match="non-positive curvature"):
         pcg(flipped, b, cycle)
     # the Laplacian itself solves as with a cycle built in the call
     x, history = pcg(a, b, cycle, tol=SOLVE_TOL)
-    x_own, history_own = pcg(a, b, VCycle(Multigrid(mesh, mesh.sigma_nodes), a),
-                             tol=SOLVE_TOL)
+    x_own, history_own = pcg(a, b, StationCholesky(free, a), tol=SOLVE_TOL)
     assert x.tobytes() == x_own.tobytes() and history == history_own
+
+
+def _ellipse(n_r, n_t, grading=1.15):
+    return build_mesh(ObstacleShape("ellipse", semi_axes=(1.5, 1.0)), 20.0, n_r, n_t,
+                      grading=grading)
+
+
+def _dense_free(s, nodes):
+    # the dense block of a stencil on the node indices ``nodes``
+    return oracles.stencil_to_csr(s)[nodes][:, nodes].toarray()
+
+
+@pytest.mark.parametrize("make", [_sphere, _disk, _ellipse], ids=["sphere", "disk", "ellipse"])
+def test_block_solver_raises_exactly_when_indefinite(make):
+    # K - sigma M, M the mass matrix: past the smallest eigenvalue lambda_0
+    # of (K, M) it has one negative eigenvalue, below it none, and the
+    # pivots tell the two apart at 0.1% of lambda_0 (on the disk the angle
+    # wraps around)
+    mesh = make(24, 24)
+    a, b = _laplacian(mesh)
+    mass = assemble_mass(mesh)
+    free = free_mask(mesh, mesh.sigma_nodes)
+    nodes = np.flatnonzero(free)
+    lam0 = scipy.linalg.eigh(_dense_free(a, nodes), _dense_free(mass, nodes),
+                             eigvals_only=True, subset_by_index=[0, 0])[0]
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        StationCholesky(free, a - 1.001 * lam0 * mass)
+    shifted = a - 0.999 * lam0 * mass
+    _, history = pcg(shifted, b, StationCholesky(free, shifted), tol=1e-10)
+    assert len(history) - 1 == 1, history
+
+
+def test_block_solver_raises_exactly_when_a_hessian_is_indefinite():
+    # a Newton Hessian H far beyond the cut-off reference, on a saturated
+    # cut-off, shifted as minimize regularizes it: H + tau (|diag H| + I).
+    # Its smallest eigenvalue crosses zero at tau = -mu_0, mu_0 the smallest
+    # eigenvalue of (H, |diag H| + I); the build raises exactly when the
+    # dense free block has a negative eigenvalue
+    mesh = _sphere(16, 16)
+    gas = GasModel(1.4, 5.0, 1.0)
+    wide = make_cutoff(GasModel(1.4, 0.9, 1.0), 0.1, 0.9)
+    prob = DifferenceProblem(solve_incompressible(mesh, 1.0), None, gas, wide)
+    h = prob.hessian(np.zeros(mesh.n_nodes))
+    shift = np.zeros_like(h)
+    shift[1, 1] = np.abs(h[1, 1]) + 1.0
+    free = free_mask(mesh, mesh.sigma_nodes)
+    nodes = np.flatnonzero(free)
+    mu0 = scipy.linalg.eigh(_dense_free(h, nodes), _dense_free(shift, nodes),
+                            eigvals_only=True, subset_by_index=[0, 0])[0]
+    raised = []
+    for tau in -mu0 * np.array([0.0, 0.5, 0.999, 1.001, 2.0]):
+        hmat = h + tau * shift
+        negative = np.linalg.eigvalsh(_dense_free(hmat, nodes))[0] < 0.0
+        try:
+            StationCholesky(free, hmat)
+            raised.append(False)
+        except SolverError:
+            raised.append(True)
+        assert raised[-1] == negative, tau
+    assert raised == [True, True, True, False, False]
 
 
 def _couplings_of(mesh, nodes):
@@ -370,45 +427,13 @@ def test_stencil_matvec_matches_csr(name):
 
 
 @pytest.mark.parametrize("name", STENCIL_CASES)
-def test_coarse_stencils_match_galerkin_products(name):
-    mesh, fixed, a, _ = _system(name)
-    grid = Multigrid(mesh, fixed)
-    ops = VCycle(grid, a).ops
-    want, frees = oracles.galerkin_hierarchy(
-        oracles.stencil_to_csr(a), grid.levels[0], mesh.node_grid[2], len(ops))
-    for op, free, oracle, oracle_free in zip(ops, grid.levels, want, frees):
-        assert np.array_equal(free, oracle_free)
-        got = oracles.stencil_to_csr(op.stencil)
-        assert abs(got - oracle).max() <= RTOL * abs(oracle).max()
-
-
-@pytest.mark.parametrize("name", STENCIL_CASES)
 def test_line_solve_matches_thomas_sweep(name):
     mesh, fixed, a, _ = _system(name)
-    vcycle = VCycle(Multigrid(mesh, fixed), a)
-    rng = np.random.default_rng(17)
-    for op, smooth in zip(vcycle.ops, vcycle.smoothers):
-        r = rng.standard_normal(op.stencil[0, 0].size)
-        want = oracles.thomas_line_solve(op.stencil, r, _OMEGA)
-        assert np.max(np.abs(smooth(r) - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("periodic", [False, True], ids=["line", "periodic"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 23, 24])
-def test_transfers_match_interpolation_matrix(n, periodic):
-    # odd and even lengths, the appended last point, the periodic wrap and
-    # lines too short to coarsen, along the stations and along the angles
-    interp = _Interp(n, periodic)
-    p, coarse = oracles._interp_1d(n, periodic)
-    p = p.toarray()
-    assert np.array_equal(interp.coarse, coarse)
-    rng = np.random.default_rng(n)
-    e, r = rng.standard_normal((3, coarse.size)), rng.standard_normal((3, n))
-    pairs = [(interp.prolong(e.T, 0), p @ e.T), (interp.prolong(e, -1), e @ p.T),
-             (interp.restrict(r.T, 0), p.T @ r.T), (interp.restrict(r, -1), r @ p)]
-    for got, want in pairs:
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    a = _identity_rows(a, free_mask(mesh, fixed))
+    r = np.random.default_rng(17).standard_normal(a[0, 0].size)
+    want = oracles.thomas_line_solve(a, r, 1.0)
+    got = _tridiagonal_lines(a[1, 1], a[2, 1, :-1])(r)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ----------------------------------------------------------------------
@@ -459,10 +484,10 @@ def test_fast_laplacian_solves_exactly(circle_family):
     for mesh in circle_family:
         solver = mesh.laplacian_cycle
         assert isinstance(solver, FastLaplacian)
-        free = solver.grid.levels[0].ravel()
+        free = solver.free.ravel()
         r = free * np.random.default_rng(mesh.n_r).standard_normal(mesh.n_nodes)
         x = solver(r)
-        assert np.linalg.norm(solver.ops[0](x) - r) <= 1e-10 * np.linalg.norm(r)
+        assert np.linalg.norm(solver.op(x) - r) <= 1e-10 * np.linalg.norm(r)
         # the far-field station gets zero, whatever the load holds there
         junk = r + (1.0 - free) * np.random.default_rng(1).standard_normal(mesh.n_nodes)
         assert np.array_equal(solver(junk), x)
@@ -481,17 +506,17 @@ def test_fast_laplacian_raises_exactly_when_indefinite():
     # smallest none, and only the line pivots tell the two apart
     mesh = _sphere(24, 24)
     a, b = _laplacian(mesh)
-    grid = Multigrid(mesh, mesh.sigma_nodes)
+    free = free_mask(mesh, mesh.sigma_nodes)
     with pytest.raises(SolverError, match="non-positive curvature"):
-        FastLaplacian(grid, -a)
+        FastLaplacian(free, -a)
     mass = assemble_mass(mesh)
-    k_ff, _, free = _free_block(a, b, mesh.sigma_nodes)
-    m_ff = oracles.stencil_to_csr(mass)[free][:, free]
-    lam = scipy.linalg.eigh(k_ff.toarray(), m_ff.toarray(), eigvals_only=True)[:2]
+    nodes = np.flatnonzero(free)
+    lam = scipy.linalg.eigh(_dense_free(a, nodes), _dense_free(mass, nodes),
+                            eigvals_only=True)[:2]
     with pytest.raises(SolverError, match="non-positive curvature"):
-        FastLaplacian(grid, a - 0.5 * (lam[0] + lam[1]) * mass)
+        FastLaplacian(free, a - 0.5 * (lam[0] + lam[1]) * mass)
     shifted = a - 0.5 * lam[0] * mass
-    _, history = pcg(shifted, b, FastLaplacian(grid, shifted), tol=1e-10)
+    _, history = pcg(shifted, b, FastLaplacian(free, shifted), tol=1e-10)
     assert len(history) - 1 == 1, history
 
 
@@ -503,18 +528,21 @@ def test_fast_laplacian_rejects_what_it_cannot_solve():
     flipped = a.copy()
     flipped[1, 1].reshape(-1)[40] *= -0.01
     with pytest.raises(SolverError, match="not a sum of two Kronecker products"):
-        FastLaplacian(Multigrid(mesh, mesh.sigma_nodes), flipped)
+        FastLaplacian(free_mask(mesh, mesh.sigma_nodes), flipped)
     with pytest.raises(ValueError, match="whole stations"):
-        FastLaplacian(Multigrid(mesh, mesh.sigma_nodes[:1]), a)
+        FastLaplacian(free_mask(mesh, mesh.sigma_nodes[:1]), a)
 
 
-def test_ellipse_laplacian_keeps_the_vcycle():
-    # the ellipse's Laplacian is not separable: its solver stays a V-cycle
+def test_ellipse_laplacian_gets_the_block_solver():
+    # the ellipse's Laplacian is not separable: its solver is the block
+    # factorization along the stations, and solves it in one iteration
     mesh = build_mesh(ObstacleShape("ellipse", semi_axes=(1.5, 1.0)), 20.0, 24, 24)
-    assert type(mesh.laplacian_cycle) is VCycle
-    a, _ = _laplacian(mesh)
+    assert type(mesh.laplacian_cycle) is StationCholesky
+    a, b = _laplacian(mesh)
     with pytest.raises(SolverError, match="not a sum of two Kronecker products"):
-        FastLaplacian(mesh.laplacian_cycle.grid, a)
+        FastLaplacian(mesh.laplacian_cycle.free, a)
+    _, history = pcg(a, b, mesh.laplacian_cycle, tol=1e-10)
+    assert len(history) - 1 == 1, history
 
 
 def _subprocess_env():

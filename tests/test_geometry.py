@@ -180,10 +180,10 @@ def test_mesh_dump_roundtrip(tmp_path, sphere_mesh):
      "kind=ellipse semi_axes=1.5,1.0 "),
 ], ids=["sphere", "disk", "ellipse"])
 def test_mesh_dump_node_table_is_the_per_node_format(shape, mode, head):
-    # the node table goes through io_text.g17_rows, the index column too;
-    # the text is that of one f-string per node, byte for byte (x1 holds
-    # zeros and values near 1e-16 at the right angle, which take the
-    # formatter's fallback)
+    # the node and cell tables go through io_text.g17_rows, the index
+    # columns too; the text is that of one f-string per row, byte for byte
+    # (x1 holds zeros and values near 1e-16 at the right angle, which take
+    # the formatter's fallback)
     mesh = build_mesh(shape, 10.0, 12, 10, grading=1.2, mode=mode)
     text = mesh_dump_string(mesh, config_hash="abc123")
     lines = text.splitlines(keepends=True)
@@ -192,6 +192,11 @@ def test_mesh_dump_node_table_is_the_per_node_format(shape, mode, head):
     want = [f"{k} {x:.17g} {y:.17g}\n" for k, (x, y) in enumerate(mesh.nodes)]
     assert lines[2:2 + mesh.n_nodes] == want
     assert lines[2 + mesh.n_nodes] == f"CELLS {mesh.n_cells}\n"
+    # the cell table, from integer-valued floats
+    cells = lines[3 + mesh.n_nodes:3 + mesh.n_nodes + mesh.n_cells]
+    assert cells == [f"{k} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n"
+                     for k, quad in enumerate(mesh.cells)]
+    assert lines[3 + mesh.n_nodes + mesh.n_cells].startswith("FACETS ")
 
 
 def test_build_mesh_validation():
